@@ -59,6 +59,17 @@ def _load_cfg(args) -> dict:
     return fileio.load_config(getattr(args, "config", None), overrides)
 
 
+def _model_from_checkpoint(path, build, what: str):
+    """build(state) over the checkpoint at path; a checkpoint that lacks a
+    parameter the model needs, such as another trainer's, is a DataError."""
+    state = fileio.load_checkpoint(path)
+    try:
+        return build(state)
+    except KeyError as exc:
+        raise DataError(f"{path}: not {what} checkpoint (no parameter "
+                        f"{exc})") from None
+
+
 def _outdir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,8 +275,9 @@ def cmd_train_botaclip(args) -> int:
 
     botania = None
     if cfg["data"]["botania_checkpoint"]:
-        botania = training.botania_from_state(
-            fileio.load_checkpoint(cfg["data"]["botania_checkpoint"]))
+        botania = _model_from_checkpoint(cfg["data"]["botania_checkpoint"],
+                                         training.botania_from_state,
+                                         "a BotaNIA")
     model_options = {
         "mlp_img_hidden": cfg["model"]["mlp_img_hidden"],
         "mlp_tab_hidden": cfg["model"]["mlp_tab_hidden"],
@@ -339,8 +351,9 @@ def cmd_train_botasp(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    state = fileio.load_checkpoint(args.checkpoint)
-    model = training.alignment_model_from_state(state)
+    model = _model_from_checkpoint(args.checkpoint,
+                                   training.alignment_model_from_state,
+                                   "an alignment model")
     emb, ids = fileio.load_embeddings(args.embeddings,
                                       normalize=not args.raw_input)
     adapted = training.embed_images(model, emb)

@@ -1,15 +1,13 @@
 """Downstream task runners: fixed random-forest predictors over embeddings,
 evaluated per species (presence tasks) or per trophic group (abundance).
 
-Per-species work is independent and runs on a thread pool sized by the
-RA_THREADS environment variable (default: all cores); results are keyed, so
-scheduling order never changes the output.
+Units (species or groups) run in order, one after another, in the calling
+thread; each draws from its own substream, so a unit's result never depends
+on the others.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +63,6 @@ class MetricReport:
                 acc.setdefault(unit, []).append(value)
         return {u: float(np.mean(v)) for u, v in acc.items()}
 
-    def metrics_present(self) -> list[str]:
-        return sorted({m for *_, m, _ in [(r[0], r[1], r[2], r[3], r[4])
-                                          for r in self.rows]})
-
     def pretty(self) -> str:
         by_metric: dict[str, list] = {}
         for _, _, _, metric, value in self.rows:
@@ -79,17 +73,6 @@ class MetricReport:
             lines.append(f"  {metric:<12} mean={vals.mean():+.4f} "
                          f"std={vals.std():.4f} n={vals.size}")
         return "\n".join(lines)
-
-
-def _pool_map(fn, items):
-    workers = os.cpu_count() or 1
-    env = os.environ.get("RA_THREADS")
-    if env:
-        workers = max(1, int(env))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _balanced(y, idx, gen):
@@ -138,21 +121,16 @@ def eval_plant(embeddings: np.ndarray, covers: CoverMatrix,
     kept = filter_by_support(binary, min_presences, max_presences)
     train_idx, val_idx, _ = buffered_split(assignment, fold)
     report = MetricReport("plant")
-
-    def run(args):
-        j, seed = args
-        y = binary[:, j]
-        gen = Rng(seed).substream("plant", j)
-        res = _classify_fold(embeddings, y, train_idx, val_idx, n_trees,
-                             threshold, seed * 100003 + j, gen)
-        return j, seed, res
-
-    tasks = [(int(j), int(s)) for s in seeds for j in kept]
-    for j, seed, res in _pool_map(run, tasks):
-        if res is None:
-            continue
-        for metric in ("tss", "f1", "sensitivity", "specificity"):
-            report.add(covers.species_ids[j], fold, seed, metric, res[metric])
+    for seed in map(int, seeds):
+        for j in map(int, kept):
+            gen = Rng(seed).substream("plant", j)
+            res = _classify_fold(embeddings, binary[:, j], train_idx, val_idx,
+                                 n_trees, threshold, seed * 100003 + j, gen)
+            if res is None:
+                continue
+            for metric in ("tss", "f1", "sensitivity", "specificity"):
+                report.add(covers.species_ids[j], fold, seed, metric,
+                           res[metric])
     return report
 
 
@@ -168,49 +146,40 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
     embedding matrix, aligned with its OccurrenceSet arrays.
     """
     report = MetricReport("butterfly")
-    species_order = {sp: i for i, sp in enumerate(occurrences)}
-
-    def run(args):
-        species, seed = args
-        occ = occurrences[species]
-        pres_rows, cand_rows = (np.asarray(r) for r in row_index[species])
-        gen = Rng(seed).substream("butterfly-abs", species_order[species])
-        coords, labels, picked = make_pseudo_absences(occ, gen)
-        emb_rows = np.concatenate([pres_rows, cand_rows[picked]])
-        X = embeddings[emb_rows]
-        out = []
-        try:
-            fa = FoldAssignment.build(
-                coords, n_folds, Rng(seed).substream("butterfly-folds"),
-                cell_size)
-        except DataError:
-            return species, seed, out
-        for fold in range(n_folds):
+    for seed in map(int, seeds):
+        for i, (species, occ) in enumerate(occurrences.items()):
+            pres_rows, cand_rows = (np.asarray(r) for r in row_index[species])
+            gen = Rng(seed).substream("butterfly-abs", i)
+            coords, labels, picked = make_pseudo_absences(occ, gen)
+            emb_rows = np.concatenate([pres_rows, cand_rows[picked]])
+            X = embeddings[emb_rows]
             try:
-                train_idx, val_idx, _ = buffered_split(fa, fold)
-                res = _classify_fold(
-                    X, labels, train_idx, val_idx, n_trees, threshold,
-                    seed * 100003 + fold, Rng(seed).substream("butterfly", fold))
+                fa = FoldAssignment.build(
+                    coords, n_folds, Rng(seed).substream("butterfly-folds"),
+                    cell_size)
             except DataError:
                 continue
-            if res is None:
-                continue
-            row = {m: res[m] for m in ("tss", "f1", "sensitivity",
-                                       "specificity")}
-            try:
-                pres_scores = res["_proba"][res["_val_labels"] == 1]
-                bg_scores = res["_proba"][res["_val_labels"] == 0]
-                row["boyce"] = boyce_index(pres_scores, bg_scores)
-            except (Degenerate, ZeroVariance):
-                pass
-            out.append((fold, row))
-        return species, seed, out
-
-    tasks = [(sp, int(s)) for s in seeds for sp in occurrences]
-    for species, seed, results in _pool_map(run, tasks):
-        for fold, row in results:
-            for metric, value in row.items():
-                report.add(species, fold, seed, metric, value)
+            for fold in range(n_folds):
+                try:
+                    train_idx, val_idx, _ = buffered_split(fa, fold)
+                    res = _classify_fold(
+                        X, labels, train_idx, val_idx, n_trees, threshold,
+                        seed * 100003 + fold,
+                        Rng(seed).substream("butterfly", fold))
+                except DataError:
+                    continue
+                if res is None:
+                    continue
+                row = {m: res[m] for m in ("tss", "f1", "sensitivity",
+                                           "specificity")}
+                try:
+                    pres_scores = res["_proba"][res["_val_labels"] == 1]
+                    bg_scores = res["_proba"][res["_val_labels"] == 0]
+                    row["boyce"] = boyce_index(pres_scores, bg_scores)
+                except (Degenerate, ZeroVariance):
+                    pass
+                for metric, value in row.items():
+                    report.add(species, fold, seed, metric, value)
     return report
 
 
@@ -225,33 +194,25 @@ def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *,
     report = MetricReport("soil")
     groups = table.group_ids or [f"g{j + 1}" for j in range(table.values.shape[1])]
 
-    def run(args):
-        j, seed = args
-        y = table.values[:, j]
-        folds = stratified_kfold(strata, n_folds,
-                                 Rng(seed).substream("soil-folds"))
-        out = []
-        for fold in range(n_folds):
-            val = np.flatnonzero(folds == fold)
-            train = np.flatnonzero(folds != fold)
-            if train.size < 2 or val.size < 2:
-                continue
-            forest = fit_regressor(
-                embeddings[train], y[train],
-                ForestConfig(n_trees=n_trees, criterion="mse",
-                             seed=seed * 100003 + fold * 1009 + j))
-            pred = predict(forest, embeddings[val])
-            row = {"mae": mae(y[val], pred)}
-            try:
-                row["spearman"] = spearman_rho(y[val], pred)
-            except ZeroVariance:
-                pass
-            out.append((fold, row))
-        return j, seed, out
-
-    tasks = [(int(j), int(s)) for s in seeds for j in range(table.values.shape[1])]
-    for j, seed, results in _pool_map(run, tasks):
-        for fold, row in results:
-            for metric, value in row.items():
-                report.add(groups[j], fold, seed, metric, value)
+    for seed in map(int, seeds):
+        for j in range(table.values.shape[1]):
+            y = table.values[:, j]
+            folds = stratified_kfold(strata, n_folds,
+                                     Rng(seed).substream("soil-folds"))
+            for fold in range(n_folds):
+                val = np.flatnonzero(folds == fold)
+                train = np.flatnonzero(folds != fold)
+                if train.size < 2 or val.size < 2:
+                    continue
+                forest = fit_regressor(
+                    embeddings[train], y[train],
+                    ForestConfig(n_trees=n_trees, criterion="mse",
+                                 seed=seed * 100003 + fold * 1009 + j))
+                pred = predict(forest, embeddings[val])
+                report.add(groups[j], fold, seed, "mae", mae(y[val], pred))
+                try:
+                    report.add(groups[j], fold, seed, "spearman",
+                               spearman_rho(y[val], pred))
+                except ZeroVariance:
+                    pass
     return report

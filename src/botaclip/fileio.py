@@ -145,6 +145,26 @@ def read_csv(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
+def _parse_rows(path, rows, parse):
+    """[parse(row) for row in rows], where a row that does not parse (a
+    missing field, a non-number) raises DataError naming the file and line."""
+    out = []
+    for k, row in enumerate(rows):
+        try:
+            out.append(parse(row))
+        except (ValueError, IndexError) as exc:
+            # read_csv drops blank lines, so recount them for the file line
+            with open(path, encoding="utf-8") as fh:
+                line = [i for i, ln in enumerate(fh, 1) if ln.strip()][k + 1]
+            raise DataError(f"{path}, line {line}: {exc}") from None
+    return out
+
+
+def _releve_row(row):
+    plot_id, x, y, cls, species, bb = row
+    return plot_id, float(x), float(y), int(cls), species, bb
+
+
 def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
                      col_ids: list[str], id_column: str = "plot_id") -> None:
     header = [id_column] + list(col_ids)
@@ -164,10 +184,6 @@ def read_matrix_csv(path, id_column: str | None = None):
     return values, row_ids, col_ids
 
 
-def write_table_csv(path, header, columns) -> None:
-    write_csv(path, header, zip(*columns))
-
-
 # --- domain schemas -----------------------------------------------------------
 
 def read_releves(path):
@@ -180,10 +196,11 @@ def read_releves(path):
     if header != expected:
         raise DataError(f"{path}: header must be {','.join(expected)}")
     releves: dict[str, Releve] = {}
-    for plot_id, x, y, cls, species, bb in rows:
+    for plot_id, x, y, cls, species, bb in _parse_rows(path, rows,
+                                                        _releve_row):
         rel = releves.get(plot_id)
         if rel is None:
-            rel = Releve(plot_id, float(x), float(y), [], int(cls))
+            rel = Releve(plot_id, x, y, [], cls)
             releves[plot_id] = rel
         rel.species_covers.append((species, bb))
     return list(releves.values())
@@ -195,7 +212,8 @@ def read_locations(path):
             header[:3] != ["sample_id", "x_m", "y_m"]:
         raise DataError(f"{path}: expected id, x_m, y_m columns")
     ids = [r[0] for r in rows]
-    pts = np.array([[float(r[1]), float(r[2])] for r in rows])
+    pts = np.array(_parse_rows(path, rows,
+                               lambda r: [float(r[1]), float(r[2])]))
     return ids, pts
 
 

@@ -2,9 +2,12 @@
 
 Behavioral mirror of the usual library defaults (100 trees, gini with
 sqrt(d) features per node for classification, variance reduction with all
-features for regression, unlimited depth, midpoint thresholds). Ties between
-equally good splits go to the lowest feature index, then lowest threshold.
-Per-tree substreams make fitting reproducible and parallelizable.
+features for regression, unlimited depth, midpoint thresholds). Each node
+runs one vectorized exact search over its block of candidate features:
+stable sorts, cumulative sums and impurities for every feature and boundary
+at once. Ties between equally good splits go to the lowest feature index,
+then lowest threshold. Per-tree substreams make fitting reproducible and
+parallelizable.
 """
 
 from __future__ import annotations
@@ -61,80 +64,59 @@ def _n_candidate_features(cfg: ForestConfig, d: int) -> int:
     raise ValueError(f"bad max_features {cfg.max_features!r}")
 
 
-def _best_split_gini(x: np.ndarray, y: np.ndarray):
-    """Best (threshold, weighted_child_impurity) for one feature, or None."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    boundary = np.flatnonzero(xs[:-1] < xs[1:])
-    if boundary.size == 0:
-        return None
-    n = xs.size
-    left_pos = np.cumsum(ys)[boundary]
-    left_n = boundary + 1.0
-    right_n = n - left_n
-    right_pos = ys.sum() - left_pos
-    pl = left_pos / left_n
-    pr = right_pos / right_n
-    gini_l = 2.0 * pl * (1.0 - pl)
-    gini_r = 2.0 * pr * (1.0 - pr)
-    weighted = (left_n * gini_l + right_n * gini_r) / n
-    k = int(np.argmin(weighted))
-    thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
-    return thr, float(weighted[k])
+def _best_split(Xc: np.ndarray, y: np.ndarray, criterion: str):
+    """Best (row, threshold) over a (candidates, samples) block, or None.
 
-
-def _best_split_mse(x: np.ndarray, y: np.ndarray):
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    boundary = np.flatnonzero(xs[:-1] < xs[1:])
-    if boundary.size == 0:
+    Each row is one candidate feature at the node. The weighted child
+    impurity is computed for every row and boundary at once; the flat argmin
+    over the feature-major table keeps the lowest row, then the lowest
+    threshold, among equally good splits.
+    """
+    order = np.argsort(Xc, axis=1, kind="stable")
+    xs = np.take_along_axis(Xc, order, axis=1)
+    ys = y[order]
+    boundary = xs[:, :-1] < xs[:, 1:]
+    if not boundary.any():
         return None
-    n = xs.size
-    csum = np.cumsum(ys)
-    left_n = boundary + 1.0
+    n = xs.shape[1]
+    left_n = np.arange(1.0, n)
     right_n = n - left_n
-    left_sum = csum[boundary]
-    right_sum = ys.sum() - left_sum
-    csum2 = np.cumsum(ys * ys)
-    left_sse = csum2[boundary] - left_sum ** 2 / left_n
-    right_sse = (csum2[-1] - csum2[boundary]) - right_sum ** 2 / right_n
-    weighted = (left_sse + right_sse) / n
-    k = int(np.argmin(weighted))
-    thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
-    return thr, float(weighted[k])
+    left_sum = np.cumsum(ys, axis=1)[:, :-1]
+    right_sum = ys.sum(axis=1, keepdims=True) - left_sum
+    if criterion == "gini":
+        pl = left_sum / left_n
+        pr = right_sum / right_n
+        gini_l = 2.0 * pl * (1.0 - pl)
+        gini_r = 2.0 * pr * (1.0 - pr)
+        weighted = (left_n * gini_l + right_n * gini_r) / n
+    else:
+        csum2 = np.cumsum(ys * ys, axis=1)
+        left_sse = csum2[:, :-1] - left_sum ** 2 / left_n
+        right_sse = (csum2[:, -1:] - csum2[:, :-1]) - right_sum ** 2 / right_n
+        weighted = (left_sse + right_sse) / n
+    weighted[~boundary] = np.inf
+    row, k = divmod(int(np.argmin(weighted)), n - 1)
+    return row, 0.5 * (xs[row, k] + xs[row, k + 1])
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 cfg: ForestConfig, gen: np.random.Generator,
                 depth: int) -> TreeNode:
-    node = TreeNode()
     yy = y[idx]
-    if cfg.criterion == "gini":
-        node.value = float(np.mean(yy))
-        pure = yy.min() == yy.max()
-    else:
-        node.value = float(np.mean(yy))
-        pure = np.all(yy == yy[0])
-    if (pure or idx.size < cfg.min_samples_split
+    node = TreeNode(value=float(np.mean(yy)))
+    if (yy.min() == yy.max() or idx.size < cfg.min_samples_split
             or (cfg.max_depth is not None and depth >= cfg.max_depth)):
         return node
 
     d = X.shape[1]
     m = _n_candidate_features(cfg, d)
     candidates = np.sort(gen.choice(d, size=m, replace=False))
-    split_fn = _best_split_gini if cfg.criterion == "gini" else _best_split_mse
-    best = None  # (impurity, feature, threshold)
-    for f in candidates:
-        res = split_fn(X[idx, f], yy)
-        if res is None:
-            continue
-        thr, imp = res
-        # strict comparison keeps the lowest feature index / threshold on ties
-        if best is None or imp < best[0]:
-            best = (imp, int(f), thr)
+    best = _best_split(X[idx[None, :], candidates[:, None]], yy,
+                       cfg.criterion)
     if best is None:
         return node
-    _, node.feature, node.threshold = best
+    row, node.threshold = best
+    node.feature = int(candidates[row])
     mask = X[idx, node.feature] <= node.threshold
     node.left = _build_tree(X, y, idx[mask], cfg, gen, depth + 1)
     node.right = _build_tree(X, y, idx[~mask], cfg, gen, depth + 1)

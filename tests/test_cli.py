@@ -50,6 +50,12 @@ class TestSynthCommand:
         assert len(ids) == 320
 
 
+def _one_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 class TestSplitCommand:
     def test_split_manifest(self, synth_dir, tmp_path):
         out = tmp_path / "split.csv"
@@ -60,6 +66,19 @@ class TestSplitCommand:
         ids, cells, folds, roles = fileio.read_split_manifest(out)
         assert len(ids) == 160
         assert set(roles) <= {"train", "validation", "buffer-excluded"}
+
+    def test_non_numeric_coordinate_exit_2(self, tmp_path, capsys):
+        locations = tmp_path / "locations.csv"
+        locations.write_text("plot_id,x_m,y_m\n"
+                             "p1,100.0,200.0\n"
+                             "\n"
+                             "p2,east,150.0\n")
+        rc = main(["split", "--locations", str(locations),
+                   "--out", str(tmp_path / "split.csv")])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{locations}, line 4" in doc["message"]
 
 
 class TestPrepCommand:
@@ -92,6 +111,19 @@ class TestPrepCommand:
         doc = json.loads(err)
         assert doc["error"] == "DuplicateEntry"
         assert doc["exit"] == 2
+
+    def test_short_row_exit_2(self, tmp_path, capsys):
+        releves = tmp_path / "releves.csv"
+        releves.write_text(
+            "plot_id,x_m,y_m,prodrome_class,species_id,bb_class\n"
+            "p1,0.0,0.0,1,spA,5\n"
+            "p1,0.0,0.0,1,spB\n")
+        rc = main(["prep", "--releves", str(releves),
+                   "--out-dir", str(tmp_path / "prep")])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{releves}, line 3" in doc["message"]
 
 
 class TestTrainAndEmbed:
@@ -202,7 +234,9 @@ class TestOtherTrainers:
         assert "botania.lin1.weight" in state
         assert "img_adapter.weight" in state
 
-    def test_botasp(self, synth_dir, tmp_path):
+    @pytest.fixture(scope="class")
+    def botasp_dir(self, synth_dir, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("botasp")
         cfg = {
             "seed": 0,
             "data": {"embeddings": str(synth_dir / "images.emb"),
@@ -217,8 +251,24 @@ class TestOtherTrainers:
         out = tmp_path / "sp"
         assert main(["train-botasp", "--config", str(cfg_path),
                      "--out-dir", str(out)]) == 0
-        state = fileio.load_checkpoint(out / "botasp.ckpt")
+        return out
+
+    def test_botasp(self, botasp_dir):
+        state = fileio.load_checkpoint(botasp_dir / "botasp.ckpt")
         assert state["botasp.hidden.weight"].shape[0] == 20
+
+    def test_embed_rejects_botasp_checkpoint(self, synth_dir, botasp_dir,
+                                             tmp_path, capsys):
+        ckpt = botasp_dir / "botasp.ckpt"
+        capsys.readouterr()
+        rc = main(["embed", "--checkpoint", str(ckpt),
+                   "--embeddings", str(synth_dir / "images.emb"),
+                   "--out", str(tmp_path / "adapted.emb")])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert str(ckpt) in doc["message"]
+        assert not (tmp_path / "adapted.emb").exists()
 
     def test_mlp_and_attention_variants(self, synth_dir, tmp_path):
         for variant, model in (

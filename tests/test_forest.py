@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from botaclip.errors import EmptyData, ShapeMismatch
 from botaclip.forest import (
     Forest,
     ForestConfig,
     TreeNode,
+    _n_candidate_features,
     fit_classifier,
     fit_regressor,
     predict,
@@ -145,3 +149,137 @@ class TestRegressor:
                                                   seed=3))
         p = predict(forest, gen.normal(size=(50, 3)))
         assert p.min() >= y.min() - 1e-12 and p.max() <= y.max() + 1e-12
+
+
+# --- frozen reference: one exact search per candidate feature ----------------
+
+def _ref_split_gini(x, y):
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    boundary = np.flatnonzero(xs[:-1] < xs[1:])
+    if boundary.size == 0:
+        return None
+    n = xs.size
+    left_pos = np.cumsum(ys)[boundary]
+    left_n = boundary + 1.0
+    right_n = n - left_n
+    right_pos = ys.sum() - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    gini_l = 2.0 * pl * (1.0 - pl)
+    gini_r = 2.0 * pr * (1.0 - pr)
+    weighted = (left_n * gini_l + right_n * gini_r) / n
+    k = int(np.argmin(weighted))
+    thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
+    return thr, float(weighted[k])
+
+
+def _ref_split_mse(x, y):
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    boundary = np.flatnonzero(xs[:-1] < xs[1:])
+    if boundary.size == 0:
+        return None
+    n = xs.size
+    csum = np.cumsum(ys)
+    left_n = boundary + 1.0
+    right_n = n - left_n
+    left_sum = csum[boundary]
+    right_sum = ys.sum() - left_sum
+    csum2 = np.cumsum(ys * ys)
+    left_sse = csum2[boundary] - left_sum ** 2 / left_n
+    right_sse = (csum2[-1] - csum2[boundary]) - right_sum ** 2 / right_n
+    weighted = (left_sse + right_sse) / n
+    k = int(np.argmin(weighted))
+    thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
+    return thr, float(weighted[k])
+
+
+def _ref_build_tree(X, y, idx, cfg, gen, depth):
+    node = TreeNode()
+    yy = y[idx]
+    node.value = float(np.mean(yy))
+    pure = (yy.min() == yy.max() if cfg.criterion == "gini"
+            else np.all(yy == yy[0]))
+    if (pure or idx.size < cfg.min_samples_split
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)):
+        return node
+    d = X.shape[1]
+    m = _n_candidate_features(cfg, d)
+    candidates = np.sort(gen.choice(d, size=m, replace=False))
+    split_fn = _ref_split_gini if cfg.criterion == "gini" else _ref_split_mse
+    best = None
+    for f in candidates:
+        res = split_fn(X[idx, f], yy)
+        if res is None:
+            continue
+        thr, imp = res
+        if best is None or imp < best[0]:
+            best = (imp, int(f), thr)
+    if best is None:
+        return node
+    _, node.feature, node.threshold = best
+    mask = X[idx, node.feature] <= node.threshold
+    node.left = _ref_build_tree(X, y, idx[mask], cfg, gen, depth + 1)
+    node.right = _ref_build_tree(X, y, idx[~mask], cfg, gen, depth + 1)
+    return node
+
+
+def _ref_fit(X, y, cfg, kind):
+    rng = Rng(cfg.seed)
+    forest = Forest(n_features=X.shape[1], kind=kind)
+    n = X.shape[0]
+    for t in range(cfg.n_trees):
+        gen = rng.substream("tree", t)
+        idx = gen.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        forest.trees.append(_ref_build_tree(X, y, idx, cfg, gen, 0))
+    return forest
+
+
+def _bits(node):
+    if node.is_leaf:
+        return node.value.hex()
+    return (node.feature, float(node.threshold).hex(), _bits(node.left),
+            _bits(node.right))
+
+
+@st.composite
+def _forest_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    # few distinct values give tied feature values and tied impurities
+    values = draw(st.sampled_from([
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)]))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    constant = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    X[:, np.array(constant)] = 1.25
+    criterion = draw(st.sampled_from(["gini", "mse"]))
+    if criterion == "gini":
+        y = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    else:
+        y = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+            st.sampled_from([0.0, 1.0, 3.5]),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))))
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 3)), criterion=criterion,
+        max_features=draw(st.one_of(st.just("auto"), st.integers(1, d + 1))),
+        bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 2 ** 16)))
+    probe = draw(hnp.arrays(np.float64, (5, d), elements=values))
+    return X, y, cfg, probe
+
+
+class TestVectorizedSplitMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_forest_cases())
+    def test_trees_and_predictions_bit_identical(self, case):
+        X, y, cfg, probe = case
+        if cfg.criterion == "gini":
+            forest, kind = fit_classifier(X, y, cfg), "classifier"
+        else:
+            forest, kind = fit_regressor(X, y, cfg), "regressor"
+        ref = _ref_fit(X, y, cfg, kind)
+        assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+        for data in (X, probe):
+            assert predict(forest, data).tobytes() == \
+                predict(ref, data).tobytes()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagic, DataError, TruncatedFile, UsageError
-from .numerics import l2_normalize_rows
+from .numerics import as_matrix, l2_normalize_rows
 
 EMB_MAGIC = b"EMB1"
 CKPT_MAGIC = b"CKPT"
@@ -56,7 +56,8 @@ def save_embeddings(path, values: np.ndarray, ids: list[str] | None = None) -> N
 
 def load_embeddings(path, normalize: bool = True):
     """Returns (float64 matrix, ids or None). normalize projects rows onto
-    the unit sphere, the ingestion default for embedding files."""
+    the unit sphere, the ingestion default for embedding files. A NaN or
+    inf raises NonFinite either way."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != EMB_MAGIC:
             raise BadMagic(f"{path} is not an embedding file")
@@ -78,8 +79,7 @@ def load_embeddings(path, normalize: bool = True):
             if len(set(ids)) != len(ids):
                 raise DataError("row ids must be unique")
     wide = values.astype(np.float64)
-    if normalize:
-        wide = l2_normalize_rows(wide)
+    wide = l2_normalize_rows(wide) if normalize else as_matrix(wide)
     wide.flags.writeable = False
     return wide, ids
 
@@ -145,14 +145,18 @@ def read_csv(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def _parse_rows(path, rows, parse):
+def _parse_rows(path, header, rows, parse):
     """[parse(row) for row in rows], where a row that does not parse (a
-    missing field, a non-number) raises DataError naming the file and line."""
+    field count other than the header's, a non-number) raises DataError
+    naming the file and line."""
     out = []
     for k, row in enumerate(rows):
         try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has "
+                                 f"{len(header)}")
             out.append(parse(row))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             # read_csv drops blank lines, so recount them for the file line
             with open(path, encoding="utf-8") as fh:
                 line = [i for i, ln in enumerate(fh, 1) if ln.strip()][k + 1]
@@ -165,6 +169,10 @@ def _releve_row(row):
     return plot_id, float(x), float(y), int(cls), species, bb
 
 
+def _floats_after_id(row):
+    return [float(v) for v in row[1:]]
+
+
 def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
                      col_ids: list[str], id_column: str = "plot_id") -> None:
     header = [id_column] + list(col_ids)
@@ -175,13 +183,9 @@ def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
 def read_matrix_csv(path, id_column: str | None = None):
     """Returns (values, row_ids, col_ids) for a wide id+numeric-columns CSV."""
     header, rows = read_csv(path)
-    col_ids = header[1:]
-    row_ids = [r[0] for r in rows]
-    values = np.array([[float(v) for v in r[1:]] for r in rows],
+    values = np.array(_parse_rows(path, header, rows, _floats_after_id),
                       dtype=np.float64)
-    if values.size and values.shape[1] != len(col_ids):
-        raise DataError(f"{path}: ragged rows")
-    return values, row_ids, col_ids
+    return values, [r[0] for r in rows], header[1:]
 
 
 # --- domain schemas -----------------------------------------------------------
@@ -196,7 +200,7 @@ def read_releves(path):
     if header != expected:
         raise DataError(f"{path}: header must be {','.join(expected)}")
     releves: dict[str, Releve] = {}
-    for plot_id, x, y, cls, species, bb in _parse_rows(path, rows,
+    for plot_id, x, y, cls, species, bb in _parse_rows(path, header, rows,
                                                         _releve_row):
         rel = releves.get(plot_id)
         if rel is None:
@@ -212,7 +216,7 @@ def read_locations(path):
             header[:3] != ["sample_id", "x_m", "y_m"]:
         raise DataError(f"{path}: expected id, x_m, y_m columns")
     ids = [r[0] for r in rows]
-    pts = np.array(_parse_rows(path, rows,
+    pts = np.array(_parse_rows(path, header, rows,
                                lambda r: [float(r[1]), float(r[2])]))
     return ids, pts
 
@@ -226,7 +230,8 @@ def read_labels(path):
     header, rows = read_csv(path)
     if header != ["plot_id", "class_id"]:
         raise DataError(f"{path}: expected plot_id, class_id")
-    return [r[0] for r in rows], np.array([int(r[1]) for r in rows])
+    return [r[0] for r in rows], np.array(
+        _parse_rows(path, header, rows, lambda r: int(r[1])))
 
 
 def write_labels(path, ids, labels):
@@ -247,16 +252,18 @@ def read_occurrences(path):
     pres_rows: dict[str, list] = {}
     cand_rows: dict[str, list] = {}
     order: list[str] = []
-    for i, (sp, x, y, lab) in enumerate(rows):
+    parsed = _parse_rows(path, header, rows, lambda r: (
+        r[0], float(r[1]), float(r[2]), int(r[3])))
+    for i, (sp, x, y, lab) in enumerate(parsed):
         if sp not in pres:
             order.append(sp)
             pres[sp], cand[sp] = [], []
             pres_rows[sp], cand_rows[sp] = [], []
-        if int(lab) == 1:
-            pres[sp].append((float(x), float(y)))
+        if lab == 1:
+            pres[sp].append((x, y))
             pres_rows[sp].append(i)
         else:
-            cand[sp].append((float(x), float(y)))
+            cand[sp].append((x, y))
             cand_rows[sp].append(i)
     occ = {}
     row_index = {}
@@ -277,9 +284,10 @@ def read_soil(path):
         raise DataError(f"{path}: expected sample_id, x_m, y_m, elevation_m, ...")
     groups = header[4:]
     ids = [r[0] for r in rows]
-    locs = np.array([[float(r[1]), float(r[2])] for r in rows])
-    elev = np.array([float(r[3]) for r in rows])
-    vals = np.array([[float(v) for v in r[4:]] for r in rows])
+    parsed = _parse_rows(path, header, rows, _floats_after_id)
+    locs = np.array([p[:2] for p in parsed])
+    elev = np.array([p[2] for p in parsed])
+    vals = np.array([p[3:] for p in parsed])
     return TrophicTable(vals, elev, ids, groups, locs)
 
 
@@ -294,8 +302,10 @@ def read_split_manifest(path):
     if header != ["sample_id", "cell_ix", "cell_iy", "fold", "role"]:
         raise DataError(f"{path}: bad split manifest header")
     ids = [r[0] for r in rows]
-    cells = np.array([[int(r[1]), int(r[2])] for r in rows])
-    folds = np.array([int(r[3]) for r in rows])
+    parsed = _parse_rows(path, header, rows,
+                         lambda r: [int(r[1]), int(r[2]), int(r[3])])
+    cells = np.array([p[:2] for p in parsed])
+    folds = np.array([p[2] for p in parsed])
     roles = np.array([r[4] for r in rows], dtype=object)
     return ids, cells, folds, roles
 
@@ -317,7 +327,6 @@ DEFAULT_CONFIG = {
         "locations": "",
         "labels": "",
         "botania_checkpoint": "",
-        "split": "",
     },
     "model": {
         "projection_dim": 768,
@@ -336,10 +345,6 @@ DEFAULT_CONFIG = {
     "optimizer": {
         "lr": 1e-3,
         "weight_decay": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "decoupled": True,
     },
     "train": {
         "batch_size": 256,

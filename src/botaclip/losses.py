@@ -65,7 +65,7 @@ def scl_loss_and_grads(z_img: np.ndarray, z_tab: np.ndarray, s: ScalarsTauB):
     dots = z_img @ z_tab.T
     t = s.temperature()
     logits = dots * t + s.b
-    loss = float(-np.sum(log_sigmoid(labels * logits)) / (n * n))
+    loss = sigmoid_contrastive_loss(logits, labels)
     # d/dl of -log sigmoid(w*l) is -w * sigmoid(-w*l)
     dlogits = -labels * sigmoid(-labels * logits) / (n * n)
     d_tau = float(np.sum(dlogits * dots) * t) if abs(s.tau) < TAU_CLAMP else 0.0
@@ -85,11 +85,15 @@ def similarity_regularizer(img_orig: np.ndarray, z_img: np.ndarray) -> float:
     Pairs already similar in the original space carry the most weight;
     antipodal pairs carry none. Both inputs must be unit-norm row-wise.
     """
-    loss, _ = regularizer_and_grad(img_orig, z_img)
-    return loss
+    return _drift(img_orig, z_img, grad=False)[0]
 
 
 def regularizer_and_grad(img_orig: np.ndarray, z_img: np.ndarray):
+    """similarity_regularizer and its gradient wrt z_img."""
+    return _drift(img_orig, z_img, grad=True)
+
+
+def _drift(img_orig, z_img, grad: bool):
     img_orig = np.asarray(img_orig, dtype=np.float64)
     z_img = np.asarray(z_img, dtype=np.float64)
     if img_orig.shape[0] != z_img.shape[0]:
@@ -102,9 +106,10 @@ def regularizer_and_grad(img_orig: np.ndarray, z_img: np.ndarray):
     w = similarity_weights(s_orig)
     diff = s_orig - s_new
     loss = float(np.sum(w * diff * diff) / (n * n))
+    if not grad:
+        return loss, None
     d_snew = -2.0 * w * diff / (n * n)
-    d_z = (d_snew + d_snew.T) @ z_img
-    return loss, d_z
+    return loss, (d_snew + d_snew.T) @ z_img
 
 
 def botaclip_loss(img_orig: np.ndarray, z_img: np.ndarray, z_tab: np.ndarray,
@@ -142,33 +147,36 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
 
 def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray):
     """Element-mean stable BCE over a logit matrix; returns (loss, dlogits)."""
+    return _bce(logits, targets, grad=True)
+
+
+def _bce(logits, targets, grad: bool):
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
         raise ShapeMismatch("logits and targets differ in shape")
-    per = softplus(logits) - logits * targets
-    loss = float(np.mean(per))
-    dlogits = (sigmoid(logits) - targets) / logits.size
-    return loss, dlogits
+    loss = float(np.mean(softplus(logits) - logits * targets))
+    if not grad:
+        return loss, None
+    return loss, (sigmoid(logits) - targets) / logits.size
 
 
 def botasp_loss(logits: np.ndarray, targets: np.ndarray, z_orig: np.ndarray,
                 z_new: np.ndarray, lam: float = 100.0) -> float:
     """Multi-label BCE over species plus the weighted Gram drift of the
     projection, both rows unit-norm."""
-    bce, _ = binary_cross_entropy_with_logits(logits, targets)
+    bce, _ = _bce(logits, targets, grad=False)
     if lam == 0:
         return bce
-    reg, _ = regularizer_and_grad(z_orig, z_new)
-    return bce + lam * reg
+    return bce + lam * similarity_regularizer(z_orig, z_new)
 
 
 def botasp_loss_and_grads(logits, targets, z_orig, z_new, lam=100.0):
-    """Returns (loss, dlogits, dz_new, bce, reg)."""
+    """botasp_loss and its gradients; returns (loss, dlogits, dz_new, bce,
+    reg). The drift term is computed at lam=0 too, for the log."""
     bce, dlogits = binary_cross_entropy_with_logits(logits, targets)
     if lam == 0:
-        # still report the drift term for logging
-        reg, _ = regularizer_and_grad(z_orig, z_new)
+        reg = similarity_regularizer(z_orig, z_new)
         return bce, dlogits, np.zeros_like(np.asarray(z_new, float)), bce, reg
     reg, dz = regularizer_and_grad(z_orig, z_new)
     return bce + lam * reg, dlogits, lam * dz, bce, reg

@@ -13,14 +13,12 @@ IMPROVEMENT_EPS = 1e-12
 
 class AdamW:
     """Bias-corrected Adam; decay multiplies parameters by (1 - lr*wd)
-    before the Adam delta. decoupled=False falls back to plain Adam and
-    ignores weight_decay entirely. Scalar parameters flagged decay=False
-    (temperature, bias) are never decayed."""
+    before the Adam delta, so weight_decay=0 is plain Adam. Scalar
+    parameters flagged decay=False (temperature, bias) are never decayed."""
 
     def __init__(self, params: list[Param], lr: float = 1e-3,
                  weight_decay: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 decoupled: bool = True):
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
@@ -30,7 +28,6 @@ class AdamW:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.decoupled = decoupled
         self.step_count = 0
         self._m = {p.name: np.zeros_like(p.value) for p in self.params}
         self._v = {p.name: np.zeros_like(p.value) for p in self.params}
@@ -44,7 +41,7 @@ class AdamW:
             g = tape.get(p)
             if g.shape != p.value.shape:
                 raise ShapeMismatch(p.name)
-            if self.decoupled and self.weight_decay > 0 and p.decay:
+            if self.weight_decay > 0 and p.decay:
                 p.value = p.value * (1.0 - self.lr * self.weight_decay)
             m = self._m[p.name] = self.beta1 * self._m[p.name] + (1 - self.beta1) * g
             v = self._v[p.name] = self.beta2 * self._v[p.name] + (1 - self.beta2) * g * g
@@ -55,7 +52,7 @@ class AdamW:
 
 def adam(params: list[Param], lr: float) -> AdamW:
     """Plain Adam (no weight decay)."""
-    return AdamW(params, lr=lr, weight_decay=0.0, decoupled=False)
+    return AdamW(params, lr=lr, weight_decay=0.0)
 
 
 class EarlyStopper:

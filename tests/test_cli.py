@@ -125,6 +125,28 @@ class TestPrepCommand:
         assert doc["error"] == "DataError" and doc["exit"] == 2
         assert f"{releves}, line 3" in doc["message"]
 
+    @pytest.mark.parametrize("name,text,command", [
+        ("soil.csv", "sample_id,x_m,y_m,elevation_m,g1\n"
+                     "s1,0.0,0.0,120.0,1.0\ns2,0.0,0.0,high,1.0\n",
+         ["eval", "--task", "soil", "--soil"]),
+        ("labels.csv", "plot_id,class_id\na,0\nb,x\n",
+         ["cluster-metrics", "--labels"]),
+        ("covers.csv", "plot_id,spA,spB\na,1.0,0.0\nb,1.0\n",
+         ["eval", "--task", "plant", "--split", "split.csv", "--covers"]),
+    ], ids=["soil_elevation", "label_class", "ragged_matrix_row"])
+    def test_malformed_row_exit_2(self, tmp_path, capsys, name, text,
+                                  command):
+        emb = tmp_path / "e.emb"
+        fileio.save_embeddings(emb, np.ones((2, 3)))
+        path = tmp_path / name
+        path.write_text(text)
+        rc = main(command + [str(path), "--embeddings", str(emb),
+                             "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{path}, line 3" in doc["message"]
+
 
 class TestTrainAndEmbed:
     def test_train_outputs(self, trained_dir):
@@ -388,6 +410,15 @@ class TestErrorPaths:
                    "--labels", str(labels)])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ZeroRow"
+        # raw input skips normalization but must still reject NaN
+        values = np.ones((4, 8))
+        values[2, 5] = np.nan
+        fileio.save_embeddings(emb, values)
+        labels.write_text("plot_id,class_id\na,0\nb,0\nc,1\nd,1\n")
+        rc = main(["cluster-metrics", "--embeddings", str(emb),
+                   "--labels", str(labels), "--raw-input"])
+        assert rc == 3
+        assert _one_error_line(capsys)["error"] == "NonFinite"
 
     def test_stats_needs_two_reports(self, tmp_path, capsys):
         rc = main(["stats", "--reports", "a.csv", "--metric", "tss"])

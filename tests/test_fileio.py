@@ -202,9 +202,13 @@ class TestConfig:
         with pytest.raises(UsageError):
             load_config(path)
 
-    def test_nested_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("doc", [{"optimizer": {"momentum": 0.9}},
+                                     {"optimizer": {"beta1": 0.5}},
+                                     {"data": {"split": "s.csv"}}],
+                             ids=["momentum", "beta1", "split"])
+    def test_nested_unknown_key_rejected(self, tmp_path, doc):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"optimizer": {"momentum": 0.9}}))
+        path.write_text(json.dumps(doc))
         with pytest.raises(UsageError):
             load_config(path)
 

@@ -37,12 +37,6 @@ class TestAdamW:
         assert b.value[0] == 3.0
         assert a.value[0] != 1.0
 
-    def test_plain_adam_ignores_weight_decay(self):
-        p = Param("w", np.array([1.0]))
-        opt = AdamW([p], lr=1e-3, weight_decay=0.5, decoupled=False)
-        opt.step(_tape_with(p, np.array([0.0])))
-        assert p.value[0] == 1.0
-
     def test_no_decay_flag_respected(self):
         p = Param("scalars.bias", np.array(5.0), decay=False)
         opt = AdamW([p], lr=1e-3, weight_decay=0.9)
@@ -69,7 +63,7 @@ class TestAdamW:
     def test_adam_helper(self):
         p = Param("w", np.array([1.0]))
         opt = adam([p], lr=0.3)
-        assert opt.lr == 0.3 and not opt.decoupled
+        assert opt.lr == 0.3 and opt.weight_decay == 0.0
 
 
 class TestEarlyStopper:

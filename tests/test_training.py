@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from botaclip.encoders import BotaniaMLP
+from botaclip.encoders import AlignmentModel, BotaniaMLP, GradientTape
 from botaclip.errors import EmptySplit
-from botaclip.numerics import Rng, l2_normalize_rows
-from botaclip.spatial import FoldAssignment, buffered_split
+from botaclip.losses import (ScalarsTauB, regularizer_and_grad,
+                             scl_loss_and_grads)
+from botaclip.numerics import Rng, l2_normalize_rows, row_norms
+from botaclip.optim import AdamW, EarlyStopper
+from botaclip.spatial import FoldAssignment, buffered_split, check_no_leakage
 from botaclip.synth import generate_synthetic
 from botaclip.training import (
     TrainConfig,
@@ -139,6 +142,129 @@ class TestTrainBotaclip:
             z = model.encode_images(ds.images[:5])
             np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0,
                                        atol=1e-9)
+
+
+# --- frozen reference: the contrastive trainer's own epoch loop --------------
+
+def _ref_train_botaclip(pairs, assignment, cfg, variant="botania-linear",
+                        regularized=True, fold=1, proj_dim=None,
+                        model_options=None, lr=1e-3, weight_decay=1e-3):
+    """train_botaclip as it was before the trainers shared one loop, with
+    validation on the loss-and-gradient forms; kept as the bit-for-bit
+    reference for the shared loop."""
+    def batches(order):
+        for start in range(0, order.size, cfg.batch_size):
+            yield order[start:start + cfg.batch_size]
+
+    def snapshot():
+        return {p.name: p.value.copy() for p in model.params()}
+
+    lam = cfg.lam if regularized else 0.0
+    rng = Rng(cfg.seed)
+    train_p, val_p, _ = buffered_split(assignment, fold)
+    check_no_leakage(assignment, train_p, val_p)
+    d_img = pairs.images.shape[1]
+    d_tab = pairs.covers.shape[1]
+    opts = dict(model_options or {})
+    b_hidden = opts.pop("botania_hidden", 96)
+    b_classes = opts.pop("botania_classes", 8)
+    b_dropout = opts.pop("botania_dropout", 0.4)
+    botania = None
+    if variant == "botania-linear":
+        botania = BotaniaMLP(d_tab, b_hidden, proj_dim or d_img, b_classes,
+                             b_dropout, gen=rng.substream("init/botania"))
+    model = AlignmentModel(variant, d_img=d_img, d_tab=d_tab, rng=rng,
+                           proj_dim=proj_dim or d_img, botania=botania,
+                           **opts)
+    opt = AdamW(model.params(), lr=lr, weight_decay=weight_decay)
+    stopper = EarlyStopper(cfg.patience)
+    log = TrainLog()
+    best = snapshot()
+    train_rows = pairs.view_rows_for_pairs(train_p)
+    val_rows = pairs.view_rows_for_pairs(val_p, first_view_only=True)
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = train_rows.copy()
+        if cfg.shuffle:
+            order = order[rng.substream("shuffle", epoch).permutation(order.size)]
+        batch_losses = []
+        for bi, batch in enumerate(batches(order)):
+            x = pairs.images[batch]
+            c = pairs.covers[pairs.pair_index[batch]]
+            gen = rng.substream(f"dropout/{epoch}", bi)
+            z_img = model.encode_images(x, train=True, gen=gen)
+            z_tab = model.encode_tables(c, train=True, gen=gen)
+            assert np.abs(row_norms(z_img) - 1.0).max() <= 1e-9
+            assert np.abs(row_norms(z_tab) - 1.0).max() <= 1e-9
+            s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
+            scl, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(z_img, z_tab, s)
+            reg, d_reg = regularizer_and_grad(x, z_img)
+            tape = GradientTape()
+            model.backward_images(d_zi + lam * d_reg if lam > 0 else d_zi,
+                                  tape)
+            model.backward_tables(d_zt, tape)
+            tape.add(model.tau, np.float64(d_tau))
+            tape.add(model.bias, np.float64(d_b))
+            opt.step(tape)
+            batch_losses.append(scl + lam * reg)
+
+        scls, regs = [], []
+        s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
+        for batch in batches(val_rows):
+            x = pairs.images[batch]
+            z_img = model.encode_images(x)
+            z_tab = model.encode_tables(pairs.covers[pairs.pair_index[batch]])
+            scls.append(scl_loss_and_grads(z_img, z_tab, s)[0])
+            regs.append(regularizer_and_grad(x, z_img)[0])
+        val_scl, val_reg = float(np.mean(scls)), float(np.mean(regs))
+        val_loss = val_scl + lam * val_reg
+        log.append(epoch, float(np.mean(batch_losses)), val_loss, val_scl,
+                   val_reg, float(model.tau.value), float(model.bias.value))
+        stop = stopper.update(epoch, val_loss)
+        if stopper.improved:
+            best = snapshot()
+        if stop:
+            break
+    log.best_epoch = stopper.best_epoch
+    for p in model.params():
+        p.value = best[p.name].copy()
+    return model, log
+
+
+_VARIANTS = {
+    "botania-linear": {"model_options": {"botania_hidden": 12}},
+    "mlp": {"proj_dim": 8, "model_options": {"mlp_img_hidden": 12,
+                                             "mlp_tab_hidden": 12}},
+    "attention": {"proj_dim": 8, "model_options": {"mlp_img_hidden": 12,
+                                                   "attn_model_dim": 8,
+                                                   "attn_heads": 4}},
+}
+
+
+@pytest.mark.parametrize("shuffle", [True, False],
+                         ids=["shuffle", "in_order"])
+@pytest.mark.parametrize("lam", [0.0, 1.0], ids=["lam0", "lam1"])
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_shared_loop_matches_frozen_reference(variant, lam, shuffle):
+    # patience 2 over 6 epochs, so runs that stop early restore an older
+    # snapshot
+    _, ds, fa, _ = _alignment_setup(seed=13, pairs=96)
+    cfg = TrainConfig(batch_size=32, max_epochs=6, patience=2, lam=lam,
+                      seed=13, shuffle=shuffle)
+    kwargs = _VARIANTS[variant]
+    model, log = train_botaclip(ds, fa, cfg, variant=variant, **kwargs)
+    ref_model, ref_log = _ref_train_botaclip(ds, fa, cfg, variant=variant,
+                                             **kwargs)
+    state, ref_state = model_state(model), model_state(ref_model)
+    assert list(state) == list(ref_state)
+    for name, value in state.items():
+        assert value.tobytes() == ref_state[name].tobytes(), name
+    assert log.best_epoch == ref_log.best_epoch
+    for column in ("epochs", "train_loss", "val_loss", "scl", "reg", "tau",
+                   "b"):
+        got = np.asarray(getattr(log, column), dtype=np.float64)
+        want = np.asarray(getattr(ref_log, column), dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), column
 
 
 class TestTrainBotaSP:

@@ -415,13 +415,7 @@ def cmd_cluster_metrics(args) -> int:
     emb, emb_ids = fileio.load_embeddings(args.embeddings,
                                           normalize=not args.raw_input)
     label_ids, labels = fileio.read_labels(args.labels)
-    if emb_ids is not None:
-        row_of = {(_split_view_id(rid))[0]: r for r, rid in enumerate(emb_ids)
-                  if _split_view_id(rid)[1] == 0}
-        emb = emb[[row_of[i] for i in label_ids]]
-    elif emb.shape[0] != len(label_ids):
-        raise DataError("embedding rows must match labels 1:1")
-    out = cluster_indices(emb, labels)
+    out = cluster_indices(_view0_matrix(emb, emb_ids, label_ids), labels)
     print(f"davies_bouldin={out['davies_bouldin']!r} "
           f"calinski_harabasz={out['calinski_harabasz']!r}")
     if args.out:

@@ -1,8 +1,12 @@
-"""Encoder families and their hand-written forward/backward passes.
+"""Encoder families built from layers with hand-written forward/backward
+passes.
 
-Every layer caches what its backward pass needs; calling backward without a
-forward raises MissingForwardCache. Gradients accumulate into a GradientTape
-keyed by parameter name, which the optimizer consumes. All math is float64.
+Every layer follows one protocol (see Layer): forward(x, train, gen),
+backward(g, tape) and params(). A model is a Sequential of layers, run
+forward in order and backward in reverse. Every layer caches what its
+backward pass needs; calling backward without a forward raises
+MissingForwardCache. Gradients accumulate into a GradientTape keyed by
+parameter name, which the optimizer consumes. All math is float64.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, MissingForwardCache, ShapeMismatch, ZeroRow
+from .errors import DataError, MissingForwardCache, ShapeMismatch
 from .numerics import Rng, gelu_grad, l2_normalize_rows, normal_cdf, row_norms
 
 
@@ -61,7 +65,21 @@ def _torch_linear_init(in_dim: int, out_dim: int, gen: np.random.Generator):
     return w, b
 
 
-class Linear:
+class Layer:
+    """The protocol of every layer and model here.
+
+    forward(x, train=False, gen=None) maps a batch (samples as rows) and
+    caches what backward needs; train and gen reach the dropout layers.
+    backward(g, tape) takes the gradient of the output, adds the parameter
+    gradients to tape and returns the gradient of the input. params() lists
+    the trainable arrays in a fixed order, the order of a checkpoint.
+    """
+
+    def params(self):
+        return []
+
+
+class Linear(Layer):
     def __init__(self, name: str, in_dim: int, out_dim: int,
                  gen: np.random.Generator | None = None):
         if gen is None:
@@ -75,7 +93,9 @@ class Linear:
         self.out_dim = out_dim
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False,
+                gen: np.random.Generator | None = None) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(
                 f"{self.weight.name}: input has {x.shape[1]} columns, "
@@ -94,35 +114,35 @@ class Linear:
         return [self.weight, self.bias]
 
 
-class Gelu:
+class Gelu(Layer):
     def __init__(self):
         self._x = None
 
-    def forward(self, x):
+    def forward(self, x, train=False, gen=None):
         self._x = x
         return x * normal_cdf(x)
 
-    def backward(self, g):
+    def backward(self, g, tape):
         if self._x is None:
             raise MissingForwardCache("gelu")
         return g * gelu_grad(self._x)
 
 
-class Relu:
+class Relu(Layer):
     def __init__(self):
         self._x = None
 
-    def forward(self, x):
+    def forward(self, x, train=False, gen=None):
         self._x = x
         return np.maximum(x, 0.0)
 
-    def backward(self, g):
+    def backward(self, g, tape):
         if self._x is None:
             raise MissingForwardCache("relu")
         return g * (self._x > 0)
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: train-time scaling by 1/(1-p), identity in eval."""
 
     def __init__(self, rate: float):
@@ -140,13 +160,13 @@ class Dropout:
         self._mask = keep / (1.0 - self.rate)
         return x * self._mask
 
-    def backward(self, g):
+    def backward(self, g, tape):
         if self._mask is None:
             raise MissingForwardCache("dropout")
         return g * self._mask
 
 
-class LayerNorm:
+class LayerNorm(Layer):
     """Row-wise layer normalization with learnable affine, eps = 1e-5."""
 
     EPS = 1e-5
@@ -156,7 +176,7 @@ class LayerNorm:
         self.beta = Param(f"{name}.beta", np.zeros(dim))
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, train=False, gen=None):
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.EPS)
@@ -164,7 +184,7 @@ class LayerNorm:
         self._cache = (xhat, inv)
         return xhat * self.gamma.value + self.beta.value
 
-    def backward(self, g, tape: GradientTape):
+    def backward(self, g, tape):
         if self._cache is None:
             raise MissingForwardCache(self.gamma.name)
         xhat, inv = self._cache
@@ -178,26 +198,63 @@ class LayerNorm:
         return [self.gamma, self.beta]
 
 
-class RowNormalize:
+class RowNormalize(Layer):
     """Projection onto the unit hypersphere, row by row."""
 
     def __init__(self):
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, train=False, gen=None):
         norms = row_norms(x)
         y = l2_normalize_rows(x)
         self._cache = (y, norms)
         return y
 
-    def backward(self, g):
+    def backward(self, g, tape):
         if self._cache is None:
             raise MissingForwardCache("l2norm")
         y, norms = self._cache
         return (g - y * np.sum(g * y, axis=1, keepdims=True)) / norms[:, None]
 
 
-class SingleTokenAttention:
+class Sequential(Layer):
+    """Layers run forward in order and backward in reverse; the parameters
+    are theirs, in order."""
+
+    def __init__(self, *layers: Layer):
+        self.layers = layers
+
+    def forward(self, x, train=False, gen=None):
+        for layer in self.layers:
+            x = layer.forward(x, train, gen)
+        return x
+
+    def backward(self, g, tape):
+        for layer in reversed(self.layers):
+            g = layer.backward(g, tape)
+        return g
+
+    def params(self):
+        return [p for layer in self.layers for p in layer.params()]
+
+
+class Residual(Layer):
+    """x + inner(x)."""
+
+    def __init__(self, inner: Layer):
+        self.inner = inner
+
+    def forward(self, x, train=False, gen=None):
+        return x + self.inner.forward(x, train, gen)
+
+    def backward(self, g, tape):
+        return g + self.inner.backward(g, tape)
+
+    def params(self):
+        return self.inner.params()
+
+
+class SingleTokenAttention(Sequential):
     """Multi-head self-attention over a one-token sequence.
 
     With a single key the softmax is identically 1, so the block reduces to
@@ -209,30 +266,22 @@ class SingleTokenAttention:
                  gen: np.random.Generator):
         if dim % n_heads:
             raise ShapeMismatch(f"dim {dim} not divisible by {n_heads} heads")
-        self.n_heads = n_heads
         self.q = Linear(f"{name}.q", dim, dim, gen)
         self.k = Linear(f"{name}.k", dim, dim, gen)
-        self.v = Linear(f"{name}.v", dim, dim, gen)
-        self.o = Linear(f"{name}.o", dim, dim, gen)
-
-    def forward(self, x):
-        return self.o.forward(self.v.forward(x))
-
-    def backward(self, g, tape: GradientTape):
-        return self.v.backward(self.o.backward(g, tape), tape)
+        super().__init__(Linear(f"{name}.v", dim, dim, gen),
+                         Linear(f"{name}.o", dim, dim, gen))
 
     def params(self):
-        return self.q.params() + self.k.params() + self.v.params() + self.o.params()
+        return self.q.params() + self.k.params() + super().params()
 
 
-class LinearAdapter:
-    """Single linear map, optionally followed by unit-sphere projection."""
+class LinearAdapter(Sequential):
+    """Single linear map followed by unit-sphere projection."""
 
     def __init__(self, in_dim: int, out_dim: int, name: str = "adapter",
                  gen: np.random.Generator | None = None):
         self.linear = Linear(name, in_dim, out_dim, gen)
-        self.norm = RowNormalize()
-        self._normalized = None
+        super().__init__(self.linear, RowNormalize())
 
     @property
     def weight(self):
@@ -241,23 +290,6 @@ class LinearAdapter:
     @property
     def bias(self):
         return self.linear.bias
-
-    def forward(self, x: np.ndarray, normalize: bool = True) -> np.ndarray:
-        out = self.linear.forward(np.asarray(x, dtype=np.float64))
-        self._normalized = normalize
-        if normalize:
-            out = self.norm.forward(out)
-        return out
-
-    def backward(self, g: np.ndarray, tape: GradientTape) -> np.ndarray:
-        if self._normalized is None:
-            raise MissingForwardCache(self.linear.weight.name)
-        if self._normalized:
-            g = self.norm.backward(g)
-        return self.linear.backward(g, tape)
-
-    def params(self):
-        return self.linear.params()
 
 
 def init_identity_adapter(dim: int, noise_variance: float = 1e-4,
@@ -293,16 +325,14 @@ class BotaniaMLP:
                  name: str = "botania"):
         self.in_dim = in_dim
         self.embed_dim = embed
-        self.n_classes = n_classes
-        self.lin1 = Linear(f"{name}.lin1", in_dim, hidden, gen)
-        self.lin2 = Linear(f"{name}.lin2", hidden, embed, gen)
-        self.head = Linear(f"{name}.head", embed, n_classes, gen)
-        self.gelu1 = Gelu()
-        self.gelu2 = Gelu()
-        self.drop1 = Dropout(dropout_rate)
-        self.drop2 = Dropout(dropout_rate)
+        self.trunk = Sequential(
+            Linear(f"{name}.lin1", in_dim, hidden, gen), Gelu(),
+            Dropout(dropout_rate), Linear(f"{name}.lin2", hidden, embed, gen),
+            Gelu())
+        self.head = Sequential(Dropout(dropout_rate),
+                               Linear(f"{name}.head", embed, n_classes, gen))
         self.norm = RowNormalize()
-        self._ran_forward = False
+        self._with_head = False
 
     def forward(self, covers: np.ndarray, train: bool = False,
                 gen: np.random.Generator | None = None,
@@ -315,37 +345,44 @@ class BotaniaMLP:
         x = np.asarray(covers, dtype=np.float64)
         if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 100.0:
             raise DataError("cover values must lie in [0, 100]")
-        h1 = self.drop1.forward(self.gelu1.forward(self.lin1.forward(x)),
-                                train, gen)
-        h2 = self.gelu2.forward(self.lin2.forward(h1))
-        penult = self.norm.forward(h2) if with_penult else None
-        logits = None
-        if with_head:
-            logits = self.head.forward(self.drop2.forward(h2, train, gen))
-        self._ran_forward = True
+        h = self.trunk.forward(x, train, gen)
+        penult = self.norm.forward(h) if with_penult else None
+        logits = self.head.forward(h, train, gen) if with_head else None
         self._with_head = with_head
         return logits, penult
 
     def backward(self, tape: GradientTape, g_logits=None, g_penult=None):
-        if not self._ran_forward:
-            raise MissingForwardCache("botania")
-        g_h2 = 0.0
+        g = 0.0
         if g_logits is not None:
             if not self._with_head:
                 raise MissingForwardCache("botania head")
-            g_h2 = g_h2 + self.drop2.backward(self.head.backward(g_logits, tape))
+            g = g + self.head.backward(g_logits, tape)
         if g_penult is not None:
-            g_h2 = g_h2 + self.norm.backward(g_penult)
-        g_h1 = self.lin2.backward(self.gelu2.backward(g_h2), tape)
-        g_x = self.lin1.backward(self.gelu1.backward(self.drop1.backward(g_h1)),
-                                 tape)
-        return g_x
+            g = g + self.norm.backward(g_penult, tape)
+        return self.trunk.backward(g, tape)
 
     def params(self):
-        return self.lin1.params() + self.lin2.params() + self.head.params()
+        return self.trunk.params() + self.head.params()
 
 
-class TwoLayerEncoder:
+class BotaniaEmbedding(Layer):
+    """A BotaniaMLP's penultimate embedding as a layer; the classifier
+    head is neither run nor trained."""
+
+    def __init__(self, botania: BotaniaMLP):
+        self.botania = botania
+
+    def forward(self, x, train=False, gen=None):
+        return self.botania.forward(x, train, gen, with_head=False)[1]
+
+    def backward(self, g, tape):
+        return self.botania.backward(tape, g_penult=g)
+
+    def params(self):
+        return self.botania.params()
+
+
+class TwoLayerEncoder(Sequential):
     """Linear -> ReLU -> Dropout(0.1) -> Linear -> unit sphere.
 
     The ablation branch used for both modalities: hidden width 1024 on the
@@ -355,28 +392,13 @@ class TwoLayerEncoder:
     def __init__(self, in_dim: int, hidden: int, out_dim: int,
                  gen: np.random.Generator, name: str = "mlp",
                  dropout_rate: float = 0.1):
-        self.lin1 = Linear(f"{name}.lin1", in_dim, hidden, gen)
-        self.lin2 = Linear(f"{name}.lin2", hidden, out_dim, gen)
-        self.relu = Relu()
-        self.drop = Dropout(dropout_rate)
-        self.norm = RowNormalize()
-
-    def forward(self, x, train: bool = False,
-                gen: np.random.Generator | None = None):
-        h = self.drop.forward(self.relu.forward(self.lin1.forward(
-            np.asarray(x, dtype=np.float64))), train, gen)
-        return self.norm.forward(self.lin2.forward(h))
-
-    def backward(self, g, tape: GradientTape):
-        g = self.lin2.backward(self.norm.backward(g), tape)
-        return self.lin1.backward(self.relu.backward(self.drop.backward(g)),
-                                  tape)
-
-    def params(self):
-        return self.lin1.params() + self.lin2.params()
+        super().__init__(
+            Linear(f"{name}.lin1", in_dim, hidden, gen), Relu(),
+            Dropout(dropout_rate), Linear(f"{name}.lin2", hidden, out_dim, gen),
+            RowNormalize())
 
 
-class AttentionEncoder:
+class AttentionEncoder(Sequential):
     """Tabular branch with a pre-norm single-token attention block.
 
     reduce -> LayerNorm -> MHA -> residual -> LayerNorm -> ReLU ->
@@ -387,33 +409,13 @@ class AttentionEncoder:
                  gen: np.random.Generator, model_dim: int = 1024,
                  n_heads: int = 4, name: str = "attn",
                  dropout_rate: float = 0.1):
-        self.reduce = Linear(f"{name}.reduce", in_dim, model_dim, gen)
-        self.ln1 = LayerNorm(f"{name}.ln1", model_dim)
+        reduce = Linear(f"{name}.reduce", in_dim, model_dim, gen)
         self.mha = SingleTokenAttention(f"{name}.mha", model_dim, n_heads, gen)
-        self.ln2 = LayerNorm(f"{name}.ln2", model_dim)
-        self.relu = Relu()
-        self.drop = Dropout(dropout_rate)
-        self.project = Linear(f"{name}.project", model_dim, out_dim, gen)
-        self.norm = RowNormalize()
-
-    def forward(self, x, train: bool = False,
-                gen: np.random.Generator | None = None):
-        h = self.reduce.forward(np.asarray(x, dtype=np.float64))
-        attended = h + self.mha.forward(self.ln1.forward(h))
-        f = self.drop.forward(self.relu.forward(self.ln2.forward(attended)),
-                              train, gen)
-        return self.norm.forward(self.project.forward(f))
-
-    def backward(self, g, tape: GradientTape):
-        g = self.project.backward(self.norm.backward(g), tape)
-        g_att = self.ln2.backward(self.relu.backward(self.drop.backward(g)),
-                                  tape)
-        g_h = g_att + self.ln1.backward(self.mha.backward(g_att, tape), tape)
-        return self.reduce.backward(g_h, tape)
-
-    def params(self):
-        return (self.reduce.params() + self.ln1.params() + self.mha.params()
-                + self.ln2.params() + self.project.params())
+        super().__init__(
+            reduce,
+            Residual(Sequential(LayerNorm(f"{name}.ln1", model_dim), self.mha)),
+            LayerNorm(f"{name}.ln2", model_dim), Relu(), Dropout(dropout_rate),
+            Linear(f"{name}.project", model_dim, out_dim, gen), RowNormalize())
 
 
 class BotaSPModel:
@@ -426,36 +428,29 @@ class BotaSPModel:
     def __init__(self, in_dim: int, n_species: int, proj_dim: int = 768,
                  hidden: int = 1536, dropout_rate: float = 0.4,
                  gen: np.random.Generator | None = None, name: str = "botasp"):
-        self.proj = Linear(f"{name}.proj", in_dim, proj_dim, gen)
-        self.hidden = Linear(f"{name}.hidden", proj_dim, hidden, gen)
-        self.head = Linear(f"{name}.head", hidden, n_species, gen)
-        self.proj_norm = RowNormalize()
-        self.gelu = Gelu()
-        self.drop = Dropout(dropout_rate)
-        self.feature_dim = hidden
-        self._ran_forward = False
+        self.project = Sequential(Linear(f"{name}.proj", in_dim, proj_dim, gen),
+                                  RowNormalize())
+        self.features = Sequential(
+            Linear(f"{name}.hidden", proj_dim, hidden, gen), Gelu())
+        self.head = Sequential(Dropout(dropout_rate),
+                               Linear(f"{name}.head", hidden, n_species, gen))
 
     def forward(self, x, train: bool = False,
                 gen: np.random.Generator | None = None):
         """Returns (logits, z_proj, features)."""
-        z = self.proj_norm.forward(self.proj.forward(
-            np.asarray(x, dtype=np.float64)))
-        feat = self.gelu.forward(self.hidden.forward(z))
-        logits = self.head.forward(self.drop.forward(feat, train, gen))
-        self._ran_forward = True
-        return logits, z, feat
+        z = self.project.forward(x, train, gen)
+        feat = self.features.forward(z, train, gen)
+        return self.head.forward(feat, train, gen), z, feat
 
     def backward(self, tape: GradientTape, g_logits, g_z=None):
-        if not self._ran_forward:
-            raise MissingForwardCache("botasp")
-        g_feat = self.drop.backward(self.head.backward(g_logits, tape))
-        g_zt = self.hidden.backward(self.gelu.backward(g_feat), tape)
+        g = self.features.backward(self.head.backward(g_logits, tape), tape)
         if g_z is not None:
-            g_zt = g_zt + g_z
-        return self.proj.backward(self.proj_norm.backward(g_zt), tape)
+            g = g + g_z
+        return self.project.backward(g, tape)
 
     def params(self):
-        return self.proj.params() + self.hidden.params() + self.head.params()
+        return (self.project.params() + self.features.params()
+                + self.head.params())
 
 
 VARIANTS = ("botania-linear", "mlp", "attention")
@@ -464,7 +459,7 @@ VARIANTS = ("botania-linear", "mlp", "attention")
 class AlignmentModel:
     """Paired image/tabular encoders plus the learnable temperature and bias.
 
-    variant selects the tabular branch: the pretrained-style cover MLP with
+    variant selects the branches: the pretrained-style cover MLP with
     linear adapters on both sides, a two-layer MLP on both sides, or the
     attention block on the tabular side.
     """
@@ -479,9 +474,6 @@ class AlignmentModel:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
-        self.d_img = d_img
-        self.proj_dim = proj_dim
-        self.botania = None
         if variant == "botania-linear":
             if d_img != proj_dim:
                 raise ShapeMismatch(
@@ -493,54 +485,35 @@ class AlignmentModel:
                 raise ValueError("botania-linear variant needs a BotaniaMLP")
             if botania.embed_dim != proj_dim:
                 raise ShapeMismatch("tabular embedding width must equal proj_dim")
-            self.botania = botania
-            self.tab_adapter = LinearAdapter(
+            self.tab_branch = Sequential(BotaniaEmbedding(botania), LinearAdapter(
                 botania.embed_dim, proj_dim, name="tab_adapter",
-                gen=rng.substream("init/tab_adapter"))
-        elif variant == "mlp":
-            self.img_branch = TwoLayerEncoder(
-                d_img, mlp_img_hidden, proj_dim,
-                rng.substream("init/img_encoder"), name="img_encoder")
-            self.tab_branch = TwoLayerEncoder(
-                d_tab, mlp_tab_hidden, proj_dim,
-                rng.substream("init/tab_encoder"), name="tab_encoder")
+                gen=rng.substream("init/tab_adapter")))
         else:
             self.img_branch = TwoLayerEncoder(
                 d_img, mlp_img_hidden, proj_dim,
                 rng.substream("init/img_encoder"), name="img_encoder")
-            self.tab_branch = AttentionEncoder(
-                d_tab, proj_dim, rng.substream("init/tab_encoder"),
-                model_dim=attn_model_dim, n_heads=attn_heads,
-                name="tab_encoder")
+            tab_gen = rng.substream("init/tab_encoder")
+            self.tab_branch = (
+                TwoLayerEncoder(d_tab, mlp_tab_hidden, proj_dim, tab_gen,
+                                name="tab_encoder") if variant == "mlp" else
+                AttentionEncoder(d_tab, proj_dim, tab_gen,
+                                 model_dim=attn_model_dim, n_heads=attn_heads,
+                                 name="tab_encoder"))
         self.tau = Param("scalars.tau", np.float64(tau_init), decay=False)
         self.bias = Param("scalars.bias", np.float64(bias_init), decay=False)
 
     def encode_images(self, x, train=False, gen=None):
-        if self.variant == "botania-linear":
-            return self.img_branch.forward(x, normalize=True)
-        return self.img_branch.forward(x, train=train, gen=gen)
+        return self.img_branch.forward(x, train, gen)
 
     def backward_images(self, g, tape):
         return self.img_branch.backward(g, tape)
 
     def encode_tables(self, covers, train=False, gen=None):
-        if self.variant == "botania-linear":
-            _, penult = self.botania.forward(covers, train=train, gen=gen,
-                                             with_head=False)
-            return self.tab_adapter.forward(penult, normalize=True)
-        return self.tab_branch.forward(covers, train=train, gen=gen)
+        return self.tab_branch.forward(covers, train, gen)
 
     def backward_tables(self, g, tape):
-        if self.variant == "botania-linear":
-            g_penult = self.tab_adapter.backward(g, tape)
-            return self.botania.backward(tape, g_penult=g_penult)
         return self.tab_branch.backward(g, tape)
 
     def params(self):
-        out = list(self.img_branch.params())
-        if self.variant == "botania-linear":
-            out += self.botania.params() + self.tab_adapter.params()
-        else:
-            out += self.tab_branch.params()
-        out += [self.tau, self.bias]
-        return out
+        return (self.img_branch.params() + self.tab_branch.params()
+                + [self.tau, self.bias])

@@ -23,7 +23,7 @@ from .dataprep import (
     stratify_by_elevation,
 )
 from .errors import DataError, Degenerate, UndefinedMetric, ZeroVariance
-from .fileio import read_csv, write_csv
+from .fileio import _parse_rows, read_csv, write_csv
 from .forest import ForestConfig, fit_classifier, fit_regressor, predict, predict_proba
 from .metrics import boyce_index, classification_metrics, confusion_counts, mae, spearman_rho
 from .numerics import Rng
@@ -50,10 +50,9 @@ class MetricReport:
         header, rows = read_csv(path)
         if header != REPORT_HEADER:
             raise DataError(f"{path}: bad report header")
-        report = cls(task=rows[0][0] if rows else "")
-        for task, unit, fold, seed, metric, value in rows:
-            report.add(unit, int(fold), int(seed), metric, float(value))
-        return report
+        return cls(task=rows[0][0] if rows else "",
+                   rows=_parse_rows(path, header, rows, lambda r: (
+                       r[1], int(r[2]), int(r[3]), r[4], float(r[5]))))
 
     def scores_for(self, metric: str) -> dict[str, float]:
         """Mean value per unit over folds and seeds."""

@@ -180,7 +180,7 @@ def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
     write_csv(path, header, rows)
 
 
-def read_matrix_csv(path, id_column: str | None = None):
+def read_matrix_csv(path):
     """Returns (values, row_ids, col_ids) for a wide id+numeric-columns CSV."""
     header, rows = read_csv(path)
     values = np.array(_parse_rows(path, header, rows, _floats_after_id),

@@ -123,14 +123,6 @@ def botaclip_loss(img_orig: np.ndarray, z_img: np.ndarray, z_tab: np.ndarray,
     return scl + lam * similarity_regularizer(img_orig, z_img)
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Softmax cross-entropy of a single logit vector."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not 0 <= label < logits.size:
-        raise BadLabel(f"label {label} outside [0, {logits.size})")
-    return float(-log_softmax(logits)[label])
-
-
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy over a batch; returns (loss, dlogits)."""
     logits = np.asarray(logits, dtype=np.float64)

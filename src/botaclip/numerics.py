@@ -67,27 +67,12 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise scalar products: out[i, j] = a[i] . b[j]."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return a @ b.T
-
-
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def normal_cdf(x):
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / _SQRT2))
-
-
-def gelu(x):
-    """Gaussian-CDF form: x * Phi(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * normal_cdf(x)
 
 
 def gelu_grad(x):

@@ -22,8 +22,8 @@ from .encoders import (
     BotaSPModel,
     GradientTape,
 )
-from .errors import EmptySplit, NotNormalized
-from .fileio import read_csv, write_csv
+from .errors import DataError, EmptySplit, NotNormalized
+from .fileio import _parse_rows, read_csv, write_csv
 from .losses import (
     ScalarsTauB,
     botasp_loss,
@@ -40,6 +40,7 @@ from .optim import AdamW, EarlyStopper, adam
 from .spatial import FoldAssignment, buffered_split, check_no_leakage
 
 UNIT_CHECK_TOL = 1e-9
+TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "scl", "reg", "tau", "b"]
 
 
 @dataclass
@@ -73,17 +74,19 @@ class TrainLog:
         self.b.append(b)
 
     def to_csv(self, path):
-        write_csv(path, ["epoch", "train_loss", "val_loss", "scl", "reg",
-                         "tau", "b"],
+        write_csv(path, TRAIN_LOG_HEADER,
                   zip(self.epochs, self.train_loss, self.val_loss, self.scl,
                       self.reg, self.tau, self.b))
 
     @classmethod
     def from_csv(cls, path):
-        _, rows = read_csv(path)
+        header, rows = read_csv(path)
+        if header != TRAIN_LOG_HEADER:
+            raise DataError(f"{path}: bad train log header")
         log = cls()
-        for row in rows:
-            log.append(int(row[0]), *(float(v) for v in row[1:]))
+        for row in _parse_rows(path, header, rows, lambda r: (
+                int(r[0]), *(float(v) for v in r[1:]))):
+            log.append(*row)
         return log
 
 
@@ -244,8 +247,12 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
         _check_unit(z_tab, "tabular projection")
         scl, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(z_img, z_tab,
                                                          _scalars(model))
-        reg, d_reg = regularizer_and_grad(x, z_img)
-        model.backward_images(d_zi + lam * d_reg if lam > 0 else d_zi, tape)
+        if lam > 0:
+            reg, d_reg = regularizer_and_grad(x, z_img)
+            g_img = d_zi + lam * d_reg
+        else:
+            reg, d_reg, g_img = similarity_regularizer(x, z_img), None, d_zi
+        model.backward_images(g_img, tape)
         model.backward_tables(d_zt, tape)
         tape.add(model.tau, np.float64(d_tau))
         tape.add(model.bias, np.float64(d_b))

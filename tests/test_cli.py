@@ -401,6 +401,33 @@ class TestErrorPaths:
                    str(bad), "--out", str(tmp_path / "o.emb")])
         assert rc == 2
 
+    def test_malformed_report_exit_2(self, tmp_path, capsys):
+        good = MetricReport("plant")
+        for unit in ("spA", "spB"):
+            good.add(unit, 1, 0, "tss", 0.5)
+        r2 = tmp_path / "r2.csv"
+        good.to_csv(r2)
+        r1 = tmp_path / "r1.csv"
+        r1.write_text("task,unit,fold,seed,metric,value\n"
+                      "plant,spA,1,0,tss,0.5\nplant,spB,1,0,tss,zero\n")
+        rc = main(["stats", "--reports", str(r1), str(r2), "--metric", "tss"])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{r1}, line 3" in doc["message"]
+
+    def test_label_without_view0_embedding_exit_2(self, tmp_path, capsys):
+        emb = tmp_path / "e.emb"
+        fileio.save_embeddings(emb, np.eye(3), ids=["a#0", "b#0", "c#1"])
+        labels = tmp_path / "labels.csv"
+        labels.write_text("plot_id,class_id\na,0\nb,1\nc,1\n")
+        rc = main(["cluster-metrics", "--embeddings", str(emb),
+                   "--labels", str(labels)])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert "plot c" in doc["message"]
+
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         emb = tmp_path / "z.emb"
         fileio.save_embeddings(emb, np.zeros((2, 3)))

@@ -1,19 +1,30 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import numeric_param_grad, split_like_params
 
+from botaclip import encoders
 from botaclip.encoders import (
     AlignmentModel,
     AttentionEncoder,
     BotaniaMLP,
     BotaSPModel,
+    Dropout,
+    Gelu,
     GradientTape,
+    LayerNorm,
+    Linear,
     LinearAdapter,
+    Param,
+    Relu,
+    RowNormalize,
     SingleTokenAttention,
     TwoLayerEncoder,
     init_identity_adapter,
 )
-from botaclip.errors import MissingForwardCache, ShapeMismatch, ZeroRow
+from botaclip.errors import DataError, MissingForwardCache, ShapeMismatch, ZeroRow
 from botaclip.numerics import Rng, l2_normalize_rows, max_rel_error, softmax
 
 
@@ -21,7 +32,7 @@ class TestIdentityAdapterInit:
     def test_zero_noise_is_exact_identity(self):
         a = init_identity_adapter(6, noise_variance=0.0)
         x = Rng(1).substream("x").normal(size=(4, 6))
-        np.testing.assert_array_equal(a.forward(x, normalize=False), x)
+        np.testing.assert_array_equal(a.linear.forward(x), x)
 
     def test_bias_is_zero(self):
         a = init_identity_adapter(16, noise_variance=1e-4, rng=Rng(0))
@@ -93,10 +104,10 @@ class TestBackwardBasics:
     def test_bias_gradient_is_column_sums(self):
         a = init_identity_adapter(4, noise_variance=0.0)
         x = Rng(6).substream("x").normal(size=(3, 4))
-        a.forward(x, normalize=False)
+        a.linear.forward(x)
         g = Rng(6).substream("g").normal(size=(3, 4))
         tape = GradientTape()
-        a.backward(g, tape)
+        a.linear.backward(g, tape)
         np.testing.assert_allclose(tape.get(a.bias), g.sum(axis=0), atol=1e-12)
 
     def test_tape_rejects_bad_shape(self):
@@ -337,3 +348,364 @@ class TestAlignmentModel:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             AlignmentModel("cnn", d_img=4, d_tab=4, rng=Rng(0), proj_dim=4)
+
+
+# --- frozen reference: each model as its own hand-written backward chain ------
+# The composite classes as they were before the layer protocol, built on the
+# package's primitive layers. The Sequential compositions must match them bit
+# for bit: init draws, params() names and order, dropout draws, outputs and
+# every gradient.
+
+class _RefSingleTokenAttention:
+    def __init__(self, name, dim, n_heads, gen):
+        if dim % n_heads:
+            raise ShapeMismatch(f"dim {dim} not divisible by {n_heads} heads")
+        self.q = Linear(f"{name}.q", dim, dim, gen)
+        self.k = Linear(f"{name}.k", dim, dim, gen)
+        self.v = Linear(f"{name}.v", dim, dim, gen)
+        self.o = Linear(f"{name}.o", dim, dim, gen)
+
+    def forward(self, x, train=False, gen=None):
+        return self.o.forward(self.v.forward(x))
+
+    def backward(self, g, tape):
+        return self.v.backward(self.o.backward(g, tape), tape)
+
+    def params(self):
+        return self.q.params() + self.k.params() + self.v.params() + self.o.params()
+
+
+class _RefLinearAdapter:
+    def __init__(self, in_dim, out_dim, name="adapter", gen=None):
+        self.linear = Linear(name, in_dim, out_dim, gen)
+        self.norm = RowNormalize()
+
+    def forward(self, x, train=False, gen=None):
+        return self.norm.forward(self.linear.forward(
+            np.asarray(x, dtype=np.float64)))
+
+    def backward(self, g, tape):
+        return self.linear.backward(self.norm.backward(g, tape), tape)
+
+    def params(self):
+        return self.linear.params()
+
+
+def _ref_identity_adapter(dim, noise_variance, gen, name):
+    adapter = _RefLinearAdapter(dim, dim, name=name)
+    w = np.eye(dim)
+    if noise_variance > 0:
+        w = w + gen.normal(0.0, math.sqrt(noise_variance), size=(dim, dim))
+    adapter.linear.weight.value = w
+    adapter.linear.bias.value = np.zeros(dim)
+    return adapter
+
+
+class _RefBotaniaMLP:
+    def __init__(self, in_dim=3587, hidden=1536, embed=768, n_classes=232,
+                 dropout_rate=0.4, gen=None, name="botania"):
+        self.in_dim = in_dim
+        self.embed_dim = embed
+        self.lin1 = Linear(f"{name}.lin1", in_dim, hidden, gen)
+        self.lin2 = Linear(f"{name}.lin2", hidden, embed, gen)
+        self.head = Linear(f"{name}.head", embed, n_classes, gen)
+        self.gelu1 = Gelu()
+        self.gelu2 = Gelu()
+        self.drop1 = Dropout(dropout_rate)
+        self.drop2 = Dropout(dropout_rate)
+        self.norm = RowNormalize()
+        self._ran_forward = False
+
+    def forward(self, covers, train=False, gen=None, with_head=True,
+                with_penult=True):
+        x = np.asarray(covers, dtype=np.float64)
+        if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 100.0:
+            raise DataError("cover values must lie in [0, 100]")
+        h1 = self.drop1.forward(self.gelu1.forward(self.lin1.forward(x)),
+                                train, gen)
+        h2 = self.gelu2.forward(self.lin2.forward(h1))
+        penult = self.norm.forward(h2) if with_penult else None
+        logits = None
+        if with_head:
+            logits = self.head.forward(self.drop2.forward(h2, train, gen))
+        self._ran_forward = True
+        self._with_head = with_head
+        return logits, penult
+
+    def backward(self, tape, g_logits=None, g_penult=None):
+        if not self._ran_forward:
+            raise MissingForwardCache("botania")
+        g_h2 = 0.0
+        if g_logits is not None:
+            if not self._with_head:
+                raise MissingForwardCache("botania head")
+            g_h2 = g_h2 + self.drop2.backward(
+                self.head.backward(g_logits, tape), tape)
+        if g_penult is not None:
+            g_h2 = g_h2 + self.norm.backward(g_penult, tape)
+        g_h1 = self.lin2.backward(self.gelu2.backward(g_h2, tape), tape)
+        return self.lin1.backward(self.gelu1.backward(
+            self.drop1.backward(g_h1, tape), tape), tape)
+
+    def params(self):
+        return self.lin1.params() + self.lin2.params() + self.head.params()
+
+
+class _RefTwoLayerEncoder:
+    def __init__(self, in_dim, hidden, out_dim, gen, name="mlp",
+                 dropout_rate=0.1):
+        self.lin1 = Linear(f"{name}.lin1", in_dim, hidden, gen)
+        self.lin2 = Linear(f"{name}.lin2", hidden, out_dim, gen)
+        self.relu = Relu()
+        self.drop = Dropout(dropout_rate)
+        self.norm = RowNormalize()
+
+    def forward(self, x, train=False, gen=None):
+        h = self.drop.forward(self.relu.forward(self.lin1.forward(
+            np.asarray(x, dtype=np.float64))), train, gen)
+        return self.norm.forward(self.lin2.forward(h))
+
+    def backward(self, g, tape):
+        g = self.lin2.backward(self.norm.backward(g, tape), tape)
+        return self.lin1.backward(self.relu.backward(
+            self.drop.backward(g, tape), tape), tape)
+
+    def params(self):
+        return self.lin1.params() + self.lin2.params()
+
+
+class _RefAttentionEncoder:
+    def __init__(self, in_dim, out_dim, gen, model_dim=1024, n_heads=4,
+                 name="attn", dropout_rate=0.1):
+        self.reduce = Linear(f"{name}.reduce", in_dim, model_dim, gen)
+        self.ln1 = LayerNorm(f"{name}.ln1", model_dim)
+        self.mha = _RefSingleTokenAttention(f"{name}.mha", model_dim, n_heads,
+                                            gen)
+        self.ln2 = LayerNorm(f"{name}.ln2", model_dim)
+        self.relu = Relu()
+        self.drop = Dropout(dropout_rate)
+        self.project = Linear(f"{name}.project", model_dim, out_dim, gen)
+        self.norm = RowNormalize()
+
+    def forward(self, x, train=False, gen=None):
+        h = self.reduce.forward(np.asarray(x, dtype=np.float64))
+        attended = h + self.mha.forward(self.ln1.forward(h))
+        f = self.drop.forward(self.relu.forward(self.ln2.forward(attended)),
+                              train, gen)
+        return self.norm.forward(self.project.forward(f))
+
+    def backward(self, g, tape):
+        g = self.project.backward(self.norm.backward(g, tape), tape)
+        g_att = self.ln2.backward(self.relu.backward(
+            self.drop.backward(g, tape), tape), tape)
+        g_h = g_att + self.ln1.backward(self.mha.backward(g_att, tape), tape)
+        return self.reduce.backward(g_h, tape)
+
+    def params(self):
+        return (self.reduce.params() + self.ln1.params() + self.mha.params()
+                + self.ln2.params() + self.project.params())
+
+
+class _RefBotaSPModel:
+    def __init__(self, in_dim, n_species, proj_dim=768, hidden=1536,
+                 dropout_rate=0.4, gen=None, name="botasp"):
+        self.proj = Linear(f"{name}.proj", in_dim, proj_dim, gen)
+        self.hidden = Linear(f"{name}.hidden", proj_dim, hidden, gen)
+        self.head = Linear(f"{name}.head", hidden, n_species, gen)
+        self.proj_norm = RowNormalize()
+        self.gelu = Gelu()
+        self.drop = Dropout(dropout_rate)
+
+    def forward(self, x, train=False, gen=None):
+        z = self.proj_norm.forward(self.proj.forward(
+            np.asarray(x, dtype=np.float64)))
+        feat = self.gelu.forward(self.hidden.forward(z))
+        logits = self.head.forward(self.drop.forward(feat, train, gen))
+        return logits, z, feat
+
+    def backward(self, tape, g_logits, g_z=None):
+        g_feat = self.drop.backward(self.head.backward(g_logits, tape), tape)
+        g_zt = self.hidden.backward(self.gelu.backward(g_feat, tape), tape)
+        if g_z is not None:
+            g_zt = g_zt + g_z
+        return self.proj.backward(self.proj_norm.backward(g_zt, tape), tape)
+
+    def params(self):
+        return self.proj.params() + self.hidden.params() + self.head.params()
+
+
+class _RefAlignmentModel:
+    def __init__(self, variant, d_img, d_tab, rng, proj_dim=768, botania=None,
+                 mlp_img_hidden=2600, mlp_tab_hidden=1024, attn_model_dim=1024,
+                 attn_heads=4, adapter_noise_variance=1e-4,
+                 tau_init=math.log(10.0), bias_init=-10.0):
+        self.variant = variant
+        if variant == "botania-linear":
+            self.img_branch = _ref_identity_adapter(
+                d_img, adapter_noise_variance, rng.substream("init/img_adapter"),
+                name="img_adapter")
+            self.botania = botania
+            self.tab_adapter = _RefLinearAdapter(
+                botania.embed_dim, proj_dim, name="tab_adapter",
+                gen=rng.substream("init/tab_adapter"))
+        elif variant == "mlp":
+            self.img_branch = _RefTwoLayerEncoder(
+                d_img, mlp_img_hidden, proj_dim,
+                rng.substream("init/img_encoder"), name="img_encoder")
+            self.tab_branch = _RefTwoLayerEncoder(
+                d_tab, mlp_tab_hidden, proj_dim,
+                rng.substream("init/tab_encoder"), name="tab_encoder")
+        else:
+            self.img_branch = _RefTwoLayerEncoder(
+                d_img, mlp_img_hidden, proj_dim,
+                rng.substream("init/img_encoder"), name="img_encoder")
+            self.tab_branch = _RefAttentionEncoder(
+                d_tab, proj_dim, rng.substream("init/tab_encoder"),
+                model_dim=attn_model_dim, n_heads=attn_heads,
+                name="tab_encoder")
+        self.tau = Param("scalars.tau", np.float64(tau_init), decay=False)
+        self.bias = Param("scalars.bias", np.float64(bias_init), decay=False)
+
+    def encode_images(self, x, train=False, gen=None):
+        if self.variant == "botania-linear":
+            return self.img_branch.forward(x)
+        return self.img_branch.forward(x, train=train, gen=gen)
+
+    def backward_images(self, g, tape):
+        return self.img_branch.backward(g, tape)
+
+    def encode_tables(self, covers, train=False, gen=None):
+        if self.variant == "botania-linear":
+            _, penult = self.botania.forward(covers, train=train, gen=gen,
+                                             with_head=False)
+            return self.tab_adapter.forward(penult)
+        return self.tab_branch.forward(covers, train=train, gen=gen)
+
+    def backward_tables(self, g, tape):
+        if self.variant == "botania-linear":
+            g_penult = self.tab_adapter.backward(g, tape)
+            return self.botania.backward(tape, g_penult=g_penult)
+        return self.tab_branch.backward(g, tape)
+
+    def params(self):
+        out = list(self.img_branch.params())
+        if self.variant == "botania-linear":
+            out += self.botania.params() + self.tab_adapter.params()
+        else:
+            out += self.tab_branch.params()
+        out += [self.tau, self.bias]
+        return out
+
+
+_REF = SimpleNamespace(
+    SingleTokenAttention=_RefSingleTokenAttention,
+    LinearAdapter=_RefLinearAdapter, BotaniaMLP=_RefBotaniaMLP,
+    TwoLayerEncoder=_RefTwoLayerEncoder, AttentionEncoder=_RefAttentionEncoder,
+    BotaSPModel=_RefBotaSPModel, AlignmentModel=_RefAlignmentModel)
+
+
+def _normal(seed, what, shape):
+    return Rng(seed).substream(what).normal(size=shape)
+
+
+def _covers(seed, shape):
+    return Rng(seed).substream("covers").uniform(0, 100, size=shape)
+
+
+def _layer_case(build, in_dim, out_dim):
+    """A one-input model: forward in train mode, backward of a random
+    output gradient; returns (model, outputs, input gradients)."""
+    def run(ns, seed):
+        model = build(ns, Rng(seed).substream("init"))
+        out = model.forward(_normal(seed, "x", (6, in_dim)), True,
+                            Rng(seed).substream("drop"))
+        tape = GradientTape()
+        g_in = model.backward(_normal(seed, "g", (6, out_dim)), tape)
+        return model, tape, [out], [g_in]
+    return run
+
+
+def _botania_case(with_head, with_penult):
+    def run(ns, seed):
+        model = ns.BotaniaMLP(in_dim=7, hidden=6, embed=5, n_classes=4,
+                              dropout_rate=0.4,
+                              gen=Rng(seed).substream("init"))
+        logits, penult = model.forward(
+            _covers(seed, (6, 7)), True, Rng(seed).substream("drop"),
+            with_head=with_head, with_penult=with_penult)
+        tape = GradientTape()
+        g_in = model.backward(
+            tape, g_logits=_normal(seed, "gl", (6, 4)) if with_head else None,
+            g_penult=_normal(seed, "gp", (6, 5)) if with_penult else None)
+        return model, tape, [o for o in (logits, penult) if o is not None], [g_in]
+    return run
+
+
+def _botasp_case(with_gz):
+    def run(ns, seed):
+        model = ns.BotaSPModel(in_dim=5, n_species=3, proj_dim=4, hidden=6,
+                               dropout_rate=0.4,
+                               gen=Rng(seed).substream("init"))
+        outs = model.forward(_normal(seed, "x", (6, 5)), True,
+                             Rng(seed).substream("drop"))
+        tape = GradientTape()
+        g_in = model.backward(tape, _normal(seed, "gl", (6, 3)),
+                              _normal(seed, "gz", (6, 4)) if with_gz else None)
+        return model, tape, list(outs), [g_in]
+    return run
+
+
+def _alignment_case(variant):
+    def run(ns, seed):
+        botania = ns.BotaniaMLP(in_dim=9, hidden=5, embed=6, n_classes=3,
+                                gen=Rng(seed).substream("binit"))
+        model = ns.AlignmentModel(variant, d_img=6, d_tab=9, rng=Rng(seed),
+                                  proj_dim=6, botania=botania,
+                                  mlp_img_hidden=7, mlp_tab_hidden=8,
+                                  attn_model_dim=8, attn_heads=4)
+        gen = Rng(seed).substream("drop")
+        z_img = model.encode_images(_normal(seed, "img", (6, 6)), True, gen)
+        z_tab = model.encode_tables(_covers(seed, (6, 9)), True, gen)
+        tape = GradientTape()
+        g_img = model.backward_images(_normal(seed, "gi", (6, 6)), tape)
+        g_tab = model.backward_tables(_normal(seed, "gt", (6, 6)), tape)
+        return model, tape, [z_img, z_tab], [g_img, g_tab]
+    return run
+
+
+_CASES = {
+    "linear_adapter": _layer_case(
+        lambda ns, gen: ns.LinearAdapter(5, 4, gen=gen), 5, 4),
+    "single_token_attention": _layer_case(
+        lambda ns, gen: ns.SingleTokenAttention("m", 8, 4, gen), 8, 8),
+    "two_layer": _layer_case(
+        lambda ns, gen: ns.TwoLayerEncoder(7, 6, 4, gen, dropout_rate=0.5),
+        7, 4),
+    "attention": _layer_case(
+        lambda ns, gen: ns.AttentionEncoder(6, 4, gen, model_dim=8, n_heads=4,
+                                            dropout_rate=0.5), 6, 4),
+    "botania": _botania_case(True, True),
+    "botania_head_only": _botania_case(True, False),
+    "botania_penult_only": _botania_case(False, True),
+    "botasp": _botasp_case(True),
+    "botasp_no_gz": _botasp_case(False),
+    **{f"align_{v}": _alignment_case(v) for v in encoders.VARIANTS},
+}
+
+
+def _bits(run, ns, seed):
+    model, tape, outs, g_ins = run(ns, seed)
+    params = model.params()
+    return ([p.name for p in params], [p.value.tobytes() for p in params],
+            [o.tobytes() for o in outs], [g.tobytes() for g in g_ins],
+            {k: v.tobytes() for k, v in tape.grads.items()})
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_layers_match_frozen_reference(case):
+    for seed in range(3):
+        new = _bits(_CASES[case], encoders, seed)
+        ref = _bits(_CASES[case], _REF, seed)
+        for what, a, b in zip(("params() names", "initial values", "outputs",
+                               "input gradients", "tape gradients"), new, ref):
+            assert a == b, f"{case}, seed {seed}: {what} differ"

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from botaclip.errors import NonFinite, ShapeMismatch, ZeroRow
+from botaclip.encoders import Gelu
+from botaclip.errors import NonFinite, ZeroRow
 from botaclip.numerics import (
     Rng,
     finite_diff_grad,
-    gelu,
-    gram,
     l2_normalize_rows,
     log_sigmoid,
     max_rel_error,
@@ -43,44 +42,16 @@ class TestL2NormalizeRows:
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
-class TestGram:
-    def test_orthonormal_rows_give_identity(self):
-        a = np.eye(4)
-        np.testing.assert_allclose(gram(a, a), np.eye(4), atol=1e-15)
-
-    def test_hand_dot_products(self):
-        a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        b = np.array([[1.0, 1.0]])
-        np.testing.assert_array_equal(gram(a, b), [[1.0], [1.0]])
-
-    def test_transpose_symmetry(self):
-        gen = Rng(11).substream("gram")
-        a = gen.normal(size=(5, 7))
-        b = gen.normal(size=(3, 7))
-        np.testing.assert_array_equal(gram(a, b), gram(b, a).T)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            gram(np.ones((2, 3)), np.ones((2, 4)))
-
-    def test_self_gram_positive_semidefinite(self):
-        for seed in range(10):
-            gen = Rng(seed).substream("psd")
-            n = int(gen.integers(2, 17))
-            a = gen.normal(size=(n, int(gen.integers(1, 17))))
-            eigs = np.linalg.eigvalsh(gram(a, a))
-            assert eigs.min() >= -1e-9
-
-
 class TestActivations:
     def test_gelu_at_zero(self):
-        assert gelu(0.0) == 0.0
+        assert Gelu().forward(np.zeros((1, 1)))[0, 0] == 0.0
 
     def test_gelu_exact_cdf_form(self):
         # x * Phi(x) via the error function, checked at a few points
         for x in (-3.0, -0.5, 0.7, 2.0):
             expected = x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-            assert abs(float(gelu(x)) - expected) < 1e-15
+            got = Gelu().forward(np.array([[x]]))[0, 0]
+            assert abs(float(got) - expected) < 1e-15
 
     def test_sigmoid_at_zero(self):
         assert sigmoid(0.0) == 0.5

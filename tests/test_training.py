@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from botaclip.encoders import AlignmentModel, BotaniaMLP, GradientTape
-from botaclip.errors import EmptySplit
+from botaclip.errors import DataError, EmptySplit
 from botaclip.losses import (ScalarsTauB, regularizer_and_grad,
                              scl_loss_and_grads)
 from botaclip.numerics import Rng, l2_normalize_rows, row_norms
@@ -345,3 +345,14 @@ def test_train_log_csv_round_trip(tmp_path):
     assert loaded.epochs == [1, 2]
     assert loaded.val_loss == log.val_loss
     assert loaded.tau == log.tau
+
+
+@pytest.mark.parametrize("text,message", [
+    ("epoch,train_loss,val_loss,scl,reg,tau,b\n1,0.5,0.6,0.4,0.01,2.3,-10\n"
+     "2,0.4,low,0.35,0.009,2.2,-9.9\n", "line 3"),
+    ("epoch,loss\n1,0.5\n", "header")], ids=["bad_cell", "bad_header"])
+def test_train_log_csv_rejects_malformed(tmp_path, text, message):
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        TrainLog.from_csv(path)

@@ -16,25 +16,39 @@ import math
 import numpy as np
 
 from .errors import DataError, MissingForwardCache, ShapeMismatch
-from .numerics import Rng, gelu_grad, l2_normalize_rows, normal_cdf, row_norms
+from .numerics import Rng, l2_normalize_rows, normal_cdf, row_norms
+
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Param:
-    """A named trainable array. `decay` marks eligibility for weight decay."""
+    """A named trainable array. `decay` marks eligibility for weight decay.
+    The value is kept a C-contiguous float64 array (the one assigned, if it
+    is one already), so the optimizer can update it through flat views."""
 
-    __slots__ = ("name", "value", "decay")
+    __slots__ = ("name", "_value", "decay")
 
     def __init__(self, name: str, value, decay: bool = True):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.decay = decay
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, value):
+        self._value = np.asarray(value, dtype=np.float64, order="C")
 
     def __repr__(self):
         return f"Param({self.name}, shape={self.value.shape})"
 
 
 class GradientTape:
-    """Per-batch gradient accumulator, keyed by parameter name."""
+    """Per-batch gradient accumulator, keyed by parameter name. The tape
+    owns the array add() is given and stores it without a copy, so callers
+    pass a fresh result and do not write to it afterwards."""
 
     def __init__(self):
         self.grads: dict[str, np.ndarray] = {}
@@ -45,15 +59,14 @@ class GradientTape:
             raise ShapeMismatch(
                 f"gradient shape {grad.shape} != parameter shape "
                 f"{param.value.shape} for {param.name}")
-        if param.name in self.grads:
-            self.grads[param.name] = self.grads[param.name] + grad
-        else:
-            self.grads[param.name] = grad.copy()
+        old = self.grads.get(param.name)
+        self.grads[param.name] = grad if old is None else old + grad
 
     def get(self, param: Param) -> np.ndarray:
+        """param's gradient; a read-only zero view if none was added."""
         g = self.grads.get(param.name)
         if g is None:
-            return np.zeros_like(param.value)
+            return np.broadcast_to(0.0, param.value.shape)
         return g
 
 
@@ -119,13 +132,15 @@ class Gelu(Layer):
         self._x = None
 
     def forward(self, x, train=False, gen=None):
-        self._x = x
-        return x * normal_cdf(x)
+        self._x = x = np.asarray(x, dtype=np.float64)
+        self._cdf = normal_cdf(x)
+        return x * self._cdf
 
     def backward(self, g, tape):
         if self._x is None:
             raise MissingForwardCache("gelu")
-        return g * gelu_grad(self._x)
+        x = self._x
+        return g * (self._cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 class Relu(Layer):

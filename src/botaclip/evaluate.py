@@ -22,7 +22,7 @@ from .dataprep import (
     normalize_soil,
     stratify_by_elevation,
 )
-from .errors import DataError, Degenerate, UndefinedMetric, ZeroVariance
+from .errors import DataError, Degenerate, ZeroVariance
 from .fileio import _parse_rows, read_csv, write_csv
 from .forest import ForestConfig, fit_classifier, fit_regressor, predict, predict_proba
 from .metrics import boyce_index, classification_metrics, confusion_counts, mae, spearman_rho
@@ -50,9 +50,13 @@ class MetricReport:
         header, rows = read_csv(path)
         if header != REPORT_HEADER:
             raise DataError(f"{path}: bad report header")
-        return cls(task=rows[0][0] if rows else "",
-                   rows=_parse_rows(path, header, rows, lambda r: (
-                       r[1], int(r[2]), int(r[3]), r[4], float(r[5]))))
+        task = rows[0][0] if rows else ""
+
+        def parse(r):
+            if r[0] != task:
+                raise ValueError(f"task {r[0]!r} in a {task!r} report")
+            return r[1], int(r[2]), int(r[3]), r[4], float(r[5])
+        return cls(task=task, rows=_parse_rows(path, header, rows, parse))
 
     def scores_for(self, metric: str) -> dict[str, float]:
         """Mean value per unit over folds and seeds."""

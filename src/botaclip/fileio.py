@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 

@@ -123,8 +123,10 @@ def botaclip_loss(img_orig: np.ndarray, z_img: np.ndarray, z_tab: np.ndarray,
     return scl + lam * similarity_regularizer(img_orig, z_img)
 
 
-def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy over a batch; returns (loss, dlogits)."""
+def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray,
+                        grad: bool = True):
+    """Mean softmax cross-entropy over a batch; returns (loss, dlogits),
+    with dlogits None when grad is False."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     n, k = logits.shape
@@ -132,6 +134,8 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
         raise BadLabel("labels outside logit range")
     logp = log_softmax(logits, axis=1)
     loss = float(-np.mean(logp[np.arange(n), labels]))
+    if not grad:
+        return loss, None
     dlogits = softmax(logits, axis=1)
     dlogits[np.arange(n), labels] -= 1.0
     return loss, dlogits / n

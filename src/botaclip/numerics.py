@@ -68,16 +68,10 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 _SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def normal_cdf(x):
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / _SQRT2))
-
-
-def gelu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    return normal_cdf(x) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def sigmoid(x):

@@ -14,7 +14,15 @@ IMPROVEMENT_EPS = 1e-12
 class AdamW:
     """Bias-corrected Adam; decay multiplies parameters by (1 - lr*wd)
     before the Adam delta, so weight_decay=0 is plain Adam. Scalar
-    parameters flagged decay=False (temperature, bias) are never decayed."""
+    parameters flagged decay=False (temperature, bias) are never decayed.
+    A parameter no gradient reached takes a zero gradient, so it decays.
+
+    step() updates values and moments in place, CHUNK elements at a time
+    through two scratch buffers that stay in cache. Each element goes
+    through the expressions in its comments in their operation order, so
+    the result is bit-identical to evaluating them on whole arrays."""
+
+    CHUNK = 32768
 
     def __init__(self, params: list[Param], lr: float = 1e-3,
                  weight_decay: float = 1e-3, beta1: float = 0.9,
@@ -31,23 +39,43 @@ class AdamW:
         self.step_count = 0
         self._m = {p.name: np.zeros_like(p.value) for p in self.params}
         self._v = {p.name: np.zeros_like(p.value) for p in self.params}
+        self._scratch = np.empty((2, self.CHUNK))
 
     def step(self, tape: GradientTape) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        shrink = 1.0 - lr * self.weight_decay
         for p in self.params:
             g = tape.get(p)
             if g.shape != p.value.shape:
                 raise ShapeMismatch(p.name)
-            if self.weight_decay > 0 and p.decay:
-                p.value = p.value * (1.0 - self.lr * self.weight_decay)
-            m = self._m[p.name] = self.beta1 * self._m[p.name] + (1 - self.beta1) * g
-            v = self._v[p.name] = self.beta2 * self._v[p.name] + (1 - self.beta2) * g * g
-            p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            decay = self.weight_decay > 0 and p.decay
+            # views: Param values and the moments are C-contiguous
+            flat, g = p.value.reshape(-1), g.reshape(-1)
+            m, v = self._m[p.name].reshape(-1), self._v[p.name].reshape(-1)
+            for lo in range(0, flat.size, self.CHUNK):
+                s = slice(lo, lo + self.CHUNK)
+                pc, mc, vc, gc = flat[s], m[s], v[s], g[s]
+                a, b = self._scratch[:, :pc.size]
+                if decay:
+                    pc *= shrink
+                mc *= b1                                   # b1*m + (1-b1)*g
+                mc += np.multiply(gc, 1 - b1, out=a)
+                vc *= b2                                   # b2*v + (1-b2)*g*g
+                np.multiply(gc, 1 - b2, out=a)
+                a *= gc
+                vc += a
+                np.divide(mc, bc1, out=a)      # lr*(m/bc1) / (sqrt(v/bc2)+eps)
+                a *= lr
+                np.sqrt(np.divide(vc, bc2, out=b), out=b)
+                b += eps
+                a /= b
+                pc -= a
             if p.name == "scalars.tau":
-                p.value = np.clip(p.value, -TAU_CLAMP, TAU_CLAMP)
+                np.clip(p.value, -TAU_CLAMP, TAU_CLAMP, out=p.value)
 
 
 def adam(params: list[Param], lr: float) -> AdamW:

@@ -180,7 +180,7 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
         val_loss = float(np.mean([
             cross_entropy_batch(model.forward(covers[batch],
                                               with_penult=False)[0],
-                                labels[batch])[0]
+                                labels[batch], grad=False)[0]
             for batch in _batches(val_idx, cfg.batch_size)]))
         return val_loss, val_loss, 0.0, math.nan, math.nan
 

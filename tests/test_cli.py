@@ -416,6 +416,20 @@ class TestErrorPaths:
         assert doc["error"] == "DataError" and doc["exit"] == 2
         assert f"{r1}, line 3" in doc["message"]
 
+    def test_mixed_task_report_exit_2(self, tmp_path, capsys):
+        good = MetricReport("plant")
+        good.add("spA", 1, 0, "tss", 0.5)
+        r2 = tmp_path / "r2.csv"
+        good.to_csv(r2)
+        r1 = tmp_path / "r1.csv"
+        r1.write_text("task,unit,fold,seed,metric,value\n"
+                      "plant,spA,1,0,tss,0.5\nsoil,spA,1,0,tss,0.9\n")
+        rc = main(["stats", "--reports", str(r1), str(r2), "--metric", "tss"])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{r1}, line 3" in doc["message"] and "soil" in doc["message"]
+
     def test_label_without_view0_embedding_exit_2(self, tmp_path, capsys):
         emb = tmp_path / "e.emb"
         fileio.save_embeddings(emb, np.eye(3), ids=["a#0", "b#0", "c#1"])

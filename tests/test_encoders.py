@@ -25,7 +25,13 @@ from botaclip.encoders import (
     init_identity_adapter,
 )
 from botaclip.errors import DataError, MissingForwardCache, ShapeMismatch, ZeroRow
-from botaclip.numerics import Rng, l2_normalize_rows, max_rel_error, softmax
+from botaclip.numerics import (
+    Rng,
+    l2_normalize_rows,
+    max_rel_error,
+    normal_cdf,
+    softmax,
+)
 
 
 class TestIdentityAdapterInit:
@@ -115,6 +121,23 @@ class TestBackwardBasics:
         tape = GradientTape()
         with pytest.raises(ShapeMismatch):
             tape.add(a.weight, np.zeros(2))
+
+    def test_gelu_matches_exact_forms_bit_for_bit(self):
+        # The frozen composites below use the package's own Gelu, so this
+        # pins its arithmetic: y = x*Phi(x), dy/dx = Phi(x) + x*phi(x), in
+        # the operation order of the original backward pass.
+        gen = Rng(8).substream("gelu")
+        layer = Gelu()
+        for shape in [(5, 7), (64, 33)]:
+            x = gen.normal(scale=3.0, size=shape)
+            x[0, :3] = [0.0, -0.0, 40.0]
+            g = gen.normal(size=shape)
+            y = layer.forward(x)
+            assert y.tobytes() == (x * normal_cdf(x)).tobytes()
+            slope = normal_cdf(x) + x * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(
+                -0.5 * x * x)
+            assert layer.backward(g, GradientTape()).tobytes() == \
+                (g * slope).tobytes()
 
 
 class TestBotania:

@@ -272,9 +272,12 @@ class TestLossGradients:
         rng = Rng(60)
         logits = rng.substream("l").normal(size=(3, 5))
         labels = np.array([0, 3, 2])
-        _, dl = cross_entropy_batch(logits, labels)
+        loss, dl = cross_entropy_batch(logits, labels)
+        # the loss-only form gives the same loss and no gradient
+        assert cross_entropy_batch(logits, labels, grad=False) == (loss, None)
         num = finite_diff_grad(
-            lambda v: cross_entropy_batch(v.reshape(3, 5), labels)[0],
+            lambda v: cross_entropy_batch(v.reshape(3, 5), labels,
+                                          grad=False)[0],
             logits.reshape(-1).copy()).reshape(3, 5)
         assert max_rel_error(dl, num) < 1e-5
 

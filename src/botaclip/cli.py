@@ -437,6 +437,9 @@ def cmd_stats(args) -> int:
     reports = [evaluate.MetricReport.from_csv(p) for p in args.reports]
     score_maps = [r.scores_for(args.metric) for r in reports]
     common = sorted(set.intersection(*(set(m) for m in score_maps)))
+    for name, m in zip(names, score_maps):
+        print(f"{name}: {len(m) - len(common)} of {len(m)} units left out, "
+              f"not in every report")
     if len(common) < 2:
         raise DataError(f"fewer than two shared units carry {args.metric!r}")
     scores = {name: np.array([m[u] for u in common])

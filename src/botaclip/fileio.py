@@ -144,6 +144,14 @@ def read_csv(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
+def _data_error(path, k: int, problem) -> DataError:
+    """DataError naming the file line of data row k."""
+    # read_csv drops blank lines, so recount them for the file line
+    with open(path, encoding="utf-8") as fh:
+        line = [i for i, ln in enumerate(fh, 1) if ln.strip()][k + 1]
+    return DataError(f"{path}, line {line}: {problem}")
+
+
 def _parse_rows(path, header, rows, parse):
     """[parse(row) for row in rows], where a row that does not parse (a
     field count other than the header's, a non-number) raises DataError
@@ -156,11 +164,17 @@ def _parse_rows(path, header, rows, parse):
                                  f"{len(header)}")
             out.append(parse(row))
         except ValueError as exc:
-            # read_csv drops blank lines, so recount them for the file line
-            with open(path, encoding="utf-8") as fh:
-                line = [i for i, ln in enumerate(fh, 1) if ln.strip()][k + 1]
-            raise DataError(f"{path}, line {line}: {exc}") from None
+            raise _data_error(path, k, exc) from None
     return out
+
+
+def _check_rows(path, values: np.ndarray, ok, problem: str) -> None:
+    """Raise DataError naming the first line whose row of the parsed
+    values fails ok (elementwise); the file is searched only on failure."""
+    good = ok(values)
+    if not good.all():
+        bad = ~good.reshape(len(values), -1).all(axis=1)
+        raise _data_error(path, int(np.flatnonzero(bad)[0]), problem)
 
 
 def _releve_row(row):
@@ -184,6 +198,7 @@ def read_matrix_csv(path):
     header, rows = read_csv(path)
     values = np.array(_parse_rows(path, header, rows, _floats_after_id),
                       dtype=np.float64)
+    _check_rows(path, values, np.isfinite, "non-finite value")
     return values, [r[0] for r in rows], header[1:]
 
 
@@ -217,6 +232,7 @@ def read_locations(path):
     ids = [r[0] for r in rows]
     pts = np.array(_parse_rows(path, header, rows,
                                lambda r: [float(r[1]), float(r[2])]))
+    _check_rows(path, pts, np.isfinite, "non-finite coordinate")
     return ids, pts
 
 
@@ -287,6 +303,10 @@ def read_soil(path):
     locs = np.array([p[:2] for p in parsed])
     elev = np.array([p[2] for p in parsed])
     vals = np.array([p[3:] for p in parsed])
+    _check_rows(path, locs, np.isfinite, "non-finite coordinate")
+    _check_rows(path, elev, np.isfinite, "non-finite elevation")
+    _check_rows(path, vals, lambda v: np.isfinite(v) & (v >= 0),
+                "abundances must be finite and non-negative")
     return TrophicTable(vals, elev, ids, groups, locs)
 
 

@@ -2,12 +2,19 @@
 
 Behavioral mirror of the usual library defaults (100 trees, gini with
 sqrt(d) features per node for classification, variance reduction with all
-features for regression, unlimited depth, midpoint thresholds). Each node
-runs one vectorized exact search over its block of candidate features:
-stable sorts, cumulative sums and impurities for every feature and boundary
-at once. Ties between equally good splits go to the lowest feature index,
-then lowest threshold. Per-tree substreams make fitting reproducible and
-parallelizable.
+features for regression, unlimited depth, midpoint thresholds). The search
+is exact: stable sorts, cumulative sums and impurities for every candidate
+feature and boundary at once. Ties between equally good splits go to the
+lowest feature index, then lowest threshold.
+
+The trees of a forest grow in lockstep. Each tree draws from its own
+substream and walks its nodes in depth-first preorder, left child first, so
+it draws its candidate features at the same nodes and in the same order as
+a recursive build. Each step takes the next node that needs a search from
+every unfinished tree and searches them together in batched calls of a
+bounded number of cells (gini) or node by node (mse, whose sums depend on
+summation order). Growing level by level would reorder the draws and change
+the trees.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyData, ShapeMismatch
+from .errors import EmptyData, NonFinite, ShapeMismatch
 from .numerics import Rng
 
 
@@ -64,12 +71,12 @@ def _n_candidate_features(cfg: ForestConfig, d: int) -> int:
     raise ValueError(f"bad max_features {cfg.max_features!r}")
 
 
-def _best_split(Xc: np.ndarray, y: np.ndarray, criterion: str):
+def _mse_split(Xc: np.ndarray, y: np.ndarray):
     """Best (row, threshold) over a (candidates, samples) block, or None.
 
-    Each row is one candidate feature at the node. The weighted child
-    impurity is computed for every row and boundary at once; the flat argmin
-    over the feature-major table keeps the lowest row, then the lowest
+    Each row is one candidate feature at the node. The weighted child sum of
+    squared errors is computed for every row and boundary at once; the flat
+    argmin over the feature-major table keeps the lowest row, then the lowest
     threshold, among equally good splits.
     """
     order = np.argsort(Xc, axis=1, kind="stable")
@@ -83,44 +90,156 @@ def _best_split(Xc: np.ndarray, y: np.ndarray, criterion: str):
     right_n = n - left_n
     left_sum = np.cumsum(ys, axis=1)[:, :-1]
     right_sum = ys.sum(axis=1, keepdims=True) - left_sum
-    if criterion == "gini":
-        pl = left_sum / left_n
-        pr = right_sum / right_n
-        gini_l = 2.0 * pl * (1.0 - pl)
-        gini_r = 2.0 * pr * (1.0 - pr)
-        weighted = (left_n * gini_l + right_n * gini_r) / n
-    else:
-        csum2 = np.cumsum(ys * ys, axis=1)
-        left_sse = csum2[:, :-1] - left_sum ** 2 / left_n
-        right_sse = (csum2[:, -1:] - csum2[:, :-1]) - right_sum ** 2 / right_n
-        weighted = (left_sse + right_sse) / n
+    csum2 = np.cumsum(ys * ys, axis=1)
+    left_sse = csum2[:, :-1] - left_sum ** 2 / left_n
+    right_sse = (csum2[:, -1:] - csum2[:, :-1]) - right_sum ** 2 / right_n
+    weighted = (left_sse + right_sse) / n
     weighted[~boundary] = np.inf
     row, k = divmod(int(np.argmin(weighted)), n - 1)
     return row, 0.5 * (xs[row, k] + xs[row, k + 1])
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                cfg: ForestConfig, gen: np.random.Generator,
-                depth: int) -> TreeNode:
-    yy = y[idx]
-    node = TreeNode(value=float(np.mean(yy)))
-    if (yy.min() == yy.max() or idx.size < cfg.min_samples_split
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)):
-        return node
+# (node, candidate, row) cells per batched gini search: a step whose nodes
+# hold more is searched in chunks, so a fit's peak memory does not grow with
+# its number of trees
+_SEARCH_CELLS = 1 << 18
 
+
+def _gini_splits(X: np.ndarray, y: np.ndarray, idxs: list,
+                 cands: list) -> list:
+    """Best (row, threshold) or None for each node of one step.
+
+    idxs holds each node's sample rows, cands its (m,) candidate features.
+    The nodes are searched in chunks of at most _SEARCH_CELLS cells (a node
+    larger than that alone); each node's search is independent of the
+    others, so the chunking changes no result.
+    """
+    out, m = [], cands[0].size
+    lo = 0
+    while lo < len(idxs):
+        hi, width = lo + 1, idxs[lo].size
+        while (hi < len(idxs) and (hi + 1 - lo) * m
+               * max(width, idxs[hi].size) <= _SEARCH_CELLS):
+            width = max(width, idxs[hi].size)
+            hi += 1
+        out += _gini_block(X, y, idxs[lo:hi], np.array(cands[lo:hi]))
+        lo = hi
+    return out
+
+
+def _gini_block(X: np.ndarray, y: np.ndarray, idxs: list,
+                cands: np.ndarray) -> list:
+    """Best (row, threshold) or None for each node of one chunk.
+
+    Every node's (m, size) block is padded with NaN to the chunk's largest
+    node, with label 0. A stable sort puts the NaN after every real value,
+    and no `xs[k] < xs[k + 1]` boundary falls in it, so each node's table
+    matches its own unpadded search; 0/1 labels keep every cumulative sum
+    exact. Ties keep the first minimum in (candidate, position) order.
+    """
+    B, L = len(idxs), max(idx.size for idx in idxs)
+    sizes = np.array([idx.size for idx in idxs])
+    rows = np.zeros((B, L), dtype=np.intp)
+    for b, idx in enumerate(idxs):
+        rows[b, :idx.size] = idx
+    pad = np.arange(L) >= sizes[:, None]
+    Xc = X[rows[:, None, :], cands[:, :, None]]
+    np.copyto(Xc, np.nan, where=pad[:, None, :])
+    yr = y[rows]
+    yr[pad] = 0.0
+    order = np.argsort(Xc, axis=2, kind="stable")
+    # gather through flat offsets: far cheaper than take_along_axis
+    xs = Xc.take(order + np.arange(0, Xc.size, L).reshape(B, -1, 1))
+    ys = yr.take(order + np.arange(0, B * L, L).reshape(B, 1, 1))
+    del Xc, order
+    boundary = xs[:, :, :-1] < xs[:, :, 1:]
+    n = sizes[:, None, None].astype(np.float64)
+    left_n = np.arange(1.0, L)
+    right_n = n - left_n
+    # 2·p·(1 − p) per side, weighted by size, computed in place: the same
+    # operations in the same order as a search of one node, so bit-identical
+    csum = np.cumsum(ys, axis=2)
+    del ys
+    pl = csum[:, :, :-1]
+    pr = csum[:, :, -1:] - pl
+    one_minus = np.empty_like(pr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p, size in ((pl, left_n), (pr, right_n)):
+            p /= size
+            np.subtract(1.0, p, out=one_minus)
+            p *= 2.0
+            p *= one_minus
+            p *= size
+        weighted = np.add(pl, pr)
+        weighted /= n
+    weighted[~boundary] = np.inf
+    flat = weighted.reshape(B, -1)
+    best = np.argmin(flat, axis=1)
+    out = []
+    for b, f in enumerate(best.tolist()):
+        if flat[b, f] == np.inf:
+            out.append(None)
+            continue
+        row, k = divmod(f, L - 1)
+        out.append((row, 0.5 * (xs[b, row, k] + xs[b, row, k + 1])))
+    return out
+
+
+def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
+          gens: list, roots: list) -> list:
+    """Grow every tree of a forest in lockstep; returns the root nodes.
+
+    Each tree walks its nodes in depth-first preorder, left child first, and
+    draws its candidate features from its own generator at exactly the nodes
+    a recursive build would, in the same order. A step pops nodes from every
+    unfinished tree until each reaches one that needs a split search (leaves
+    are settled on the way), searches those nodes together, and pushes the
+    children, right first.
+    """
+    gini = cfg.criterion == "gini"
     d = X.shape[1]
     m = _n_candidate_features(cfg, d)
-    candidates = np.sort(gen.choice(d, size=m, replace=False))
-    best = _best_split(X[idx[None, :], candidates[:, None]], yy,
-                       cfg.criterion)
-    if best is None:
-        return node
-    row, node.threshold = best
-    node.feature = int(candidates[row])
-    mask = X[idx, node.feature] <= node.threshold
-    node.left = _build_tree(X, y, idx[mask], cfg, gen, depth + 1)
-    node.right = _build_tree(X, y, idx[~mask], cfg, gen, depth + 1)
-    return node
+    max_depth = math.inf if cfg.max_depth is None else cfg.max_depth
+    trees = [TreeNode() for _ in roots]
+    # pending nodes per tree, next on top: (node, rows, depth)
+    stacks = [[(node, idx, 0)] for node, idx in zip(trees, roots)]
+    while True:
+        step = []  # (tree, node, rows, depth, candidates)
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, idx, depth = stack.pop()
+                yy = y[idx]
+                if gini:
+                    # one sum gives value and purity; with 0/1 labels the
+                    # sum over the size equals np.mean bit for bit
+                    ones = yy.sum()
+                    node.value = float(ones / idx.size)
+                    pure = ones == 0.0 or ones == idx.size
+                else:
+                    node.value = float(np.mean(yy))
+                    pure = yy.min() == yy.max()
+                if (pure or idx.size < cfg.min_samples_split
+                        or depth >= max_depth):
+                    continue
+                cand = np.sort(gens[t].choice(d, size=m, replace=False))
+                step.append((t, node, idx, depth, cand))
+                break
+        if not step:
+            return trees
+        if gini:
+            found = _gini_splits(X, y, [s[2] for s in step],
+                                 [s[4] for s in step])
+        else:
+            found = [_mse_split(X[idx[None, :], cand[:, None]], y[idx])
+                     for _, _, idx, _, cand in step]
+        for (t, node, idx, depth, cand), f in zip(step, found):
+            if f is None:
+                continue
+            node.feature, node.threshold = int(cand[f[0]]), f[1]
+            mask = X[idx, node.feature] <= node.threshold
+            node.left, node.right = TreeNode(), TreeNode()
+            stacks[t].append((node.right, idx[~mask], depth + 1))
+            stacks[t].append((node.left, idx[mask], depth + 1))
 
 
 def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, kind: str) -> Forest:
@@ -130,14 +249,17 @@ def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, kind: str) -> Forest:
         raise EmptyData("cannot fit on an empty dataset")
     if X.shape[0] != y.shape[0]:
         raise ShapeMismatch("X rows and y length differ")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFinite("forest inputs hold a NaN or inf")
     rng = Rng(cfg.seed)
-    forest = Forest(n_features=X.shape[1], kind=kind)
     n = X.shape[0]
+    gens, roots = [], []
     for t in range(cfg.n_trees):
         gen = rng.substream("tree", t)
-        idx = gen.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        forest.trees.append(_build_tree(X, y, np.asarray(idx), cfg, gen, 0))
-    return forest
+        gens.append(gen)
+        roots.append(np.asarray(gen.integers(0, n, size=n)) if cfg.bootstrap
+                     else np.arange(n))
+    return Forest(_grow(X, y, cfg, gens, roots), X.shape[1], kind)
 
 
 def fit_classifier(X: np.ndarray, y: np.ndarray,

@@ -108,16 +108,20 @@ def roles_for_fold(assignment: FoldAssignment, fold_id: int) -> np.ndarray:
 
 
 def check_no_leakage(assignment: FoldAssignment, train_idx, val_idx) -> None:
-    """Exhaustive cell-level audit: every train/validation pair must be at
-    Chebyshev cell distance >= 2. Raises LeakageDetected on violation."""
-    train_cells = {(int(ix), int(iy)) for ix, iy in assignment.cells[train_idx]}
-    val_cells = {(int(ix), int(iy)) for ix, iy in assignment.cells[val_idx]}
-    for vx, vy in val_cells:
-        for tx, ty in train_cells:
-            if max(abs(vx - tx), abs(vy - ty)) < 2:
-                raise LeakageDetected(
-                    f"train cell {(tx, ty)} touches validation cell "
-                    f"{(vx, vy)}")
+    """Cell-level audit: every train/validation pair must be at Chebyshev
+    cell distance >= 2, so no training cell may lie in the 3x3
+    neighbourhood of a validation cell. Each validation cell looks up its
+    nine neighbours in the set of training cells. Raises LeakageDetected
+    on violation."""
+    cells = assignment.cells
+    train_cells = set(map(tuple, np.unique(cells[train_idx], axis=0).tolist()))
+    for vx, vy in np.unique(cells[val_idx], axis=0).tolist():
+        for tx in (vx - 1, vx, vx + 1):
+            for ty in (vy - 1, vy, vy + 1):
+                if (tx, ty) in train_cells:
+                    raise LeakageDetected(
+                        f"train cell {(tx, ty)} touches validation cell "
+                        f"{(vx, vy)}")
 
 
 def stratified_kfold(strata: np.ndarray, k: int,

@@ -80,6 +80,19 @@ class TestSplitCommand:
         assert doc["error"] == "DataError" and doc["exit"] == 2
         assert f"{locations}, line 4" in doc["message"]
 
+    def test_non_finite_coordinate_exit_2(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "locations.csv").read_text().splitlines()
+        pid, x, _ = lines[7].split(",")
+        lines[7] = f"{pid},{x},nan"
+        locations = tmp_path / "locations.csv"
+        locations.write_text("\n".join(lines) + "\n")
+        rc = main(["split", "--locations", str(locations),
+                   "--out", str(tmp_path / "split.csv")])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{locations}, line 8" in doc["message"]
+
 
 class TestPrepCommand:
     def test_long_format_to_matrices(self, tmp_path):
@@ -133,7 +146,10 @@ class TestPrepCommand:
          ["cluster-metrics", "--labels"]),
         ("covers.csv", "plot_id,spA,spB\na,1.0,0.0\nb,1.0\n",
          ["eval", "--task", "plant", "--split", "split.csv", "--covers"]),
-    ], ids=["soil_elevation", "label_class", "ragged_matrix_row"])
+        ("covers.csv", "plot_id,spA,spB\na,1.0,0.0\nb,0.0,nan\n",
+         ["eval", "--task", "plant", "--split", "split.csv", "--covers"]),
+    ], ids=["soil_elevation", "label_class", "ragged_matrix_row",
+            "non_finite_matrix_cell"])
     def test_malformed_row_exit_2(self, tmp_path, capsys, name, text,
                                   command):
         emb = tmp_path / "e.emb"
@@ -146,6 +162,33 @@ class TestPrepCommand:
         doc = _one_error_line(capsys)
         assert doc["error"] == "DataError" and doc["exit"] == 2
         assert f"{path}, line 3" in doc["message"]
+
+
+def _eval_soil(tmp_path, bad_g2_in_row=None, bad=""):
+    """eval --task soil on 120 samples and 3 groups; optionally with the g2
+    abundance of one data row replaced by `bad`. Returns (exit code,
+    report path)."""
+    from botaclip.numerics import Rng, l2_normalize_rows
+    gen = Rng(4).substream("s")
+    n = 120
+    emb = l2_normalize_rows(gen.normal(size=(n, 6)))
+    vals = np.exp(emb[:, :2] @ gen.normal(size=(2, 3)))
+    lines = ["sample_id,x_m,y_m,elevation_m,g1,g2,g3"]
+    for i in range(n):
+        cells = [f"s{i}", "0.0", "0.0", repr(float(500 + 20 * i))]
+        cells += [repr(float(v)) for v in vals[i]]
+        if i == bad_g2_in_row:
+            cells[5] = bad
+        lines.append(",".join(cells))
+    soil = tmp_path / "soil.csv"
+    soil.write_text("\n".join(lines) + "\n")
+    embf = tmp_path / "emb.emb"
+    fileio.save_embeddings(embf, emb)
+    out = tmp_path / "report.csv"
+    rc = main(["eval", "--task", "soil", "--embeddings", str(embf),
+               "--soil", str(soil), "--out", str(out),
+               "--set", "metrics.n_trees=8", "--set", "n_folds=3"])
+    return rc, out
 
 
 class TestTrainAndEmbed:
@@ -217,6 +260,37 @@ class TestTrainAndEmbed:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 0
         assert "no significant winner" in capsys.readouterr().out
+
+
+    def test_stats_reports_units_left_out(self, tmp_path, capsys):
+        paths = []
+        for name, units in (("full", "abcde"), ("short", "abde")):
+            report = MetricReport("plant")
+            for u in units:
+                report.add(u, 1, 0, "tss", 0.1 * ord(u) - 9.0)
+            paths.append(tmp_path / f"{name}.csv")
+            report.to_csv(paths[-1])
+        rc = main(["stats", "--reports", *map(str, paths), "--metric", "tss"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "full: 1 of 5 units left out" in out
+        assert "short: 0 of 4 units left out" in out
+        assert "over 4 units" in out
+
+    def test_stats_reports_units_left_out_when_too_few_shared(self, tmp_path,
+                                                              capsys):
+        paths = []
+        for name, units in (("full", "abc"), ("other", "cde")):
+            report = MetricReport("plant")
+            for u in units:
+                report.add(u, 1, 0, "tss", 0.1 * ord(u) - 9.0)
+            paths.append(tmp_path / f"{name}.csv")
+            report.to_csv(paths[-1])
+        rc = main(["stats", "--reports", *map(str, paths), "--metric", "tss"])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "full: 2 of 3 units left out" in out
+        assert "other: 2 of 3 units left out" in out
 
 
 class TestOtherTrainers:
@@ -344,27 +418,18 @@ class TestEvalButterflySoilCommands:
         assert MetricReport.from_csv(out).scores_for("tss")
 
     def test_soil(self, tmp_path):
-        from botaclip.numerics import Rng, l2_normalize_rows
-        gen = Rng(4).substream("s")
-        n = 120
-        emb = l2_normalize_rows(gen.normal(size=(n, 6)))
-        vals = np.exp(emb[:, :2] @ gen.normal(size=(2, 3)))
-        lines = ["sample_id,x_m,y_m,elevation_m,g1,g2,g3"]
-        for i in range(n):
-            cells = [f"s{i}", "0.0", "0.0", repr(float(500 + 20 * i))]
-            cells += [repr(float(v)) for v in vals[i]]
-            lines.append(",".join(cells))
-        soil = tmp_path / "soil.csv"
-        soil.write_text("\n".join(lines) + "\n")
-        embf = tmp_path / "emb.emb"
-        fileio.save_embeddings(embf, emb)
-        out = tmp_path / "report.csv"
-        rc = main(["eval", "--task", "soil", "--embeddings", str(embf),
-                   "--soil", str(soil), "--out", str(out),
-                   "--set", "metrics.n_trees=8", "--set", "n_folds=3"])
+        rc, out = _eval_soil(tmp_path)
         assert rc == 0
         report = MetricReport.from_csv(out)
         assert len(report.scores_for("mae")) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "-0.5", "inf"])
+    def test_soil_bad_abundance_exit_2(self, tmp_path, capsys, bad):
+        rc, _ = _eval_soil(tmp_path, bad_g2_in_row=3, bad=bad)
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert f"{tmp_path / 'soil.csv'}, line 5" in doc["message"]
 
 
 class TestClusterMetricsCommand:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from botaclip.errors import EmptyData, ShapeMismatch
+from botaclip import forest as forest_mod
+from botaclip.errors import EmptyData, NonFinite, ShapeMismatch
 from botaclip.forest import (
     Forest,
     ForestConfig,
@@ -122,6 +125,18 @@ class TestSplitQuality:
 
 
 class TestRegressor:
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs(self, where, bad):
+        x, y = _separable_1d(seed=1, n=20)
+        y = y.astype(np.float64)
+        if where == "X":
+            x[3, 0] = bad
+        else:
+            y[3] = bad
+        with pytest.raises(NonFinite):
+            fit_regressor(x, y, ForestConfig(n_trees=2, criterion="mse"))
+
     def test_constant_target(self):
         gen = Rng(10).substream("x")
         x = gen.normal(size=(30, 2))
@@ -245,8 +260,8 @@ def _bits(node):
 
 @st.composite
 def _forest_cases(draw):
-    n = draw(st.integers(2, 40))
-    d = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 9))
     # few distinct values give tied feature values and tied impurities
     values = draw(st.sampled_from([
         st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
@@ -261,16 +276,20 @@ def _forest_cases(draw):
         y = draw(hnp.arrays(np.float64, n, elements=st.one_of(
             st.sampled_from([0.0, 1.0, 3.5]),
             st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))))
+    # several trees of different shapes make ragged lockstep steps
     cfg = ForestConfig(
-        n_trees=draw(st.integers(1, 3)), criterion=criterion,
+        n_trees=draw(st.integers(1, 9)), criterion=criterion,
         max_features=draw(st.one_of(st.just("auto"), st.integers(1, d + 1))),
-        bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 2 ** 16)))
+        bootstrap=draw(st.booleans()),
+        min_samples_split=draw(st.integers(1, 6)),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
+        seed=draw(st.integers(0, 2 ** 16)))
     probe = draw(hnp.arrays(np.float64, (5, d), elements=values))
     return X, y, cfg, probe
 
 
 class TestVectorizedSplitMatchesReference:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(_forest_cases())
     def test_trees_and_predictions_bit_identical(self, case):
         X, y, cfg, probe = case
@@ -283,3 +302,43 @@ class TestVectorizedSplitMatchesReference:
         for data in (X, probe):
             assert predict(forest, data).tobytes() == \
                 predict(ref, data).tobytes()
+
+    def test_desk_shaped_forest_bit_identical(self):
+        # a desk evaluation unit: float32-valued unit-norm embeddings, 25 trees
+        gen = Rng(13).substream("x")
+        X = gen.normal(size=(130, 64)).astype(np.float32).astype(np.float64)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = (X[:, 3] + 0.5 * gen.normal(size=130) > 0).astype(np.float64)
+        cfg = ForestConfig(n_trees=25, seed=7)
+        forest = fit_classifier(X, y, cfg)
+        ref = _ref_fit(X, y, cfg, "classifier")
+        assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+        assert predict_proba(forest, X).tobytes() == \
+            predict_proba(ref, X).tobytes()
+
+    def test_chunked_search_bit_identical(self, monkeypatch):
+        # a budget below one root node: the root steps search one node per
+        # chunk, deeper steps several small nodes per chunk
+        monkeypatch.setattr(forest_mod, "_SEARCH_CELLS", 600)
+        gen = Rng(17).substream("x")
+        X = gen.normal(size=(90, 16))
+        y = (X[:, 2] + 0.7 * gen.normal(size=90) > 0).astype(np.float64)
+        cfg = ForestConfig(n_trees=12, seed=3)
+        forest = fit_classifier(X, y, cfg)
+        ref = _ref_fit(X, y, cfg, "classifier")
+        assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+
+
+def test_search_memory_does_not_grow_with_trees():
+    # the root step holds 100 trees x 8 candidates x 3000 rows; searched in
+    # one block that is about 110 MB, in budgeted chunks about 14 MB
+    gen = Rng(5).substream("x")
+    X = gen.normal(size=(3000, 64))
+    y = (X[:, 0] + gen.normal(size=3000) > 0).astype(np.float64)
+    tracemalloc.start()
+    try:
+        fit_classifier(X, y, ForestConfig(n_trees=100, max_depth=1, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

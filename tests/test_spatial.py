@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from botaclip.errors import TooFewCells
+from botaclip.errors import LeakageDetected, TooFewCells
 from botaclip.numerics import Rng
 from botaclip.spatial import (
     FoldAssignment,
@@ -107,7 +110,6 @@ class TestBufferedSplit:
             check_no_leakage(fa, train, val)
 
     def test_leakage_detected_on_tampered_split(self):
-        from botaclip.errors import LeakageDetected
         _, fa = _assignment(seed=6)
         train, val, excluded = buffered_split(fa, 0)
         tampered = np.concatenate([train, excluded[:1]])  # buffer sample
@@ -126,6 +128,49 @@ class TestBufferedSplit:
         roles = roles_for_fold(fa, 1)
         assert set(roles) <= {"train", "validation", "buffer-excluded"}
         assert all(r is not None for r in roles)
+
+
+# --- frozen reference: the all-pairs leakage audit ---------------------------
+
+def _ref_check_no_leakage(assignment, train_idx, val_idx):
+    train_cells = {(int(ix), int(iy)) for ix, iy in assignment.cells[train_idx]}
+    val_cells = {(int(ix), int(iy)) for ix, iy in assignment.cells[val_idx]}
+    for vx, vy in val_cells:
+        for tx, ty in train_cells:
+            if max(abs(vx - tx), abs(vy - ty)) < 2:
+                raise LeakageDetected(
+                    f"train cell {(tx, ty)} touches validation cell "
+                    f"{(vx, vy)}")
+
+
+def _raises_leakage(audit, fa, train, val):
+    try:
+        audit(fa, train, val)
+    except LeakageDetected:
+        return True
+    return False
+
+
+@st.composite
+def _audit_cases(draw):
+    n = draw(st.integers(1, 40))
+    # a few cells wide, so that neighbours, shared cells and far pairs mix
+    span = draw(st.integers(1, 6))
+    cells = draw(hnp.arrays(np.int64, (n, 2),
+                            elements=st.integers(-span, span)))
+    rows = st.lists(st.integers(0, n - 1), max_size=n)
+    fa = FoldAssignment(5000.0, 2, cells, {}, np.zeros(n, dtype=np.int64))
+    return fa, np.array(draw(rows), dtype=np.int64), \
+        np.array(draw(rows), dtype=np.int64)
+
+
+class TestLeakageAuditMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_audit_cases())
+    def test_raises_on_exactly_the_reference_inputs(self, case):
+        fa, train, val = case
+        assert _raises_leakage(check_no_leakage, fa, train, val) == \
+            _raises_leakage(_ref_check_no_leakage, fa, train, val)
 
 
 class TestStratifiedKFold:

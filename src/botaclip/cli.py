@@ -147,11 +147,14 @@ def _assignment_from_split_file(path) -> tuple[FoldAssignment, list[str]]:
 
 
 def _train_cfg(cfg, section) -> TrainConfig:
+    """The section's training settings; `regularized` false turns the drift
+    penalty off, as lambda 0 does."""
     block = cfg[section]
     return TrainConfig(batch_size=cfg["train"]["batch_size"],
                        max_epochs=block["max_epochs"],
                        patience=block["patience"],
-                       lam=cfg["lambda"], seed=cfg["seed"],
+                       lam=cfg["lambda"] if cfg["regularized"] else 0.0,
+                       seed=cfg["seed"],
                        shuffle=cfg["train"]["shuffle"])
 
 
@@ -294,9 +297,8 @@ def cmd_train_botaclip(args) -> int:
         proj = emb.shape[1]
     tcfg = _train_cfg(cfg, "train")
     model, log = training.train_botaclip(
-        pairs, fa, tcfg, variant=cfg["variant"],
-        regularized=cfg["regularized"], fold=cfg["fold"], botania=botania,
-        proj_dim=proj, model_options=model_options,
+        pairs, fa, tcfg, variant=cfg["variant"], fold=cfg["fold"],
+        botania=botania, proj_dim=proj, model_options=model_options,
         lr=cfg["optimizer"]["lr"],
         weight_decay=cfg["optimizer"]["weight_decay"])
     fileio.save_checkpoint(out / "model.ckpt", training.model_state(model))
@@ -575,10 +577,13 @@ def main(argv=None) -> int:
         return int(args.func(args) or 0)
     except UsageError as exc:
         return _emit_error(exc, 1)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         return _emit_error(exc, 2)
     except NumericError as exc:
         return _emit_error(exc, 3)
+    except ValueError as exc:
+        # an argument or config value out of range
+        return _emit_error(exc, 1)
 
 
 if __name__ == "__main__":

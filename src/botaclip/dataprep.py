@@ -109,11 +109,8 @@ def build_cover_matrix(releves: list[Releve], species_index: list[str],
     values = np.zeros((len(releves), len(species_index)))
     labels = np.empty(len(releves), dtype=np.int64)
     for i, rel in enumerate(releves):
-        entries = (rel.species_covers.items()
-                   if isinstance(rel.species_covers, dict)
-                   else rel.species_covers)
         seen = set()
-        for species, bb_class in entries:
+        for species, bb_class in rel.species_covers:
             if species not in col:
                 raise UnknownSpecies(
                     f"plot {rel.plot_id}: species {species!r} not in index")

@@ -12,9 +12,8 @@ substream and walks its nodes in depth-first preorder, left child first, so
 it draws its candidate features at the same nodes and in the same order as
 a recursive build. Each step takes the next node that needs a search from
 every unfinished tree and searches them together in batched calls of a
-bounded number of cells (gini) or node by node (mse, whose sums depend on
-summation order). Growing level by level would reorder the draws and change
-the trees.
+bounded number of cells. Growing level by level would reorder the draws and
+change the trees.
 """
 
 from __future__ import annotations
@@ -71,71 +70,51 @@ def _n_candidate_features(cfg: ForestConfig, d: int) -> int:
     raise ValueError(f"bad max_features {cfg.max_features!r}")
 
 
-def _mse_split(Xc: np.ndarray, y: np.ndarray):
-    """Best (row, threshold) over a (candidates, samples) block, or None.
-
-    Each row is one candidate feature at the node. The weighted child sum of
-    squared errors is computed for every row and boundary at once; the flat
-    argmin over the feature-major table keeps the lowest row, then the lowest
-    threshold, among equally good splits.
-    """
-    order = np.argsort(Xc, axis=1, kind="stable")
-    xs = np.take_along_axis(Xc, order, axis=1)
-    ys = y[order]
-    boundary = xs[:, :-1] < xs[:, 1:]
-    if not boundary.any():
-        return None
-    n = xs.shape[1]
-    left_n = np.arange(1.0, n)
-    right_n = n - left_n
-    left_sum = np.cumsum(ys, axis=1)[:, :-1]
-    right_sum = ys.sum(axis=1, keepdims=True) - left_sum
-    csum2 = np.cumsum(ys * ys, axis=1)
-    left_sse = csum2[:, :-1] - left_sum ** 2 / left_n
-    right_sse = (csum2[:, -1:] - csum2[:, :-1]) - right_sum ** 2 / right_n
-    weighted = (left_sse + right_sse) / n
-    weighted[~boundary] = np.inf
-    row, k = divmod(int(np.argmin(weighted)), n - 1)
-    return row, 0.5 * (xs[row, k] + xs[row, k + 1])
-
-
 # (node, candidate, row) cells per batched gini search: a step whose nodes
 # hold more is searched in chunks, so a fit's peak memory does not grow with
 # its number of trees
 _SEARCH_CELLS = 1 << 18
 
 
-def _gini_splits(X: np.ndarray, y: np.ndarray, idxs: list,
-                 cands: list) -> list:
+def _best_splits(X: np.ndarray, y: np.ndarray, idxs: list, cands: list,
+                 gini: bool) -> list:
     """Best (row, threshold) or None for each node of one step.
 
     idxs holds each node's sample rows, cands its (m,) candidate features.
-    The nodes are searched in chunks of at most _SEARCH_CELLS cells (a node
+    Gini nodes are searched in chunks of at most _SEARCH_CELLS cells (a node
     larger than that alone); each node's search is independent of the
-    others, so the chunking changes no result.
+    others, so the chunking changes no result. An mse chunk holds one node:
+    its right-hand totals are the node's own pairwise sums, which padding
+    would regroup, and its all-d candidates make padding to the chunk's
+    largest node cost more than the calls it saves (a 4-tree fit on
+    410 x 768, 2-vCPU box: 1.25-1.52 s one node per chunk, 2.08-2.44 s
+    padded).
     """
+    budget = _SEARCH_CELLS if gini else 0
     out, m = [], cands[0].size
     lo = 0
     while lo < len(idxs):
         hi, width = lo + 1, idxs[lo].size
         while (hi < len(idxs) and (hi + 1 - lo) * m
-               * max(width, idxs[hi].size) <= _SEARCH_CELLS):
+               * max(width, idxs[hi].size) <= budget):
             width = max(width, idxs[hi].size)
             hi += 1
-        out += _gini_block(X, y, idxs[lo:hi], np.array(cands[lo:hi]))
+        out += _search_block(X, y, idxs[lo:hi], np.array(cands[lo:hi]), gini)
         lo = hi
     return out
 
 
-def _gini_block(X: np.ndarray, y: np.ndarray, idxs: list,
-                cands: np.ndarray) -> list:
+def _search_block(X: np.ndarray, y: np.ndarray, idxs: list,
+                  cands: np.ndarray, gini: bool) -> list:
     """Best (row, threshold) or None for each node of one chunk.
 
     Every node's (m, size) block is padded with NaN to the chunk's largest
-    node, with label 0. A stable sort puts the NaN after every real value,
-    and no `xs[k] < xs[k + 1]` boundary falls in it, so each node's table
-    matches its own unpadded search; 0/1 labels keep every cumulative sum
-    exact. Ties keep the first minimum in (candidate, position) order.
+    node, with label 0 (only a gini chunk holds more than one node). A
+    stable sort puts the NaN after every real value, and no
+    `xs[k] < xs[k + 1]` boundary falls in it, so each node's table matches
+    its own unpadded search; 0/1 labels keep every cumulative sum exact.
+    Only the impurity depends on the criterion. Ties keep the first minimum
+    in (candidate, position) order.
     """
     B, L = len(idxs), max(idx.size for idx in idxs)
     sizes = np.array([idx.size for idx in idxs])
@@ -156,21 +135,33 @@ def _gini_block(X: np.ndarray, y: np.ndarray, idxs: list,
     n = sizes[:, None, None].astype(np.float64)
     left_n = np.arange(1.0, L)
     right_n = n - left_n
-    # 2·p·(1 − p) per side, weighted by size, computed in place: the same
-    # operations in the same order as a search of one node, so bit-identical
     csum = np.cumsum(ys, axis=2)
-    del ys
-    pl = csum[:, :, :-1]
-    pr = csum[:, :, -1:] - pl
-    one_minus = np.empty_like(pr)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p, size in ((pl, left_n), (pr, right_n)):
-            p /= size
-            np.subtract(1.0, p, out=one_minus)
-            p *= 2.0
-            p *= one_minus
-            p *= size
-        weighted = np.add(pl, pr)
+        if gini:
+            # 2·p·(1 − p) per side, weighted by size, computed in place: the
+            # same operations in the same order as a search of one node, so
+            # bit-identical
+            del ys
+            pl = csum[:, :, :-1]
+            pr = csum[:, :, -1:] - pl
+            one_minus = np.empty_like(pr)
+            for p, size in ((pl, left_n), (pr, right_n)):
+                p /= size
+                np.subtract(1.0, p, out=one_minus)
+                p *= 2.0
+                p *= one_minus
+                p *= size
+            weighted = np.add(pl, pr)
+        else:
+            # the children's summed squared errors, the right-hand totals
+            # taken from the node's own pairwise sum
+            left_sum = csum[:, :, :-1]
+            right_sum = ys.sum(axis=2, keepdims=True) - left_sum
+            csum2 = np.cumsum(ys * ys, axis=2)
+            left_sse = csum2[:, :, :-1] - left_sum ** 2 / left_n
+            right_sse = ((csum2[:, :, -1:] - csum2[:, :, :-1])
+                         - right_sum ** 2 / right_n)
+            weighted = np.add(left_sse, right_sse)
         weighted /= n
     weighted[~boundary] = np.inf
     flat = weighted.reshape(B, -1)
@@ -226,12 +217,8 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
                 break
         if not step:
             return trees
-        if gini:
-            found = _gini_splits(X, y, [s[2] for s in step],
-                                 [s[4] for s in step])
-        else:
-            found = [_mse_split(X[idx[None, :], cand[:, None]], y[idx])
-                     for _, _, idx, _, cand in step]
+        found = _best_splits(X, y, [s[2] for s in step],
+                             [s[4] for s in step], gini)
         for (t, node, idx, depth, cand), f in zip(step, found):
             if f is None:
                 continue

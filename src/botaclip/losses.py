@@ -4,6 +4,8 @@ The alignment loss works on unit-norm projections: pairwise logits scaled by
 exp(tau) and shifted by a learnable bias, a per-pair logistic objective over
 all N^2 (image, table) combinations with positives on the diagonal, and a
 weighted Gram-preservation penalty against the untouched input embeddings.
+Each objective is one function f(..., grad=False) that returns (loss, grads),
+grads None when grad is False; the loss is the same bits either way.
 """
 
 from __future__ import annotations
@@ -40,60 +42,44 @@ def _check_unit_rows(m: np.ndarray, what: str) -> None:
         raise NotNormalized(f"{what} rows deviate from unit norm by {dev.max():.2e}")
 
 
-def scl_logits(z_img: np.ndarray, z_tab: np.ndarray, s: ScalarsTauB) -> np.ndarray:
+def sigmoid_contrastive_loss(z_img: np.ndarray, z_tab: np.ndarray,
+                             s: ScalarsTauB, grad: bool = False):
+    """Mean over all N^2 pairs of -log sigmoid(label * logit), the logits
+    exp(tau) * <z_img, z_tab> + b; returns (loss, grads), grads the
+    gradients (d_zimg, d_ztab, d_tau, d_b), or None when grad is False."""
     if z_img.shape[1] != z_tab.shape[1]:
         raise ShapeMismatch("projection widths differ")
-    return (z_img @ z_tab.T) * s.temperature() + s.b
-
-
-def sigmoid_contrastive_loss(logits: np.ndarray,
-                             labels: np.ndarray | None = None) -> float:
-    """Mean over all N^2 pairs of -log sigmoid(label * logit)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    n, m = logits.shape
-    if n != m:
-        raise ShapeMismatch("pairwise logits must be square")
-    if labels is None:
-        labels = pair_labels(n)
-    return float(-np.sum(log_sigmoid(labels * logits)) / (n * n))
-
-
-def scl_loss_and_grads(z_img: np.ndarray, z_tab: np.ndarray, s: ScalarsTauB):
-    """Contrastive loss plus gradients wrt both projections, tau and b."""
     n = z_img.shape[0]
+    if z_tab.shape[0] != n:
+        raise ShapeMismatch("pairwise logits must be square")
     labels = pair_labels(n)
     dots = z_img @ z_tab.T
     t = s.temperature()
     logits = dots * t + s.b
-    loss = sigmoid_contrastive_loss(logits, labels)
+    loss = float(-np.sum(log_sigmoid(labels * logits)) / (n * n))
+    if not grad:
+        return loss, None
     # d/dl of -log sigmoid(w*l) is -w * sigmoid(-w*l)
     dlogits = -labels * sigmoid(-labels * logits) / (n * n)
     d_tau = float(np.sum(dlogits * dots) * t) if abs(s.tau) < TAU_CLAMP else 0.0
     d_b = float(np.sum(dlogits))
     d_zimg = (dlogits * t) @ z_tab
     d_ztab = (dlogits * t).T @ z_img
-    return loss, d_zimg, d_ztab, d_tau, d_b
+    return loss, (d_zimg, d_ztab, d_tau, d_b)
 
 
 def similarity_weights(gram_orig: np.ndarray) -> np.ndarray:
     return ((1.0 + gram_orig) / 2.0) ** 2
 
 
-def similarity_regularizer(img_orig: np.ndarray, z_img: np.ndarray) -> float:
-    """Weighted squared drift of the Gram matrix from the original one.
+def similarity_regularizer(img_orig: np.ndarray, z_img: np.ndarray,
+                           grad: bool = False):
+    """Weighted squared drift of the Gram matrix from the original one;
+    returns (loss, d_zimg), d_zimg None when grad is False.
 
     Pairs already similar in the original space carry the most weight;
     antipodal pairs carry none. Both inputs must be unit-norm row-wise.
     """
-    return _drift(img_orig, z_img, grad=False)[0]
-
-
-def regularizer_and_grad(img_orig: np.ndarray, z_img: np.ndarray):
-    """similarity_regularizer and its gradient wrt z_img."""
-    return _drift(img_orig, z_img, grad=True)
-
-
-def _drift(img_orig, z_img, grad: bool):
     img_orig = np.asarray(img_orig, dtype=np.float64)
     z_img = np.asarray(z_img, dtype=np.float64)
     if img_orig.shape[0] != z_img.shape[0]:
@@ -112,19 +98,8 @@ def _drift(img_orig, z_img, grad: bool):
     return loss, (d_snew + d_snew.T) @ z_img
 
 
-def botaclip_loss(img_orig: np.ndarray, z_img: np.ndarray, z_tab: np.ndarray,
-                  s: ScalarsTauB, lam: float) -> float:
-    """Contrastive term plus lam times the Gram-preservation penalty."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    scl = sigmoid_contrastive_loss(scl_logits(z_img, z_tab, s))
-    if lam == 0:
-        return scl
-    return scl + lam * similarity_regularizer(img_orig, z_img)
-
-
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray,
-                        grad: bool = True):
+                        grad: bool = False):
     """Mean softmax cross-entropy over a batch; returns (loss, dlogits),
     with dlogits None when grad is False."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -141,12 +116,10 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray,
     return loss, dlogits / n
 
 
-def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray):
-    """Element-mean stable BCE over a logit matrix; returns (loss, dlogits)."""
-    return _bce(logits, targets, grad=True)
-
-
-def _bce(logits, targets, grad: bool):
+def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray,
+                                     grad: bool = False):
+    """Element-mean stable BCE over a logit matrix; returns (loss, dlogits),
+    with dlogits None when grad is False."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
@@ -158,21 +131,15 @@ def _bce(logits, targets, grad: bool):
 
 
 def botasp_loss(logits: np.ndarray, targets: np.ndarray, z_orig: np.ndarray,
-                z_new: np.ndarray, lam: float = 100.0) -> float:
-    """Multi-label BCE over species plus the weighted Gram drift of the
-    projection, both rows unit-norm."""
-    bce, _ = _bce(logits, targets, grad=False)
+                z_new: np.ndarray, lam: float = 100.0, grad: bool = False):
+    """Multi-label BCE over species plus lam times the weighted Gram drift
+    of the projection, both rows unit-norm; returns (loss, grads), grads
+    (dlogits, dz_new) with dz_new None at lam=0, or None when grad is
+    False."""
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    bce, dlogits = binary_cross_entropy_with_logits(logits, targets, grad)
     if lam == 0:
-        return bce
-    return bce + lam * similarity_regularizer(z_orig, z_new)
-
-
-def botasp_loss_and_grads(logits, targets, z_orig, z_new, lam=100.0):
-    """botasp_loss and its gradients; returns (loss, dlogits, dz_new, bce,
-    reg). The drift term is computed at lam=0 too, for the log."""
-    bce, dlogits = binary_cross_entropy_with_logits(logits, targets)
-    if lam == 0:
-        reg = similarity_regularizer(z_orig, z_new)
-        return bce, dlogits, np.zeros_like(np.asarray(z_new, float)), bce, reg
-    reg, dz = regularizer_and_grad(z_orig, z_new)
-    return bce + lam * reg, dlogits, lam * dz, bce, reg
+        return bce, (dlogits, None) if grad else None
+    reg, dz = similarity_regularizer(z_orig, z_new, grad)
+    return bce + lam * reg, (dlogits, lam * dz) if grad else None

@@ -27,11 +27,7 @@ from .fileio import _parse_rows, read_csv, write_csv
 from .losses import (
     ScalarsTauB,
     botasp_loss,
-    botasp_loss_and_grads,
     cross_entropy_batch,
-    regularizer_and_grad,
-    scl_logits,
-    scl_loss_and_grads,
     sigmoid_contrastive_loss,
     similarity_regularizer,
 )
@@ -172,7 +168,7 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
     def step(batch, gen, tape):
         logits, _ = model.forward(covers[batch], train=True, gen=gen,
                                   with_penult=False)
-        loss, dlogits = cross_entropy_batch(logits, labels[batch])
+        loss, dlogits = cross_entropy_batch(logits, labels[batch], grad=True)
         model.backward(tape, g_logits=dlogits)
         return loss
 
@@ -180,7 +176,7 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
         val_loss = float(np.mean([
             cross_entropy_batch(model.forward(covers[batch],
                                               with_penult=False)[0],
-                                labels[batch], grad=False)[0]
+                                labels[batch])[0]
             for batch in _batches(val_idx, cfg.batch_size)]))
         return val_loss, val_loss, 0.0, math.nan, math.nan
 
@@ -198,8 +194,7 @@ def botania_accuracy(model: BotaniaMLP, covers, labels, top_k: int = 1) -> float
 
 def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
                    cfg: TrainConfig, variant: str = "botania-linear",
-                   regularized: bool = True, fold: int = 1,
-                   botania: BotaniaMLP | None = None,
+                   fold: int = 1, botania: BotaniaMLP | None = None,
                    proj_dim: int | None = None,
                    model_options: dict | None = None,
                    lr: float = 1e-3, weight_decay: float = 1e-3):
@@ -208,9 +203,10 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
 
     Multi-view pairs expand into one (view, pair) sample each; validation
     uses only the first view of each pair. The model with the best
-    validation loss (contrastive + lambda * drift) is returned.
+    validation loss (contrastive + lambda * drift) is returned; at lambda 0
+    the drift is logged but not optimized.
     """
-    lam = cfg.lam if regularized else 0.0
+    lam = cfg.lam
     rng = Rng(cfg.seed)
     train_p, val_p, _ = buffered_split(assignment, fold)
     check_no_leakage(assignment, train_p, val_p)
@@ -245,13 +241,10 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
         z_tab = model.encode_tables(c, train=True, gen=gen)
         _check_unit(z_img, "image projection")
         _check_unit(z_tab, "tabular projection")
-        scl, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(z_img, z_tab,
-                                                         _scalars(model))
-        if lam > 0:
-            reg, d_reg = regularizer_and_grad(x, z_img)
-            g_img = d_zi + lam * d_reg
-        else:
-            reg, d_reg, g_img = similarity_regularizer(x, z_img), None, d_zi
+        scl, (d_zi, d_zt, d_tau, d_b) = sigmoid_contrastive_loss(
+            z_img, z_tab, _scalars(model), grad=True)
+        reg, d_reg = similarity_regularizer(x, z_img, grad=lam > 0)
+        g_img = d_zi + lam * d_reg if lam > 0 else d_zi
         model.backward_images(g_img, tape)
         model.backward_tables(d_zt, tape)
         tape.add(model.tau, np.float64(d_tau))
@@ -263,9 +256,8 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
         x = pairs.images[batch]
         z_img = model.encode_images(x)
         z_tab = model.encode_tables(pairs.covers[pairs.pair_index[batch]])
-        return (sigmoid_contrastive_loss(scl_logits(z_img, z_tab,
-                                                    _scalars(model))),
-                similarity_regularizer(x, z_img))
+        return (sigmoid_contrastive_loss(z_img, z_tab, _scalars(model))[0],
+                similarity_regularizer(x, z_img)[0])
 
     def validate():
         scl, reg = _val_means(val_rows, cfg.batch_size, terms)
@@ -301,18 +293,17 @@ def train_botasp(embeddings: np.ndarray, presence: np.ndarray,
 
     def step(batch, gen, tape):
         logits, z, _ = model.forward(embeddings[batch], train=True, gen=gen)
-        loss, dlogits, dz, _, _ = botasp_loss_and_grads(
-            logits, targets[batch], embeddings[batch], z, cfg.lam)
-        model.backward(tape, g_logits=dlogits,
-                       g_z=dz if cfg.lam > 0 else None)
+        loss, (dlogits, dz) = botasp_loss(
+            logits, targets[batch], embeddings[batch], z, cfg.lam, grad=True)
+        model.backward(tape, g_logits=dlogits, g_z=dz)
         return loss
 
     def terms(batch):
         logits, z, _ = model.forward(embeddings[batch])
         # at lam=0 botasp_loss is the BCE term alone
         return (botasp_loss(logits, targets[batch], embeddings[batch], z,
-                            lam=0.0),
-                similarity_regularizer(embeddings[batch], z))
+                            lam=0.0)[0],
+                similarity_regularizer(embeddings[batch], z)[0])
 
     def validate():
         bce, reg = _val_means(val_idx, cfg.batch_size, terms)

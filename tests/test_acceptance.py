@@ -27,13 +27,9 @@ from botaclip.encoders import (
 from botaclip.evaluate import eval_plant
 from botaclip.losses import (
     ScalarsTauB,
-    botaclip_loss,
+    binary_cross_entropy_with_logits,
     botasp_loss,
-    botasp_loss_and_grads,
     cross_entropy_batch,
-    regularizer_and_grad,
-    scl_logits,
-    scl_loss_and_grads,
     sigmoid_contrastive_loss,
     similarity_regularizer,
 )
@@ -105,13 +101,15 @@ class TestCriterion1Gradients:
             zi = model.encode_images(img)
             zt = model.encode_tables(covers)
             s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
-            return botaclip_loss(img, zi, zt, s, lam)
+            return (sigmoid_contrastive_loss(zi, zt, s)[0]
+                    + lam * similarity_regularizer(img, zi)[0])
 
         zi = model.encode_images(img)
         zt = model.encode_tables(covers)
         s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
-        _, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(zi, zt, s)
-        _, d_reg = regularizer_and_grad(img, zi)
+        _, (d_zi, d_zt, d_tau, d_b) = sigmoid_contrastive_loss(zi, zt, s,
+                                                               grad=True)
+        _, d_reg = similarity_regularizer(img, zi, grad=True)
         tape = GradientTape()
         model.backward_images(d_zi + lam * d_reg, tape)
         model.backward_tables(d_zt, tape)
@@ -139,7 +137,7 @@ class TestCriterion1Gradients:
             return cross_entropy_batch(logits, labels)[0]
 
         logits, _ = model.forward(covers)
-        _, dlogits = cross_entropy_batch(logits, labels)
+        _, dlogits = cross_entropy_batch(logits, labels, grad=True)
         tape = GradientTape()
         model.backward(tape, g_logits=dlogits)
         numeric = split_like_params(
@@ -163,11 +161,11 @@ class TestCriterion1Gradients:
 
         def scalar_fn():
             logits, z, _ = model.forward(x)
-            return botasp_loss(logits, targets, z_orig, z, lam)
+            return botasp_loss(logits, targets, z_orig, z, lam)[0]
 
         logits, z, _ = model.forward(x)
-        _, dlogits, dz, _, _ = botasp_loss_and_grads(logits, targets, z_orig,
-                                                     z, lam)
+        _, (dlogits, dz) = botasp_loss(logits, targets, z_orig, z, lam,
+                                       grad=True)
         tape = GradientTape()
         model.backward(tape, g_logits=dlogits, g_z=dz)
         numeric = split_like_params(
@@ -198,25 +196,28 @@ class TestCriterion1Gradients:
 
 class TestCriterion2LossUnitValues:
     def test_criterion_2(self):
-        v1 = sigmoid_contrastive_loss(np.zeros((1, 1)))
+        # one pair at logit exp(0) * <e1, e2> + 0 = 0
+        v1, _ = sigmoid_contrastive_loss(np.array([[1.0, 0.0]]),
+                                         np.array([[0.0, 1.0]]),
+                                         ScalarsTauB(0.0, 0.0))
         assert abs(v1 - LN2) < 1e-12
 
         z = np.eye(2)
-        v2 = sigmoid_contrastive_loss(scl_logits(z, z, ScalarsTauB(0.0, 0.0)))
+        v2, _ = sigmoid_contrastive_loss(z, z, ScalarsTauB(0.0, 0.0))
         assert abs(v2 - 0.503204) < 1e-6
 
         img = np.eye(2)
         collapsed = np.array([[1.0, 0.0], [1.0, 0.0]])
-        v3 = similarity_regularizer(img, collapsed)
+        v3, _ = similarity_regularizer(img, collapsed)
         assert abs(v3 - 0.125) < 1e-12
 
         gen = Rng(7).substream("z")
         a = l2_normalize_rows(gen.normal(size=(3, 4)))
         b = l2_normalize_rows(gen.normal(size=(3, 4)))
-        c = l2_normalize_rows(gen.normal(size=(3, 4)))
-        s = ScalarsTauB(0.3, -0.4)
-        assert botaclip_loss(a, b, c, s, 0.0) == \
-            sigmoid_contrastive_loss(scl_logits(b, c, s))
+        logits = gen.normal(size=(3, 5))
+        targets = (gen.random((3, 5)) < 0.5).astype(float)
+        assert botasp_loss(logits, targets, a, b, 0.0) == \
+            binary_cross_entropy_with_logits(logits, targets)
         _report("2 loss-unit-values",
                 f"ln2={v1:.12f}, two-pair={v2:.6f}, drift={v3:.6f}, "
                 f"lambda-0 reduction exact")

@@ -366,6 +366,33 @@ class TestOtherTrainers:
         assert str(ckpt) in doc["message"]
         assert not (tmp_path / "adapted.emb").exists()
 
+    def test_regularized_false_matches_lambda_zero(self, synth_dir,
+                                                  botasp_dir, tmp_path):
+        # lambda is the drift penalty's only switch in the library; the
+        # `regularized` key turns it off for every trainer
+        align_cfg = tmp_path / "cfg_align.json"
+        align_cfg.write_text(json.dumps({
+            "seed": 0,
+            "data": {"embeddings": str(synth_dir / "images.emb"),
+                     "covers": str(synth_dir / "covers.csv"),
+                     "locations": str(synth_dir / "locations.csv")},
+            "model": {"botania_hidden": 24, "botania_classes": 8},
+            "train": {"max_epochs": 3, "patience": 5}}))
+        for command, cfg, ckpt in (
+                ("train-botasp", botasp_dir.parent / "cfg_botasp.json",
+                 "botasp.ckpt"),
+                ("train-botaclip", align_cfg, "model.ckpt")):
+            got = []
+            for key in ("regularized=false", "lambda=0"):
+                out = tmp_path / command / key.split("=")[0]
+                assert main([command, "--config", str(cfg), "--out-dir",
+                             str(out), "--set", key]) == 0
+                got.append((out / ckpt).read_bytes())
+            assert got[0] == got[1], command
+        # the fixture's default lambda 1 trains another model
+        assert (botasp_dir / "botasp.ckpt").read_bytes() != \
+            (tmp_path / "train-botasp" / "lambda" / "botasp.ckpt").read_bytes()
+
     def test_mlp_and_attention_variants(self, synth_dir, tmp_path):
         for variant, model in (
                 ("mlp", {"projection_dim": 8, "mlp_img_hidden": 12,
@@ -525,6 +552,40 @@ class TestErrorPaths:
                    "--labels", str(labels), "--raw-input"])
         assert rc == 3
         assert _one_error_line(capsys)["error"] == "NonFinite"
+
+    @pytest.mark.parametrize("args", [
+        ["split", "--folds", "1"],
+        ["split", "--fold", "9"],
+        ["split", "--cell-size", "0"],
+        ["train-botaclip", "--set", "variant=foo"],
+        ["train-botaclip", "--set", "train.patience=0"],
+    ], ids=["folds_1", "fold_9", "cell_size_0", "variant_foo", "patience_0"])
+    def test_out_of_range_value_exit_1(self, synth_dir, tmp_path, capsys,
+                                       args):
+        if args[0] == "split":
+            args = args + ["--locations", str(synth_dir / "locations.csv"),
+                           "--out", str(tmp_path / "split.csv")]
+        else:
+            cfg = {"data": {"embeddings": str(synth_dir / "images.emb"),
+                            "covers": str(synth_dir / "covers.csv"),
+                            "locations": str(synth_dir / "locations.csv")},
+                   "model": {"botania_hidden": 24, "botania_classes": 8}}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            args = args + ["--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert main(args) == 1
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "ValueError" and doc["exit"] == 1
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        locations = tmp_path / "locations.csv"
+        locations.write_bytes(b"plot_id,x_m,y_m\np\xff1,1.0,2.0\n")
+        rc = main(["split", "--locations", str(locations),
+                   "--out", str(tmp_path / "split.csv")])
+        assert rc == 2
+        assert _one_error_line(capsys)["error"] == "UnicodeDecodeError"
 
     def test_stats_needs_two_reports(self, tmp_path, capsys):
         rc = main(["stats", "--reports", "a.csv", "--metric", "tss"])

@@ -316,6 +316,20 @@ class TestVectorizedSplitMatchesReference:
         assert predict_proba(forest, X).tobytes() == \
             predict_proba(ref, X).tobytes()
 
+    def test_desk_shaped_regressor_bit_identical(self):
+        # a soil-like unit: 410 float32-valued rows over 64 features, past
+        # numpy's 128-element pairwise-sum blocks, which the property's
+        # n <= 60 never reaches
+        gen = Rng(19).substream("x")
+        X = gen.normal(size=(410, 64)).astype(np.float32).astype(np.float64)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = 40.0 * X[:, 5] + gen.gamma(2.0, 3.0, size=410)
+        cfg = ForestConfig(n_trees=5, criterion="mse", seed=7)
+        forest = fit_regressor(X, y, cfg)
+        ref = _ref_fit(X, y, cfg, "regressor")
+        assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
+
     def test_chunked_search_bit_identical(self, monkeypatch):
         # a budget below one root node: the root steps search one node per
         # chunk, deeper steps several small nodes per chunk

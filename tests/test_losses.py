@@ -3,26 +3,23 @@ import math
 import numpy as np
 import pytest
 from conftest import numeric_param_grad, split_like_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from botaclip.encoders import (
     AlignmentModel,
     BotaniaMLP,
     BotaSPModel,
     GradientTape,
-    Param,
 )
 from botaclip.errors import BadLabel, NotNormalized, ShapeMismatch
 from botaclip.losses import (
     ScalarsTauB,
     binary_cross_entropy_with_logits,
-    botaclip_loss,
     botasp_loss,
-    botasp_loss_and_grads,
     cross_entropy_batch,
     pair_labels,
-    regularizer_and_grad,
-    scl_logits,
-    scl_loss_and_grads,
     sigmoid_contrastive_loss,
     similarity_regularizer,
     similarity_weights,
@@ -34,56 +31,79 @@ LN2 = math.log(2.0)
 NEG_LOG_SIG_1 = 0.3132616875182228
 
 
+def _scl(z_img, z_tab, s):
+    return sigmoid_contrastive_loss(z_img, z_tab, s)[0]
+
+
+def _pairwise_loss(logits):
+    """Mean over all pairs of -log sigmoid(label * logit), label +1 on the
+    diagonal, -1 elsewhere, one scalar term at a time."""
+    n = logits.shape[0]
+    return sum(math.log1p(math.exp(-(1.0 if i == j else -1.0) * logits[i, j]))
+               for i in range(n) for j in range(n)) / (n * n)
+
+
 class TestLogits:
     def test_orthonormal_identity(self):
+        # logits equal the identity: n positives at 1, n^2 - n negatives at 0
         z = np.eye(4)
-        np.testing.assert_allclose(
-            scl_logits(z, z, ScalarsTauB(tau=0.0, b=0.0)), np.eye(4), atol=1e-12)
+        expected = (4 * NEG_LOG_SIG_1 + 12 * LN2) / 16
+        assert abs(_scl(z, z, ScalarsTauB(tau=0.0, b=0.0)) - expected) < 1e-12
 
     def test_temperature_and_bias(self):
         z_img = np.array([[1.0, 0.0]])
         z_tab = np.array([[0.5, math.sqrt(0.75)]])  # dot = 0.5
-        out = scl_logits(z_img, z_tab, ScalarsTauB(tau=math.log(2.0), b=-1.0))
-        assert abs(out[0, 0]) < 1e-12
+        # logit 2 * 0.5 - 1 = 0
+        loss = _scl(z_img, z_tab, ScalarsTauB(tau=math.log(2.0), b=-1.0))
+        assert abs(loss - LN2) < 1e-12
 
     def test_bias_shifts_uniformly(self):
         gen = Rng(1).substream("z")
         z_img = l2_normalize_rows(gen.normal(size=(3, 4)))
         z_tab = l2_normalize_rows(gen.normal(size=(3, 4)))
-        a = scl_logits(z_img, z_tab, ScalarsTauB(tau=0.3, b=0.0))
-        b = scl_logits(z_img, z_tab, ScalarsTauB(tau=0.3, b=2.5))
-        np.testing.assert_allclose(b - a, 2.5, atol=1e-12)
+        logits = (z_img @ z_tab.T) * math.exp(0.3)
+        for b in (0.0, 2.5):
+            assert abs(_scl(z_img, z_tab, ScalarsTauB(tau=0.3, b=b))
+                       - _pairwise_loss(logits + b)) < 1e-12
 
 
 class TestSigmoidContrastiveLoss:
     def test_single_pair_zero_logit(self):
-        assert abs(sigmoid_contrastive_loss(np.zeros((1, 1))) - LN2) < 1e-12
+        loss = _scl(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
+                    ScalarsTauB(0.0, 0.0))
+        assert abs(loss - LN2) < 1e-12
 
     def test_single_pair_unit_logit(self):
-        assert abs(sigmoid_contrastive_loss(np.ones((1, 1))) - NEG_LOG_SIG_1) < 1e-9
+        z = np.array([[1.0, 0.0]])
+        assert abs(_scl(z, z, ScalarsTauB(0.0, 0.0)) - NEG_LOG_SIG_1) < 1e-9
 
     def test_two_pair_hand_case(self):
         # diagonal dots 1, off-diagonal dots 0, tau=0, b=0:
         # brute force over the four terms gives (2*0.313262 + 2*ln2)/4
         z = np.eye(2)
-        loss = sigmoid_contrastive_loss(scl_logits(z, z, ScalarsTauB(0.0, 0.0)))
+        loss = _scl(z, z, ScalarsTauB(0.0, 0.0))
         expected = (2 * NEG_LOG_SIG_1 + 2 * LN2) / 4.0
         assert abs(expected - 0.503204) < 1e-6
         assert abs(loss - expected) < 1e-12
 
     def test_all_zero_logits_is_ln2(self):
         for n in (1, 3, 7):
-            assert abs(sigmoid_contrastive_loss(np.zeros((n, n))) - LN2) < 1e-12
+            z = np.zeros((n, 2))
+            assert abs(_scl(z, z, ScalarsTauB(0.0, 0.0)) - LN2) < 1e-12
 
     def test_nonnegative_on_random_inputs(self):
         gen = Rng(2).substream("r")
         for _ in range(20):
-            logits = gen.normal(scale=5.0, size=(4, 4))
-            assert sigmoid_contrastive_loss(logits) >= 0.0
+            z_img = gen.normal(scale=2.0, size=(4, 3))
+            z_tab = gen.normal(scale=2.0, size=(4, 3))
+            s = ScalarsTauB(0.0, float(gen.normal(scale=5.0)))
+            assert _scl(z_img, z_tab, s) >= 0.0
 
     def test_rejects_rectangular(self):
         with pytest.raises(ShapeMismatch):
-            sigmoid_contrastive_loss(np.zeros((2, 3)))
+            _scl(np.zeros((2, 4)), np.zeros((3, 4)), ScalarsTauB())
+        with pytest.raises(ShapeMismatch):
+            _scl(np.zeros((2, 4)), np.zeros((2, 3)), ScalarsTauB())
 
     def test_permutation_invariance(self):
         gen = Rng(3).substream("p")
@@ -91,27 +111,31 @@ class TestSigmoidContrastiveLoss:
         z_tab = l2_normalize_rows(gen.normal(size=(5, 4)))
         s = ScalarsTauB(0.2, -0.7)
         perm = gen.permutation(5)
-        a = sigmoid_contrastive_loss(scl_logits(z_img, z_tab, s))
-        b = sigmoid_contrastive_loss(scl_logits(z_img[perm], z_tab[perm], s))
+        a = _scl(z_img, z_tab, s)
+        b = _scl(z_img[perm], z_tab[perm], s)
         assert abs(a - b) < 1e-12
+
+
+def _drift(img, z):
+    return similarity_regularizer(img, z)[0]
 
 
 class TestRegularizer:
     def test_zero_at_identity(self):
         gen = Rng(4).substream("z")
         img = l2_normalize_rows(gen.normal(size=(4, 6)))
-        assert similarity_regularizer(img, img) == 0.0
+        assert _drift(img, img) == 0.0
 
     def test_antipodal_pair_ignored(self):
         img = np.array([[1.0, 0.0], [-1.0, 0.0]])
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         # W off-diagonal is ((1-1)/2)^2 = 0; diagonal drift is zero anyway
-        assert similarity_regularizer(img, z) == 0.0
+        assert _drift(img, z) == 0.0
 
     def test_collapsed_pair_hand_case(self):
         img = np.eye(2)
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert abs(similarity_regularizer(img, z) - 0.125) < 1e-12
+        assert abs(_drift(img, z) - 0.125) < 1e-12
 
     def test_weights_in_unit_interval(self):
         gen = Rng(5).substream("w")
@@ -123,39 +147,43 @@ class TestRegularizer:
         gen = Rng(6).substream("u")
         img = gen.normal(size=(3, 4)) * 2.0
         with pytest.raises(NotNormalized):
-            similarity_regularizer(img, l2_normalize_rows(img))
+            _drift(img, l2_normalize_rows(img))
 
     def test_permutation_invariance(self):
         gen = Rng(7).substream("p")
         img = l2_normalize_rows(gen.normal(size=(5, 4)))
         z = l2_normalize_rows(gen.normal(size=(5, 4)))
         perm = gen.permutation(5)
-        assert abs(similarity_regularizer(img, z)
-                   - similarity_regularizer(img[perm], z[perm])) < 1e-12
+        assert abs(_drift(img, z) - _drift(img[perm], z[perm])) < 1e-12
 
 
 class TestCombinedLoss:
+    """botasp_loss: the BCE term plus lam times the drift penalty."""
+
+    @staticmethod
+    def _case(seed):
+        gen = Rng(seed).substream("z")
+        z_orig = l2_normalize_rows(gen.normal(size=(4, 5)))
+        z_new = l2_normalize_rows(gen.normal(size=(4, 5)))
+        logits = gen.normal(size=(4, 3))
+        targets = (gen.random((4, 3)) < 0.5).astype(float)
+        return logits, targets, z_orig, z_new
+
     def test_lambda_zero_reduction_exact(self):
-        gen = Rng(8).substream("z")
-        img = l2_normalize_rows(gen.normal(size=(4, 5)))
-        z_img = l2_normalize_rows(gen.normal(size=(4, 5)))
-        z_tab = l2_normalize_rows(gen.normal(size=(4, 5)))
-        s = ScalarsTauB(0.1, -1.0)
-        assert botaclip_loss(img, z_img, z_tab, s, 0.0) == \
-            sigmoid_contrastive_loss(scl_logits(z_img, z_tab, s))
+        logits, targets, z_orig, z_new = self._case(8)
+        assert botasp_loss(logits, targets, z_orig, z_new, 0.0) == \
+            binary_cross_entropy_with_logits(logits, targets)
 
     def test_additivity(self):
-        img = np.eye(2)
-        z_img = np.array([[1.0, 0.0], [1.0, 0.0]])
-        z_tab = np.eye(2)
-        s = ScalarsTauB(0.0, 0.0)
-        scl = sigmoid_contrastive_loss(scl_logits(z_img, z_tab, s))
-        total = botaclip_loss(img, z_img, z_tab, s, 1.0)
-        assert abs(total - (scl + 0.125)) < 1e-12
+        logits, targets, z_orig, z_new = self._case(9)
+        bce, _ = binary_cross_entropy_with_logits(logits, targets)
+        total, _ = botasp_loss(logits, targets, z_orig, z_new, 1.0)
+        assert abs(total - (bce + _drift(z_orig, z_new))) < 1e-12
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            botaclip_loss(np.eye(2), np.eye(2), np.eye(2), ScalarsTauB(), -1.0)
+            botasp_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2),
+                        np.eye(2), -1.0)
 
 
 class TestCrossEntropy:
@@ -187,7 +215,8 @@ class TestBotaSPLoss:
         logits = np.zeros((3, 4))
         targets = np.zeros((3, 4))
         z = l2_normalize_rows(Rng(9).substream("z").normal(size=(3, 5)))
-        assert abs(botasp_loss(logits, targets, z, z, lam=0.0) - LN2) < 1e-12
+        loss, _ = botasp_loss(logits, targets, z, z, lam=0.0)
+        assert abs(loss - LN2) < 1e-12
 
     def test_identity_projection_kills_regularizer(self):
         gen = Rng(10).substream("z")
@@ -195,25 +224,70 @@ class TestBotaSPLoss:
         logits = gen.normal(size=(4, 3))
         targets = (gen.random((4, 3)) < 0.5).astype(float)
         bce, _ = binary_cross_entropy_with_logits(logits, targets)
-        assert abs(botasp_loss(logits, targets, z, z, lam=100.0) - bce) < 1e-12
+        loss, _ = botasp_loss(logits, targets, z, z, lam=100.0)
+        assert abs(loss - bce) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             binary_cross_entropy_with_logits(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
+@st.composite
+def _loss_cases(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    floats = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+    def unit_rows(width):
+        m = draw(hnp.arrays(np.float64, (n, width), elements=floats))
+        m[np.linalg.norm(m, axis=1) < 1e-3] = 1.0
+        return l2_normalize_rows(m)
+
+    s = ScalarsTauB(draw(st.floats(-12.0, 12.0)), draw(floats))
+    z_img, z_tab, img = unit_rows(d), unit_rows(d), unit_rows(d + 1)
+    logits = draw(hnp.arrays(np.float64, (n, k), elements=floats))
+    targets = draw(hnp.arrays(np.float64, (n, k),
+                              elements=st.sampled_from([0.0, 1.0])))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    lam = draw(st.sampled_from([0.0, 0.5, 100.0]))
+    return {
+        "scl": lambda grad: sigmoid_contrastive_loss(z_img, z_tab, s, grad),
+        "drift": lambda grad: similarity_regularizer(z_img, z_tab, grad),
+        "ce": lambda grad: cross_entropy_batch(logits, labels, grad),
+        "bce": lambda grad: binary_cross_entropy_with_logits(logits, targets,
+                                                             grad),
+        "botasp": lambda grad: botasp_loss(logits, targets, img,
+                                           np.roll(img, 1, axis=1), lam, grad),
+    }
+
+
+class TestGradFlag:
+    @settings(max_examples=200, deadline=None)
+    @given(_loss_cases())
+    def test_loss_bits_do_not_depend_on_grad(self, losses):
+        for name, f in losses.items():
+            loss, grads = f(False)
+            assert grads is None, name
+            loss_g, grads_g = f(True)
+            assert np.float64(loss).tobytes() == \
+                np.float64(loss_g).tobytes(), name
+            assert grads_g is not None, name
+
+
 class TestLossGradients:
     def test_db_hand_value(self):
         # single pair, logit 0, positive label: dL/db = -sigmoid(0) = -0.5
         z = np.array([[1.0, 0.0]])
-        _, _, _, _, d_b = scl_loss_and_grads(z, z, ScalarsTauB(tau=0.0, b=-1.0))
+        _, (_, _, _, d_b) = sigmoid_contrastive_loss(
+            z, z, ScalarsTauB(tau=0.0, b=-1.0), grad=True)
         # dot=1, tau=0 -> logit 0; gradient wrt b is -sigma(-0) = -0.5
         assert abs(d_b - (-0.5)) < 1e-12
 
     def test_regularizer_gradient_zero_at_minimum(self):
         gen = Rng(11).substream("z")
         img = l2_normalize_rows(gen.normal(size=(4, 5)))
-        _, dz = regularizer_and_grad(img, img)
+        _, dz = similarity_regularizer(img, img, grad=True)
         np.testing.assert_allclose(dz, 0.0, atol=1e-12)
 
     def test_scl_grads_vs_finite_differences(self):
@@ -223,25 +297,22 @@ class TestLossGradients:
             z_img = l2_normalize_rows(rng.substream("zi").normal(size=(n, d)))
             z_tab = l2_normalize_rows(rng.substream("zt").normal(size=(n, d)))
             s = ScalarsTauB(tau=0.4, b=-0.8)
-            _, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(z_img, z_tab, s)
+            _, (d_zi, d_zt, d_tau, d_b) = sigmoid_contrastive_loss(
+                z_img, z_tab, s, grad=True)
 
             # projections are free variables here; unit norm is not required
             # by the loss itself, only by the training contract
             num_zi = finite_diff_grad(
-                lambda v: sigmoid_contrastive_loss(
-                    scl_logits(v.reshape(n, d), z_tab, s)),
+                lambda v: _scl(v.reshape(n, d), z_tab, s),
                 z_img.reshape(-1).copy()).reshape(n, d)
             num_zt = finite_diff_grad(
-                lambda v: sigmoid_contrastive_loss(
-                    scl_logits(z_img, v.reshape(n, d), s)),
+                lambda v: _scl(z_img, v.reshape(n, d), s),
                 z_tab.reshape(-1).copy()).reshape(n, d)
             num_tau = finite_diff_grad(
-                lambda v: sigmoid_contrastive_loss(
-                    scl_logits(z_img, z_tab, ScalarsTauB(float(v[0]), s.b))),
+                lambda v: _scl(z_img, z_tab, ScalarsTauB(float(v[0]), s.b)),
                 np.array([s.tau]))
             num_b = finite_diff_grad(
-                lambda v: sigmoid_contrastive_loss(
-                    scl_logits(z_img, z_tab, ScalarsTauB(s.tau, float(v[0])))),
+                lambda v: _scl(z_img, z_tab, ScalarsTauB(s.tau, float(v[0]))),
                 np.array([s.b]))
             assert max_rel_error(d_zi, num_zi) < 1e-5
             assert max_rel_error(d_zt, num_zt) < 1e-5
@@ -256,7 +327,7 @@ class TestLossGradients:
             n, d = 3, 4
             img = l2_normalize_rows(rng.substream("img").normal(size=(n, d)))
             z = l2_normalize_rows(rng.substream("z").normal(size=(n, d)))
-            _, dz = regularizer_and_grad(img, z)
+            _, dz = similarity_regularizer(img, z, grad=True)
 
             def f(v):
                 zz = v.reshape(n, d)
@@ -272,12 +343,11 @@ class TestLossGradients:
         rng = Rng(60)
         logits = rng.substream("l").normal(size=(3, 5))
         labels = np.array([0, 3, 2])
-        loss, dl = cross_entropy_batch(logits, labels)
+        loss, dl = cross_entropy_batch(logits, labels, grad=True)
         # the loss-only form gives the same loss and no gradient
-        assert cross_entropy_batch(logits, labels, grad=False) == (loss, None)
+        assert cross_entropy_batch(logits, labels) == (loss, None)
         num = finite_diff_grad(
-            lambda v: cross_entropy_batch(v.reshape(3, 5), labels,
-                                          grad=False)[0],
+            lambda v: cross_entropy_batch(v.reshape(3, 5), labels)[0],
             logits.reshape(-1).copy()).reshape(3, 5)
         assert max_rel_error(dl, num) < 1e-5
 
@@ -288,10 +358,11 @@ class TestLossGradients:
         targets = (rng.substream("t").random((n, s)) < 0.4).astype(float)
         z_orig = l2_normalize_rows(rng.substream("zo").normal(size=(n, d)))
         z_new = l2_normalize_rows(rng.substream("zn").normal(size=(n, d)))
-        _, dlogits, dz, _, _ = botasp_loss_and_grads(logits, targets, z_orig,
-                                                     z_new, lam=7.0)
+        _, (dlogits, dz) = botasp_loss(logits, targets, z_orig, z_new,
+                                       lam=7.0, grad=True)
         num_l = finite_diff_grad(
-            lambda v: botasp_loss(v.reshape(n, s), targets, z_orig, z_new, 7.0),
+            lambda v: botasp_loss(v.reshape(n, s), targets, z_orig, z_new,
+                                  7.0)[0],
             logits.reshape(-1).copy()).reshape(n, s)
 
         def f_z(v):
@@ -331,13 +402,14 @@ class TestFullChainGradients:
             zi = model.encode_images(img)
             zt = model.encode_tables(covers)
             s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
-            return botaclip_loss(img, zi, zt, s, lam)
+            return _scl(zi, zt, s) + lam * _drift(img, zi)
 
         zi = model.encode_images(img)
         zt = model.encode_tables(covers)
         s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
-        _, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(zi, zt, s)
-        _, d_zi_reg = regularizer_and_grad(img, zi)
+        _, (d_zi, d_zt, d_tau, d_b) = sigmoid_contrastive_loss(zi, zt, s,
+                                                               grad=True)
+        _, d_zi_reg = similarity_regularizer(img, zi, grad=True)
         tape = GradientTape()
         model.backward_images(d_zi + lam * d_zi_reg, tape)
         model.backward_tables(d_zt, tape)
@@ -373,11 +445,11 @@ class TestFullChainGradients:
 
         def scalar_fn():
             logits, z, _ = model.forward(x)
-            return botasp_loss(logits, targets, z_orig, z, lam)
+            return botasp_loss(logits, targets, z_orig, z, lam)[0]
 
         logits, z, _ = model.forward(x)
-        _, dlogits, dz, _, _ = botasp_loss_and_grads(logits, targets, z_orig,
-                                                     z, lam)
+        _, (dlogits, dz) = botasp_loss(logits, targets, z_orig, z, lam,
+                                       grad=True)
         tape = GradientTape()
         model.backward(tape, g_logits=dlogits, g_z=dz)
 

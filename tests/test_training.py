@@ -6,8 +6,8 @@ import pytest
 
 from botaclip.encoders import AlignmentModel, BotaniaMLP, GradientTape
 from botaclip.errors import DataError, EmptySplit
-from botaclip.losses import (ScalarsTauB, regularizer_and_grad,
-                             scl_loss_and_grads)
+from botaclip.losses import (ScalarsTauB, sigmoid_contrastive_loss,
+                             similarity_regularizer)
 from botaclip.numerics import Rng, l2_normalize_rows, row_norms
 from botaclip.optim import AdamW, EarlyStopper
 from botaclip.spatial import FoldAssignment, buffered_split, check_no_leakage
@@ -87,23 +87,13 @@ class TestTrainBotaclip:
         assert log.scl[log.best_epoch - 1] < LN2
 
     def test_lambda_zero_logs_drift_without_optimizing_it(self):
-        _, ds, fa, cfg = _alignment_setup(seed=2, lam=1.0, max_epochs=6)
-        model, log = train_botaclip(ds, fa, cfg, fold=1, regularized=False,
+        _, ds, fa, cfg = _alignment_setup(seed=2, lam=0.0, max_epochs=6)
+        model, log = train_botaclip(ds, fa, cfg, fold=1,
                                     model_options={"botania_hidden": 24})
         assert all(np.isfinite(log.reg))
         assert any(r > 0 for r in log.reg)
         for v, s, r in zip(log.val_loss, log.scl, log.reg):
             assert v == s  # drift logged but not added
-
-    def test_regularized_flag_equivalent_to_lambda_zero(self):
-        _, ds, fa, cfg0 = _alignment_setup(seed=3, lam=0.0, max_epochs=5)
-        m1, log1 = train_botaclip(ds, fa, cfg0, fold=1, regularized=True,
-                                  model_options={"botania_hidden": 24})
-        m2, log2 = train_botaclip(ds, fa, cfg0, fold=1, regularized=False,
-                                  model_options={"botania_hidden": 24})
-        assert log1.train_loss == log2.train_loss
-        for p1, p2 in zip(m1.params(), m2.params()):
-            np.testing.assert_array_equal(p1.value, p2.value)
 
     def test_input_embeddings_bit_identical_after_training(self):
         _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=5)
@@ -197,8 +187,9 @@ def _ref_train_botaclip(pairs, assignment, cfg, variant="botania-linear",
             assert np.abs(row_norms(z_img) - 1.0).max() <= 1e-9
             assert np.abs(row_norms(z_tab) - 1.0).max() <= 1e-9
             s = ScalarsTauB(float(model.tau.value), float(model.bias.value))
-            scl, d_zi, d_zt, d_tau, d_b = scl_loss_and_grads(z_img, z_tab, s)
-            reg, d_reg = regularizer_and_grad(x, z_img)
+            scl, (d_zi, d_zt, d_tau, d_b) = sigmoid_contrastive_loss(
+                z_img, z_tab, s, grad=True)
+            reg, d_reg = similarity_regularizer(x, z_img, grad=True)
             tape = GradientTape()
             model.backward_images(d_zi + lam * d_reg if lam > 0 else d_zi,
                                   tape)
@@ -214,8 +205,9 @@ def _ref_train_botaclip(pairs, assignment, cfg, variant="botania-linear",
             x = pairs.images[batch]
             z_img = model.encode_images(x)
             z_tab = model.encode_tables(pairs.covers[pairs.pair_index[batch]])
-            scls.append(scl_loss_and_grads(z_img, z_tab, s)[0])
-            regs.append(regularizer_and_grad(x, z_img)[0])
+            scls.append(sigmoid_contrastive_loss(z_img, z_tab, s,
+                                                 grad=True)[0])
+            regs.append(similarity_regularizer(x, z_img, grad=True)[0])
         val_scl, val_reg = float(np.mean(scls)), float(np.mean(regs))
         val_loss = val_scl + lam * val_reg
         log.append(epoch, float(np.mean(batch_losses)), val_loss, val_scl,

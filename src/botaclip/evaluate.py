@@ -23,7 +23,7 @@ from .dataprep import (
     stratify_by_elevation,
 )
 from .errors import DataError, Degenerate, ZeroVariance
-from .fileio import _parse_rows, read_csv, write_csv
+from .fileio import read_csv, row_error, typed_columns, write_csv
 from .forest import ForestConfig, fit_classifier, fit_regressor, predict, predict_proba
 from .metrics import boyce_index, classification_metrics, confusion_counts, mae, spearman_rho
 from .numerics import Rng
@@ -51,12 +51,14 @@ class MetricReport:
         if header != REPORT_HEADER:
             raise DataError(f"{path}: bad report header")
         task = rows[0][0] if rows else ""
-
-        def parse(r):
+        fold_seed = typed_columns(path, header, rows, slice(2, 4), np.int64)
+        values = typed_columns(path, header, rows, 5, nan_ok=True)
+        for k, r in enumerate(rows):
             if r[0] != task:
-                raise ValueError(f"task {r[0]!r} in a {task!r} report")
-            return r[1], int(r[2]), int(r[3]), r[4], float(r[5])
-        return cls(task=task, rows=_parse_rows(path, header, rows, parse))
+                raise row_error(path, k, f"task {r[0]!r} in a {task!r} report")
+        return cls(task, [(r[1], fold, seed, r[4], value)
+                          for r, (fold, seed), value
+                          in zip(rows, fold_seed.tolist(), values.tolist())])
 
     def scores_for(self, metric: str) -> dict[str, float]:
         """Mean value per unit over folds and seeds."""
@@ -148,6 +150,9 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
     row_index maps each species to (presence_rows, candidate_rows) in the
     embedding matrix, aligned with its OccurrenceSet arrays.
     """
+    if embeddings.shape[0] != sum(len(p) + len(c)
+                                  for p, c in row_index.values()):
+        raise DataError("embedding rows must match occurrence rows")
     report = MetricReport("butterfly")
     for seed in map(int, seeds):
         for i, (species, occ) in enumerate(occurrences.items()):

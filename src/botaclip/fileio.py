@@ -1,15 +1,18 @@
 """Binary embedding/checkpoint containers, CSV schemas, configs, manifests.
 
 Embeddings are stored as 32-bit floats and widened to 64-bit on load (with
-optional unit-normalization of rows, the default for ingestion). All CSV
-floats are written with repr() so values survive a round trip exactly.
+optional unit-normalization of rows, the default for ingestion). CSV is RFC
+4180 with "\n" line ends; floats are written with repr() to round-trip exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import re
 import struct
+import sys
 
 import numpy as np
 
@@ -120,70 +123,89 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 # --- CSV ---------------------------------------------------------------------
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def fmt_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return str(v)
+    v = str(v)
+    if _NEEDS_QUOTES.search(v):
+        v = '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(fmt_cell, header)) + "\n")
         for row in rows:
             fh.write(",".join(fmt_cell(v) for v in row) + "\n")
 
 
+def _kept(record) -> bool:
+    """False for the record of a blank or whitespace-only line."""
+    return len(record) > 1 or bool(record and record[0].strip())
+
+
 def read_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataError(f"{path} is empty")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
-def _data_error(path, k: int, problem) -> DataError:
-    """DataError naming the file line of data row k."""
-    # read_csv drops blank lines, so recount them for the file line
-    with open(path, encoding="utf-8") as fh:
-        line = [i for i, ln in enumerate(fh, 1) if ln.strip()][k + 1]
-    return DataError(f"{path}, line {line}: {problem}")
-
-
-def _parse_rows(path, header, rows, parse):
-    """[parse(row) for row in rows], where a row that does not parse (a
-    field count other than the header's, a non-number) raises DataError
-    naming the file and line."""
-    out = []
-    for k, row in enumerate(rows):
+    """(header, data rows) of a CSV file, every row a list of its text
+    cells. Blank and whitespace-only lines are skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, strict=True)
         try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, the header has "
-                                 f"{len(header)}")
-            out.append(parse(row))
-        except ValueError as exc:
-            raise _data_error(path, k, exc) from None
-    return out
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    if min(map(len, rows), default=2) < 2:  # a blank line has < 2 fields
+        rows = [r for r in rows if _kept(r)]
+    if not rows:
+        raise DataError(f"{path} is empty")
+    return rows[0], rows[1:]
 
 
-def _check_rows(path, values: np.ndarray, ok, problem: str) -> None:
-    """Raise DataError naming the first line whose row of the parsed
-    values fails ok (elementwise); the file is searched only on failure."""
-    good = ok(values)
+def row_error(path, k: int, problem) -> DataError:
+    """DataError naming the file line where data row k of read_csv ends;
+    the file is read again to count lines, as a quoted cell may span them."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, strict=True)
+        ends = [reader.line_num for record in reader if _kept(record)]
+    return DataError(f"{path}, line {ends[k + 1]}: {problem}")
+
+
+def _check_rows(path, good: np.ndarray, problem: str) -> None:
+    """Raise row_error for the first data row with a False in good, which
+    holds one entry or one row of entries per data row."""
     if not good.all():
-        bad = ~good.reshape(len(values), -1).all(axis=1)
-        raise _data_error(path, int(np.flatnonzero(bad)[0]), problem)
+        bad = ~good.reshape(len(good), -1).all(axis=1)
+        raise row_error(path, int(np.flatnonzero(bad)[0]), problem)
 
 
-def _releve_row(row):
-    plot_id, x, y, cls, species, bb = row
-    return plot_id, float(x), float(y), int(cls), species, bb
-
-
-def _floats_after_id(row):
-    return [float(v) for v in row[1:]]
+def typed_columns(path, header, rows, cols, dtype=np.float64,
+                  nan_ok: bool = False) -> np.ndarray:
+    """The cells of column cols of the data rows as a float64 or int64
+    array: 1-D for a column index, rows x columns for a slice. A row whose
+    field count is not the header's, a cell that is not a number, or a
+    non-finite float (NaN passes with nan_ok) raises row_error."""
+    n = len(header)
+    if set(map(len, rows)) - {n}:
+        k = next(k for k, r in enumerate(rows) if len(r) != n)
+        raise row_error(path, k, f"{len(rows[k])} fields, the header has {n}")
+    cells = [r[cols] for r in rows]
+    try:
+        values = np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for k, cell in enumerate(cells):
+            try:
+                np.array(cell, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise row_error(path, k, exc) from None
+        raise
+    if values.dtype.kind == "f":
+        _check_rows(path, ~np.isinf(values) if nan_ok else np.isfinite(values),
+                    "non-finite value")
+    return values
 
 
 def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
@@ -196,44 +218,43 @@ def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
 def read_matrix_csv(path):
     """Returns (values, row_ids, col_ids) for a wide id+numeric-columns CSV."""
     header, rows = read_csv(path)
-    values = np.array(_parse_rows(path, header, rows, _floats_after_id),
-                      dtype=np.float64)
-    _check_rows(path, values, np.isfinite, "non-finite value")
-    return values, [r[0] for r in rows], header[1:]
+    return (typed_columns(path, header, rows, slice(1, None)),
+            [r[0] for r in rows], header[1:])
 
 
 # --- domain schemas -----------------------------------------------------------
 
 def read_releves(path):
     """Long-format survey file: plot_id, x_m, y_m, prodrome_class,
-    species_id, bb_class. Returns a list of Releve in first-seen order."""
+    species_id, bb_class. Returns a list of Releve in first-seen order;
+    every row of a plot must repeat its location and class."""
     from .dataprep import Releve
     header, rows = read_csv(path)
     expected = ["plot_id", "x_m", "y_m", "prodrome_class", "species_id",
                 "bb_class"]
     if header != expected:
         raise DataError(f"{path}: header must be {','.join(expected)}")
-    releves: dict[str, Releve] = {}
-    for plot_id, x, y, cls, species, bb in _parse_rows(path, header, rows,
-                                                        _releve_row):
-        rel = releves.get(plot_id)
-        if rel is None:
-            rel = Releve(plot_id, x, y, [], cls)
-            releves[plot_id] = rel
-        rel.species_covers.append((species, bb))
+    x = typed_columns(path, header, rows, 1)
+    y = typed_columns(path, header, rows, 2)
+    cls = typed_columns(path, header, rows, 3, np.int64)
+    first: dict[str, int] = {}
+    owner = np.array([first.setdefault(r[0], k) for k, r in enumerate(rows)],
+                     dtype=np.int64)
+    _check_rows(path, (x == x[owner]) & (y == y[owner]) & (cls == cls[owner]),
+                "x_m, y_m or prodrome_class differs from the plot's first row")
+    releves = {p: Releve(p, float(x[k]), float(y[k]), [], int(cls[k]))
+               for p, k in first.items()}
+    for r in rows:  # one interned string per species id keeps later walks fast
+        releves[r[0]].species_covers.append((sys.intern(r[4]), r[5]))
     return list(releves.values())
 
 
 def read_locations(path):
     header, rows = read_csv(path)
-    if header[:3] != ["plot_id", "x_m", "y_m"] and \
-            header[:3] != ["sample_id", "x_m", "y_m"]:
+    if header[:3] not in (["plot_id", "x_m", "y_m"],
+                          ["sample_id", "x_m", "y_m"]):
         raise DataError(f"{path}: expected id, x_m, y_m columns")
-    ids = [r[0] for r in rows]
-    pts = np.array(_parse_rows(path, header, rows,
-                               lambda r: [float(r[1]), float(r[2])]))
-    _check_rows(path, pts, np.isfinite, "non-finite coordinate")
-    return ids, pts
+    return [r[0] for r in rows], typed_columns(path, header, rows, slice(1, 3))
 
 
 def write_locations(path, ids, points, id_column="plot_id"):
@@ -245,8 +266,7 @@ def read_labels(path):
     header, rows = read_csv(path)
     if header != ["plot_id", "class_id"]:
         raise DataError(f"{path}: expected plot_id, class_id")
-    return [r[0] for r in rows], np.array(
-        _parse_rows(path, header, rows, lambda r: int(r[1])))
+    return [r[0] for r in rows], typed_columns(path, header, rows, 1, np.int64)
 
 
 def write_labels(path, ids, labels):
@@ -262,31 +282,18 @@ def read_occurrences(path):
     header, rows = read_csv(path)
     if header != ["species_id", "x_m", "y_m", "label"]:
         raise DataError(f"{path}: expected species_id, x_m, y_m, label")
-    pres: dict[str, list] = {}
-    cand: dict[str, list] = {}
-    pres_rows: dict[str, list] = {}
-    cand_rows: dict[str, list] = {}
-    order: list[str] = []
-    parsed = _parse_rows(path, header, rows, lambda r: (
-        r[0], float(r[1]), float(r[2]), int(r[3])))
-    for i, (sp, x, y, lab) in enumerate(parsed):
-        if sp not in pres:
-            order.append(sp)
-            pres[sp], cand[sp] = [], []
-            pres_rows[sp], cand_rows[sp] = [], []
-        if lab == 1:
-            pres[sp].append((x, y))
-            pres_rows[sp].append(i)
-        else:
-            cand[sp].append((x, y))
-            cand_rows[sp].append(i)
-    occ = {}
-    row_index = {}
-    for sp in order:
-        occ[sp] = OccurrenceSet(sp, np.array(pres[sp]).reshape(-1, 2),
-                                np.array(cand[sp]).reshape(-1, 2))
-        row_index[sp] = (np.array(pres_rows[sp], dtype=np.int64),
-                         np.array(cand_rows[sp], dtype=np.int64))
+    xy = typed_columns(path, header, rows, slice(1, 3))
+    label = typed_columns(path, header, rows, 3, np.int64)
+    _check_rows(path, (label == 0) | (label == 1), "label must be 0 or 1")
+    rows_of: dict[str, list] = {}
+    for k, r in enumerate(rows):
+        rows_of.setdefault(r[0], []).append(k)
+    occ, row_index = {}, {}
+    for sp, ks in rows_of.items():
+        ks = np.array(ks, dtype=np.int64)
+        pres, cand = ks[label[ks] == 1], ks[label[ks] == 0]
+        occ[sp] = OccurrenceSet(sp, xy[pres], xy[cand])
+        row_index[sp] = (pres, cand)
     return occ, row_index
 
 
@@ -297,17 +304,11 @@ def read_soil(path):
     header, rows = read_csv(path)
     if header[:4] != ["sample_id", "x_m", "y_m", "elevation_m"]:
         raise DataError(f"{path}: expected sample_id, x_m, y_m, elevation_m, ...")
-    groups = header[4:]
-    ids = [r[0] for r in rows]
-    parsed = _parse_rows(path, header, rows, _floats_after_id)
-    locs = np.array([p[:2] for p in parsed])
-    elev = np.array([p[2] for p in parsed])
-    vals = np.array([p[3:] for p in parsed])
-    _check_rows(path, locs, np.isfinite, "non-finite coordinate")
-    _check_rows(path, elev, np.isfinite, "non-finite elevation")
-    _check_rows(path, vals, lambda v: np.isfinite(v) & (v >= 0),
-                "abundances must be finite and non-negative")
-    return TrophicTable(vals, elev, ids, groups, locs)
+    locs = typed_columns(path, header, rows, slice(1, 3))
+    elev = typed_columns(path, header, rows, 3)
+    vals = typed_columns(path, header, rows, slice(4, None))
+    _check_rows(path, vals >= 0, "abundances must be non-negative")
+    return TrophicTable(vals, elev, [r[0] for r in rows], header[4:], locs)
 
 
 def write_split_manifest(path, ids, cells, folds, roles):
@@ -320,13 +321,10 @@ def read_split_manifest(path):
     header, rows = read_csv(path)
     if header != ["sample_id", "cell_ix", "cell_iy", "fold", "role"]:
         raise DataError(f"{path}: bad split manifest header")
-    ids = [r[0] for r in rows]
-    parsed = _parse_rows(path, header, rows,
-                         lambda r: [int(r[1]), int(r[2]), int(r[3])])
-    cells = np.array([p[:2] for p in parsed])
-    folds = np.array([p[2] for p in parsed])
+    cells = typed_columns(path, header, rows, slice(1, 3), np.int64)
+    folds = typed_columns(path, header, rows, 3, np.int64)
     roles = np.array([r[4] for r in rows], dtype=object)
-    return ids, cells, folds, roles
+    return [r[0] for r in rows], cells, folds, roles
 
 
 # --- run configuration ---------------------------------------------------------

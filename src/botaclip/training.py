@@ -23,7 +23,7 @@ from .encoders import (
     GradientTape,
 )
 from .errors import DataError, EmptySplit, NotNormalized
-from .fileio import _parse_rows, read_csv, write_csv
+from .fileio import read_csv, typed_columns, write_csv
 from .losses import (
     ScalarsTauB,
     botasp_loss,
@@ -79,11 +79,11 @@ class TrainLog:
         header, rows = read_csv(path)
         if header != TRAIN_LOG_HEADER:
             raise DataError(f"{path}: bad train log header")
-        log = cls()
-        for row in _parse_rows(path, header, rows, lambda r: (
-                int(r[0]), *(float(v) for v in r[1:]))):
-            log.append(*row)
-        return log
+        # one list per column; a trainer without tau and b logs them as NaN
+        return cls(*(typed_columns(path, header, rows, j,
+                                   np.int64 if j == 0 else np.float64,
+                                   nan_ok=name in ("tau", "b")).tolist()
+                     for j, name in enumerate(header)))
 
 
 def _batches(rows: np.ndarray, batch_size: int):
@@ -207,6 +207,8 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
     the drift is logged but not optimized.
     """
     lam = cfg.lam
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
     rng = Rng(cfg.seed)
     train_p, val_p, _ = buffered_split(assignment, fold)
     check_no_leakage(assignment, train_p, val_p)

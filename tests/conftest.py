@@ -1,6 +1,6 @@
 import numpy as np
 
-from botaclip.numerics import finite_diff_grad
+from gradcheck import finite_diff_grad
 
 
 def flatten_params(params):

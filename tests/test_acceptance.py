@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import numeric_param_grad, split_like_params
+from gradcheck import max_rel_error
 
 from botaclip.cli import main as cli_main
 from botaclip.dataprep import CoverMatrix
@@ -42,7 +43,7 @@ from botaclip.metrics import (
     rankdata_average,
     spearman_rho,
 )
-from botaclip.numerics import Rng, l2_normalize_rows, max_rel_error
+from botaclip.numerics import Rng, l2_normalize_rows
 from botaclip.spatial import FoldAssignment, buffered_split
 from botaclip.stats import friedman_test, holm_adjust, wilcoxon_signed_rank
 from botaclip.synth import generate_synthetic

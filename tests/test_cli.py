@@ -94,6 +94,9 @@ class TestSplitCommand:
         assert f"{locations}, line 8" in doc["message"]
 
 
+_SURVEY = "plot_id,x_m,y_m,prodrome_class,species_id,bb_class\n"
+
+
 class TestPrepCommand:
     def test_long_format_to_matrices(self, tmp_path):
         releves = tmp_path / "releves.csv"
@@ -148,16 +151,32 @@ class TestPrepCommand:
          ["eval", "--task", "plant", "--split", "split.csv", "--covers"]),
         ("covers.csv", "plot_id,spA,spB\na,1.0,0.0\nb,0.0,nan\n",
          ["eval", "--task", "plant", "--split", "split.csv", "--covers"]),
+        ("occ.csv", "species_id,x_m,y_m,label\nb1,0.0,0.0,1\nb1,nan,0.0,0\n",
+         ["eval", "--task", "butterfly", "--occurrences"]),
+        ("occ.csv", "species_id,x_m,y_m,label\nb1,0.0,0.0,1\nb1,1.0,0.0,2\n",
+         ["eval", "--task", "butterfly", "--occurrences"]),
+        ("survey.csv", _SURVEY + "p1,0.0,0.0,1,spA,5\np2,nan,0.0,1,spA,5\n",
+         ["prep", "--releves"]),
+        ("survey.csv", _SURVEY + "p1,0.0,0.0,1,spA,5\np1,0.0,1.0,1,spB,5\n",
+         ["prep", "--releves"]),
+        ("survey.csv", _SURVEY + "p1,0.0,0.0,1,spA,5\np1,0.0,0.0,2,spB,5\n",
+         ["prep", "--releves"]),
     ], ids=["soil_elevation", "label_class", "ragged_matrix_row",
-            "non_finite_matrix_cell"])
+            "non_finite_matrix_cell", "occurrence_coordinate",
+            "occurrence_label", "survey_coordinate", "survey_plot_moves",
+            "survey_plot_class"])
     def test_malformed_row_exit_2(self, tmp_path, capsys, name, text,
                                   command):
         emb = tmp_path / "e.emb"
         fileio.save_embeddings(emb, np.ones((2, 3)))
         path = tmp_path / name
         path.write_text(text)
-        rc = main(command + [str(path), "--embeddings", str(emb),
-                             "--out", str(tmp_path / "out.csv")])
+        if command[0] == "prep":
+            rest = ["--out-dir", str(tmp_path / "prep")]
+        else:
+            rest = ["--embeddings", str(emb),
+                    "--out", str(tmp_path / "out.csv")]
+        rc = main(command + [str(path)] + rest)
         assert rc == 2
         doc = _one_error_line(capsys)
         assert doc["error"] == "DataError" and doc["exit"] == 2
@@ -444,6 +463,19 @@ class TestEvalButterflySoilCommands:
         assert rc == 0
         assert MetricReport.from_csv(out).scores_for("tss")
 
+    def test_butterfly_too_few_embedding_rows_exit_2(self, tmp_path, capsys):
+        occ = tmp_path / "occ.csv"
+        occ.write_text("species_id,x_m,y_m,label\n" + "".join(
+            f"bf,{1000.0 * i!r},0.0,{i % 2}\n" for i in range(40)))
+        embf = tmp_path / "emb.emb"
+        fileio.save_embeddings(embf, np.eye(10))
+        rc = main(["eval", "--task", "butterfly", "--embeddings", str(embf),
+                   "--occurrences", str(occ), "--out",
+                   str(tmp_path / "report.csv")])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+
     def test_soil(self, tmp_path):
         rc, out = _eval_soil(tmp_path)
         assert rc == 0
@@ -559,7 +591,9 @@ class TestErrorPaths:
         ["split", "--cell-size", "0"],
         ["train-botaclip", "--set", "variant=foo"],
         ["train-botaclip", "--set", "train.patience=0"],
-    ], ids=["folds_1", "fold_9", "cell_size_0", "variant_foo", "patience_0"])
+        ["train-botaclip", "--set", "lambda=-1"],
+    ], ids=["folds_1", "fold_9", "cell_size_0", "variant_foo", "patience_0",
+            "lambda_negative"])
     def test_out_of_range_value_exit_1(self, synth_dir, tmp_path, capsys,
                                        args):
         if args[0] == "split":

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import numeric_param_grad, split_like_params
+from gradcheck import finite_diff_grad, max_rel_error
 
 from botaclip import encoders
 from botaclip.encoders import (
@@ -25,13 +26,7 @@ from botaclip.encoders import (
     init_identity_adapter,
 )
 from botaclip.errors import DataError, MissingForwardCache, ShapeMismatch, ZeroRow
-from botaclip.numerics import (
-    Rng,
-    l2_normalize_rows,
-    max_rel_error,
-    normal_cdf,
-    softmax,
-)
+from botaclip.numerics import Rng, l2_normalize_rows, normal_cdf, softmax
 
 
 class TestIdentityAdapterInit:
@@ -344,7 +339,6 @@ class TestGradientsAgainstFiniteDifferences:
         tape = GradientTape()
         gx = enc.backward(c, tape)
 
-        from botaclip.numerics import finite_diff_grad
         numeric = finite_diff_grad(
             lambda v: _loss_through(lambda: enc.forward(v.reshape(2, 5)), c),
             x0.reshape(-1).copy())

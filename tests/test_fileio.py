@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botaclip.errors import BadMagic, DataError, TruncatedFile, UsageError, ZeroRow
 from botaclip.fileio import (
@@ -10,6 +14,7 @@ from botaclip.fileio import (
     load_config,
     load_embeddings,
     read_csv,
+    read_locations,
     read_matrix_csv,
     read_occurrences,
     read_releves,
@@ -137,6 +142,72 @@ class TestCsv:
         np.testing.assert_array_equal(cells2, cells)
         np.testing.assert_array_equal(folds, [0, 1])
         assert list(roles) == ["train", "validation"]
+
+
+# any text a UTF-8 file can hold: commas, quotes, CR/LF, NUL, non-ASCII
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+        st.lists(_TEXT, min_size=k, max_size=k),
+        st.lists(st.lists(_TEXT, min_size=k, max_size=k), max_size=4))))
+    def test_text_cells(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, rows)
+        assert read_csv(path) == (header, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TEXT, min_size=1, max_size=4, unique=True),
+           st.lists(_TEXT, min_size=1, max_size=4), st.data())
+    def test_matrix_ids_and_floats(self, tmp_path_factory, row_ids, col_ids,
+                                   data):
+        values = np.array(data.draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=len(col_ids), max_size=len(col_ids)),
+            min_size=len(row_ids), max_size=len(row_ids))))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_matrix_csv(path, values, row_ids, col_ids)
+        loaded, ids, cols = read_matrix_csv(path)
+        assert (ids, cols) == (row_ids, col_ids)
+        assert loaded.tobytes() == values.tobytes()
+
+    def test_floats_across_the_exponent_range(self, tmp_path):
+        vals = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308]
+        vals += [math.ldexp(s * 0.7853981633974483, e)
+                 for e in range(-1074, 1025, 3) for s in (1, -1)]
+        path = tmp_path / "f.csv"
+        write_matrix_csv(path, np.array([vals]), ["r"],
+                         [f"c{j}" for j in range(len(vals))])
+        loaded, _, _ = read_matrix_csv(path)
+        assert loaded.tobytes() == np.array([vals]).tobytes()
+
+    def test_id_with_a_comma(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.eye(2), ["a,b", "c"], ["x", "y"])
+        assert path.read_text().splitlines()[1] == '"a,b",1.0,0.0'
+        _, ids, _ = read_matrix_csv(path)
+        assert ids == ["a,b", "c"]
+
+    def test_blank_lines_skipped_and_lines_counted(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text('plot_id,x_m,y_m\n\n"p\n1",1.0,2.0\n  \n'
+                        '"p\n2",1.0,nan\n')
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}, line 7: non-finite")):
+            read_locations(path)
+        path.write_text('plot_id,x_m,y_m\n\n"p\n1",1.0,2.0\n  \n')
+        ids, pts = read_locations(path)
+        assert ids == ["p\n1"] and pts.tolist() == [[1.0, 2.0]]
+
+    def test_stray_quote_names_the_line(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('plot_id,class_id\na,0\n"b"x,1\n')
+        with pytest.raises(DataError, match=re.escape(f"{path}, line 3")):
+            read_csv(path)
 
 
 class TestDomainReaders:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import numeric_param_grad, split_like_params
+from gradcheck import finite_diff_grad, max_rel_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,7 +25,7 @@ from botaclip.losses import (
     similarity_regularizer,
     similarity_weights,
 )
-from botaclip.numerics import Rng, finite_diff_grad, l2_normalize_rows, max_rel_error
+from botaclip.numerics import Rng, l2_normalize_rows
 
 LN2 = math.log(2.0)
 # -log sigmoid(1), frozen from a high-precision scalar evaluation

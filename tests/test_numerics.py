@@ -2,17 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from gradcheck import finite_diff_grad, max_rel_error
 
 from botaclip.encoders import Gelu
 from botaclip.errors import NonFinite, ZeroRow
-from botaclip.numerics import (
-    Rng,
-    finite_diff_grad,
-    l2_normalize_rows,
-    log_sigmoid,
-    max_rel_error,
-    sigmoid,
-)
+from botaclip.numerics import Rng, l2_normalize_rows, log_sigmoid, sigmoid
 
 
 class TestL2NormalizeRows:

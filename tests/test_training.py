@@ -339,10 +339,23 @@ def test_train_log_csv_round_trip(tmp_path):
     assert loaded.tau == log.tau
 
 
+def test_train_log_keeps_nan_tau_and_b(tmp_path):
+    log = TrainLog()
+    log.append(1, 0.5, 0.6, 0.4, 0.01, float("nan"), float("nan"))
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    loaded = TrainLog.from_csv(path)
+    assert loaded.val_loss == [0.6]
+    assert np.isnan(loaded.tau + loaded.b).all()
+
+
 @pytest.mark.parametrize("text,message", [
     ("epoch,train_loss,val_loss,scl,reg,tau,b\n1,0.5,0.6,0.4,0.01,2.3,-10\n"
      "2,0.4,low,0.35,0.009,2.2,-9.9\n", "line 3"),
-    ("epoch,loss\n1,0.5\n", "header")], ids=["bad_cell", "bad_header"])
+    ("epoch,train_loss,val_loss,scl,reg,tau,b\n1,0.5,0.6,0.4,0.01,2.3,-10\n"
+     "2,0.4,nan,0.35,0.009,2.2,-9.9\n", "line 3: non-finite"),
+    ("epoch,loss\n1,0.5\n", "header")],
+    ids=["bad_cell", "nan_loss", "bad_header"])
 def test_train_log_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "log.csv"
     path.write_text(text)

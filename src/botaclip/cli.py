@@ -138,10 +138,12 @@ def _assignment_from_cfg(points, cfg) -> FoldAssignment:
 def _assignment_from_split_file(path) -> tuple[FoldAssignment, list[str]]:
     ids, cells, folds, _ = fileio.read_split_manifest(path)
     fold_of_cell = {}
-    for cell, fold in zip(map(tuple, cells), folds):
-        prev = fold_of_cell.setdefault((int(cell[0]), int(cell[1])), int(fold))
+    for k, (cell, fold) in enumerate(zip(map(tuple, cells.tolist()),
+                                         folds.tolist())):
+        prev = fold_of_cell.setdefault(cell, fold)
         if prev != fold:
-            raise DataError(f"{path}: cell {cell} maps to two folds")
+            raise fileio.row_error(
+                path, k, f"cell {cell} maps to folds {prev} and {fold}")
     return FoldAssignment(float("nan"), int(folds.max()) + 1, cells,
                           fold_of_cell, folds), ids
 

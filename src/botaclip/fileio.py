@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import re
 import struct
 import sys
@@ -25,6 +27,13 @@ FORMAT_VERSION = 1
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """n bytes of fh, or TruncatedFile. A length above 1 MiB, which a
+    garbled header can make gigabytes, is checked against the bytes left in
+    the file before anything is read."""
+    if n > 1 << 20:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n > left:
+            raise TruncatedFile(f"{what}: wanted {n} bytes, got {left}")
     data = fh.read(n)
     if len(data) != n:
         raise TruncatedFile(f"{what}: wanted {n} bytes, got {len(data)}")
@@ -115,9 +124,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "ndim"))
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0]
                           for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             raw = _read_exact(fh, n * 8, f"payload of {name}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                out[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+            except ValueError as exc:  # a shape numpy cannot hold
+                raise DataError(f"{path}: {name}: {exc}") from None
     return out
 
 

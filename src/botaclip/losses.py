@@ -31,11 +31,6 @@ class ScalarsTauB:
         return float(np.exp(np.clip(self.tau, -TAU_CLAMP, TAU_CLAMP)))
 
 
-def pair_labels(n: int) -> np.ndarray:
-    """+1 on the diagonal (matched pairs), -1 everywhere else."""
-    return 2.0 * np.eye(n) - 1.0
-
-
 def _check_unit_rows(m: np.ndarray, what: str) -> None:
     dev = np.abs(row_norms(m) - 1.0)
     if dev.size and dev.max() > UNIT_NORM_TOL:
@@ -52,24 +47,34 @@ def sigmoid_contrastive_loss(z_img: np.ndarray, z_tab: np.ndarray,
     n = z_img.shape[0]
     if z_tab.shape[0] != n:
         raise ShapeMismatch("pairwise logits must be square")
-    labels = pair_labels(n)
     dots = z_img @ z_tab.T
     t = s.temperature()
-    logits = dots * t + s.b
-    loss = float(-np.sum(log_sigmoid(labels * logits)) / (n * n))
+    # y = label * logit with logit = dots * t + b: -logit off the diagonal,
+    # built as dots * -t - b (a sign flip is exact), and logit on it
+    y = np.multiply(dots, -t)
+    y -= s.b
+    np.fill_diagonal(y, np.diagonal(dots) * t + s.b)
+    terms = log_sigmoid(y)
+    loss = float(-np.sum(terms) / (n * n))
     if not grad:
         return loss, None
-    # d/dl of -log sigmoid(w*l) is -w * sigmoid(-w*l)
-    dlogits = -labels * sigmoid(-labels * logits) / (n * n)
-    d_tau = float(np.sum(dlogits * dots) * t) if abs(s.tau) < TAU_CLAMP else 0.0
+    # d/dl of -log sigmoid(w*l) is -w * sigmoid(-w*l): sigmoid(-y) into the
+    # spent loss terms, then the diagonal negated
+    dlogits = sigmoid(np.negative(y, out=y), out=terms)
+    np.fill_diagonal(dlogits, -np.diagonal(dlogits))
+    dlogits /= n * n
+    d_tau = (float(np.sum(np.multiply(dlogits, dots, out=dots)) * t)
+             if abs(s.tau) < TAU_CLAMP else 0.0)
     d_b = float(np.sum(dlogits))
-    d_zimg = (dlogits * t) @ z_tab
-    d_ztab = (dlogits * t).T @ z_img
-    return loss, (d_zimg, d_ztab, d_tau, d_b)
+    dlogits *= t
+    return loss, (dlogits @ z_tab, dlogits.T @ z_img, d_tau, d_b)
 
 
 def similarity_weights(gram_orig: np.ndarray) -> np.ndarray:
-    return ((1.0 + gram_orig) / 2.0) ** 2
+    """((1 + gram) / 2)^2 in one fresh array."""
+    w = np.add(gram_orig, 1.0)
+    w /= 2.0
+    return np.square(w, out=w)
 
 
 def similarity_regularizer(img_orig: np.ndarray, z_img: np.ndarray,
@@ -90,12 +95,18 @@ def similarity_regularizer(img_orig: np.ndarray, z_img: np.ndarray,
     s_orig = img_orig @ img_orig.T
     s_new = z_img @ z_img.T
     w = similarity_weights(s_orig)
-    diff = s_orig - s_new
-    loss = float(np.sum(w * diff * diff) / (n * n))
+    diff = np.subtract(s_orig, s_new, out=s_orig)
+    wdd = np.multiply(w, diff, out=s_new)
+    wdd *= diff
+    loss = float(np.sum(wdd) / (n * n))
     if not grad:
         return loss, None
-    d_snew = -2.0 * w * diff / (n * n)
-    return loss, (d_snew + d_snew.T) @ z_img
+    # d_snew = -2 * w * diff / n^2 in w, symmetrized into the spent s_new
+    d_snew = np.multiply(w, -2.0, out=w)
+    d_snew *= diff
+    d_snew /= n * n
+    sym = np.add(d_snew, d_snew.T, out=s_new)
+    return loss, sym @ z_img
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray,

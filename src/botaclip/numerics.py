@@ -73,21 +73,35 @@ def normal_cdf(x):
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / _SQRT2))
 
 
-def sigmoid(x):
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) in one fresh array."""
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) as exp(min(x, 0)) / (1 + exp(-|x|)): no branch, and
+    the bits of 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
+    below. `out` may be `x` itself."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    den = _exp_neg_abs(x)
+    den += 1.0
+    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(out, out=out)
+    out /= den
     return out if out.ndim else float(out)
 
 
 def log_sigmoid(x):
-    """log(sigmoid(x)), stable for |x| up to at least 1e4."""
+    """log(sigmoid(x)) as min(x, -0.0) - log1p(exp(-|x|)), stable for any |x|.
+    The bound is -0.0 so that where exp underflows (x > 745) the result is
+    -log1p(0) = -0.0, as in the two-branch form."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                   x - np.log1p(np.exp(-np.abs(x))))
+    tail = _exp_neg_abs(x)
+    np.log1p(tail, out=tail)
+    out = np.minimum(x, -0.0, out=np.empty_like(x))
+    out -= tail
     return out if out.ndim else float(out)
 
 

@@ -233,7 +233,8 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
     # A step's projection gradients live until the next step has made its
     # own: freed together on return, they let malloc trim the heap that the
     # next step grows back through page faults (desk benchmark, d=64, 2-vCPU
-    # box: 70 % more minor faults, 14 % more train_s).
+    # box, in-place pair kernels: 231k instead of 124k minor faults and
+    # train-botaclip 2.68 instead of 2.50 s, medians of 6 alternating runs).
     held = []
 
     def step(batch, gen, tape):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botaclip import fileio
 from botaclip.cli import main
@@ -161,12 +165,19 @@ class TestPrepCommand:
          ["prep", "--releves"]),
         ("survey.csv", _SURVEY + "p1,0.0,0.0,1,spA,5\np1,0.0,0.0,2,spB,5\n",
          ["prep", "--releves"]),
+        ("split.csv", "sample_id,cell_ix,cell_iy,fold,role\n"
+                      "a,0,0,0,train\nb,0,0,1,validation\n",
+         ["eval", "--task", "plant", "--covers", "covers.csv", "--split"]),
     ], ids=["soil_elevation", "label_class", "ragged_matrix_row",
             "non_finite_matrix_cell", "occurrence_coordinate",
             "occurrence_label", "survey_coordinate", "survey_plot_moves",
-            "survey_plot_class"])
-    def test_malformed_row_exit_2(self, tmp_path, capsys, name, text,
-                                  command):
+            "survey_plot_class", "split_cell_two_folds"])
+    def test_malformed_row_exit_2(self, tmp_path, capsys, monkeypatch, name,
+                                  text, command):
+        # relative paths in a command name files in tmp_path; a well-formed
+        # covers.csv is there unless the case itself writes one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "covers.csv").write_text("plot_id,spA\na,1.0\nb,0.0\n")
         emb = tmp_path / "e.emb"
         fileio.save_embeddings(emb, np.ones((2, 3)))
         path = tmp_path / name
@@ -181,6 +192,8 @@ class TestPrepCommand:
         doc = _one_error_line(capsys)
         assert doc["error"] == "DataError" and doc["exit"] == 2
         assert f"{path}, line 3" in doc["message"]
+        if name == "split.csv":
+            assert "cell (0, 0) maps to folds 0 and 1" in doc["message"]
 
 
 def _eval_soil(tmp_path, bad_g2_in_row=None, bad=""):
@@ -644,3 +657,72 @@ def test_config_flag_overrides_file(synth_dir, tmp_path):
     doc = json.loads((out / "manifest_train_botaclip.json").read_text())
     assert doc["config"]["seed"] == 7
     assert doc["config"]["lambda"] == 0.5
+
+
+@pytest.fixture(scope="module")
+def embed_inputs(tmp_path_factory):
+    """A 2-wide alignment checkpoint, mostly names and shapes, and a 3-row
+    embedding file it can adapt."""
+    from botaclip.encoders import AlignmentModel, BotaniaMLP
+    from botaclip.numerics import Rng
+    from botaclip.training import model_state
+
+    out = tmp_path_factory.mktemp("garble")
+    botania = BotaniaMLP(2, 2, 2, 2, gen=Rng(0).substream("b"))
+    model = AlignmentModel("botania-linear", d_img=2, d_tab=2, rng=Rng(0),
+                           proj_dim=2, botania=botania)
+    fileio.save_checkpoint(out / "model.ckpt", model_state(model))
+    fileio.save_embeddings(out / "images.emb",
+                           Rng(1).substream("e").normal(size=(3, 2)),
+                           ids=["a", "b#1", "c"])
+    return out
+
+
+# how to damage a file: cut it at a fraction of its length, or overwrite
+# one to three bytes, each at a fraction of its length, xor a nonzero byte
+_DAMAGE = st.one_of(
+    st.tuples(st.just("cut"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("flip"), st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+        min_size=1, max_size=3)))
+
+
+def _damaged(data: bytes, damage) -> bytes:
+    how, arg = damage
+    if how == "cut":
+        return data[:int(arg * len(data))]
+    buf = bytearray(data)
+    for frac, mask in arg:
+        buf[int(frac * len(buf))] ^= mask
+    return bytes(buf)
+
+
+class TestDamagedBinaries:
+    """embed on a truncated or byte-flipped checkpoint or embedding file
+    exits 0, or exits 2 with one JSON line; it never raises. A flip inside a
+    float can also make a NaN or inf, or a zero input row, which exit 3 as
+    documented for non-finite values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.sampled_from(["model.ckpt", "images.emb"]),
+           damage=_DAMAGE)
+    def test_embed_never_raises(self, embed_inputs, which, damage):
+        damaged = embed_inputs / ("damaged_" + which)
+        damaged.write_bytes(_damaged((embed_inputs / which).read_bytes(),
+                                     damage))
+        files = {"model.ckpt": embed_inputs / "model.ckpt",
+                 "images.emb": embed_inputs / "images.emb", which: damaged}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["embed", "--checkpoint", str(files["model.ckpt"]),
+                       "--embeddings", str(files["images.emb"]),
+                       "--out", str(embed_inputs / "out.emb")])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1, lines
+            doc = json.loads(lines[0])
+            assert doc["exit"] == rc
+            assert rc == 2 or doc["error"] in ("NonFinite", "ZeroRow"), doc

@@ -7,6 +7,8 @@ from gradcheck import finite_diff_grad, max_rel_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+import pairref
+from pairref import pair_labels
 
 from botaclip.encoders import (
     AlignmentModel,
@@ -16,11 +18,11 @@ from botaclip.encoders import (
 )
 from botaclip.errors import BadLabel, NotNormalized, ShapeMismatch
 from botaclip.losses import (
+    TAU_CLAMP,
     ScalarsTauB,
     binary_cross_entropy_with_logits,
     botasp_loss,
     cross_entropy_batch,
-    pair_labels,
     sigmoid_contrastive_loss,
     similarity_regularizer,
     similarity_weights,
@@ -274,6 +276,45 @@ class TestGradFlag:
             assert np.float64(loss).tobytes() == \
                 np.float64(loss_g).tobytes(), name
             assert grads_g is not None, name
+
+
+def _unit_rows(seed, purpose, n, d):
+    return l2_normalize_rows(Rng(seed).substream(purpose).normal(size=(n, d)))
+
+
+def _same_bits(a, b):
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+class TestPairKernelBits:
+    """The in-place pair kernels against the frozen expressions with a label
+    matrix in tests/pairref.py: loss and every gradient byte for byte, with
+    tau at and beyond the clamp and biases that saturate every pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 256]), st.sampled_from([1, 3, 8]),
+           st.integers(0, 2**16),
+           st.one_of(st.sampled_from([TAU_CLAMP, -TAU_CLAMP, 12.0, -15.0]),
+                     st.floats(-TAU_CLAMP, TAU_CLAMP)),
+           st.sampled_from([0.0, -800.0, 900.0]))
+    def test_contrastive_loss(self, n, d, seed, tau, b):
+        z_img, z_tab = _unit_rows(seed, "i", n, d), _unit_rows(seed, "t", n, d)
+        s = ScalarsTauB(tau=tau, b=b)
+        loss, grads = sigmoid_contrastive_loss(z_img, z_tab, s, grad=True)
+        want_loss, want_grads = pairref.sigmoid_contrastive_loss(z_img, z_tab,
+                                                                 s)
+        assert _same_bits(loss, want_loss)
+        for got, want in zip(grads, want_grads):
+            assert _same_bits(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 256]), st.sampled_from([1, 3, 8]),
+           st.integers(0, 2**16))
+    def test_similarity_regularizer(self, n, d, seed):
+        img, z = _unit_rows(seed, "o", n, d), _unit_rows(seed, "z", n, d)
+        loss, dz = similarity_regularizer(img, z, grad=True)
+        want_loss, want_dz = pairref.similarity_regularizer(img, z)
+        assert _same_bits(loss, want_loss) and _same_bits(dz, want_dz)
 
 
 class TestLossGradients:

@@ -1,8 +1,12 @@
 import math
 
 import numpy as np
+import pairref
 import pytest
 from gradcheck import finite_diff_grad, max_rel_error
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from botaclip.encoders import Gelu
 from botaclip.errors import NonFinite, ZeroRow
@@ -67,6 +71,43 @@ class TestActivations:
         lhs = log_sigmoid(xs) + log_sigmoid(-xs)
         rhs = np.log(sigmoid(xs) * sigmoid(-xs))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+# the branch points and the edges of exp's range: signed zeros, infinities,
+# NaN, the smallest subnormal and |x| where exp(-|x|) underflows (> 745)
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+          2.2e-308, -2.2e-308, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+          746.0, -746.0, 1e4, -1e4, 1.7e308, -1.7e308]
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGES),
+                       st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True),
+                       st.floats(-800.0, 800.0))
+
+
+class TestActivationBits:
+    """The branch-free activations against the frozen two-branch forms in
+    tests/pairref.py, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=_ANY_FLOAT))
+    def test_arrays_match_two_branch_forms(self, x):
+        for f, ref in ((sigmoid, pairref.sigmoid),
+                       (log_sigmoid, pairref.log_sigmoid)):
+            assert f(x).tobytes() == ref(x).tobytes(), f.__name__
+
+    @pytest.mark.parametrize("x", _EDGES)
+    def test_scalars_match_two_branch_forms(self, x):
+        for f, ref in ((sigmoid, pairref.sigmoid),
+                       (log_sigmoid, pairref.log_sigmoid)):
+            got, want = f(x), ref(x)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_sigmoid_in_place(self):
+        x = np.array([-800.0, -1.0, -0.0, 0.0, 2.0, 746.0])
+        want = pairref.sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
 
 
 class TestFiniteDiff:

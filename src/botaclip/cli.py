@@ -360,7 +360,7 @@ def cmd_embed(args) -> int:
                                    "an alignment model")
     emb, ids = fileio.load_embeddings(args.embeddings,
                                       normalize=not args.raw_input)
-    adapted = training.embed_images(model, emb)
+    adapted = model.encode_images(emb)
     fileio.save_embeddings(args.out, adapted, ids=ids)
     fileio.write_manifest(str(args.out) + ".manifest.json", "embed",
                           {"raw_input": args.raw_input},

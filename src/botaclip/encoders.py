@@ -4,8 +4,8 @@ passes.
 Every layer follows one protocol (see Layer): forward(x, train, gen),
 backward(g, tape) and params(). A model is a Sequential of layers, run
 forward in order and backward in reverse. Every layer caches what its
-backward pass needs; calling backward without a forward raises
-MissingForwardCache. Gradients accumulate into a GradientTape keyed by
+backward pass needs; a backward that needs a cache raises
+MissingForwardCache when no forward filled it. Gradients accumulate into a GradientTape keyed by
 parameter name, which the optimizer consumes. All math is float64.
 """
 
@@ -273,21 +273,19 @@ class SingleTokenAttention(Sequential):
     """Multi-head self-attention over a one-token sequence.
 
     With a single key the softmax is identically 1, so the block reduces to
-    out = W_o (W_v x + b_v) + b_o; the Q/K projections exist as parameters
-    but cannot influence the output and therefore receive zero gradient.
+    out = W_o (W_v x + b_v) + b_o. The Q/K projections cannot influence the
+    output and are not kept, but their initial values are still drawn, so
+    V and O start from the same values as in a block that holds them.
     """
 
     def __init__(self, name: str, dim: int, n_heads: int,
                  gen: np.random.Generator):
         if dim % n_heads:
             raise ShapeMismatch(f"dim {dim} not divisible by {n_heads} heads")
-        self.q = Linear(f"{name}.q", dim, dim, gen)
-        self.k = Linear(f"{name}.k", dim, dim, gen)
+        _torch_linear_init(dim, dim, gen)  # Q, drawn and dropped
+        _torch_linear_init(dim, dim, gen)  # K, drawn and dropped
         super().__init__(Linear(f"{name}.v", dim, dim, gen),
                          Linear(f"{name}.o", dim, dim, gen))
-
-    def params(self):
-        return self.q.params() + self.k.params() + super().params()
 
 
 class LinearAdapter(Sequential):
@@ -297,14 +295,6 @@ class LinearAdapter(Sequential):
                  gen: np.random.Generator | None = None):
         self.linear = Linear(name, in_dim, out_dim, gen)
         super().__init__(self.linear, RowNormalize())
-
-    @property
-    def weight(self):
-        return self.linear.weight
-
-    @property
-    def bias(self):
-        return self.linear.bias
 
 
 def init_identity_adapter(dim: int, noise_variance: float = 1e-4,
@@ -325,9 +315,23 @@ def init_identity_adapter(dim: int, noise_variance: float = 1e-4,
     return adapter
 
 
-class BotaniaMLP:
-    """Cover-vector classifier whose normalized penultimate layer is the
-    tabular embedding.
+class CoverRange(Layer):
+    """Identity on cover percentages that rejects a value outside
+    [0, 100] with DataError."""
+
+    def forward(self, x, train=False, gen=None):
+        x = np.asarray(x, dtype=np.float64)
+        if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 100.0:
+            raise DataError("cover values must lie in [0, 100]")
+        return x
+
+    def backward(self, g, tape):
+        return g
+
+
+class BotaniaMLP(Sequential):
+    """Cover-vector classifier: trunk -> Dropout -> head, forward giving
+    the logits. Its `embedding` is the tabular representation.
 
     Canonical dimensions are 3587 -> 1536 -> 768 -> 232 with Dropout(0.4);
     all of them are constructor arguments so small instances stay testable.
@@ -341,57 +345,22 @@ class BotaniaMLP:
         self.in_dim = in_dim
         self.embed_dim = embed
         self.trunk = Sequential(
-            Linear(f"{name}.lin1", in_dim, hidden, gen), Gelu(),
+            CoverRange(), Linear(f"{name}.lin1", in_dim, hidden, gen), Gelu(),
             Dropout(dropout_rate), Linear(f"{name}.lin2", hidden, embed, gen),
             Gelu())
-        self.head = Sequential(Dropout(dropout_rate),
-                               Linear(f"{name}.head", embed, n_classes, gen))
-        self.norm = RowNormalize()
-        self._with_head = False
-
-    def forward(self, covers: np.ndarray, train: bool = False,
-                gen: np.random.Generator | None = None,
-                with_head: bool = True, with_penult: bool = True):
-        """Returns (logits, penult). The penultimate representation is the
-        post-GELU output of the embedding layer, unit-normalized, taken
-        before its dropout. Either path can be skipped: classifier
-        pretraining never touches the penult (whose normalization raises
-        ZeroRow on saturated rows), alignment never touches the head."""
-        x = np.asarray(covers, dtype=np.float64)
-        if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 100.0:
-            raise DataError("cover values must lie in [0, 100]")
-        h = self.trunk.forward(x, train, gen)
-        penult = self.norm.forward(h) if with_penult else None
-        logits = self.head.forward(h, train, gen) if with_head else None
-        self._with_head = with_head
-        return logits, penult
-
-    def backward(self, tape: GradientTape, g_logits=None, g_penult=None):
-        g = 0.0
-        if g_logits is not None:
-            if not self._with_head:
-                raise MissingForwardCache("botania head")
-            g = g + self.head.backward(g_logits, tape)
-        if g_penult is not None:
-            g = g + self.norm.backward(g_penult, tape)
-        return self.trunk.backward(g, tape)
-
-    def params(self):
-        return self.trunk.params() + self.head.params()
+        super().__init__(self.trunk, Dropout(dropout_rate),
+                         Linear(f"{name}.head", embed, n_classes, gen))
+        self.embedding = BotaniaEmbedding(self)
 
 
-class BotaniaEmbedding(Layer):
-    """A BotaniaMLP's penultimate embedding as a layer; the classifier
-    head is neither run nor trained."""
+class BotaniaEmbedding(Sequential):
+    """A BotaniaMLP's penultimate embedding: the post-GELU output of its
+    trunk, taken before the head's dropout, unit-normalized. The head is
+    not run, but params() stays the whole classifier's, head included."""
 
     def __init__(self, botania: BotaniaMLP):
+        super().__init__(botania.trunk, RowNormalize())
         self.botania = botania
-
-    def forward(self, x, train=False, gen=None):
-        return self.botania.forward(x, train, gen, with_head=False)[1]
-
-    def backward(self, g, tape):
-        return self.botania.backward(tape, g_penult=g)
 
     def params(self):
         return self.botania.params()
@@ -500,7 +469,7 @@ class AlignmentModel:
                 raise ValueError("botania-linear variant needs a BotaniaMLP")
             if botania.embed_dim != proj_dim:
                 raise ShapeMismatch("tabular embedding width must equal proj_dim")
-            self.tab_branch = Sequential(BotaniaEmbedding(botania), LinearAdapter(
+            self.tab_branch = Sequential(botania.embedding, LinearAdapter(
                 botania.embed_dim, proj_dim, name="tab_adapter",
                 gen=rng.substream("init/tab_adapter")))
         else:

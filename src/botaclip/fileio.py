@@ -412,9 +412,20 @@ def _merge_strict(base: dict, override: dict, prefix: str = "") -> dict:
             if not isinstance(value, dict):
                 raise UsageError(f"config key {prefix}{key} must be a table")
             out[key] = _merge_strict(base[key], value, f"{prefix}{key}.")
+        elif not _fits(base[key], value):
+            raise UsageError(f"config key {prefix}{key} must be "
+                             f"{type(base[key]).__name__}, got {value!r}")
         else:
             out[key] = value
     return out
+
+
+def _fits(default, value) -> bool:
+    """Whether value may replace default: the same type, or an int for a
+    float, but never a bool for a number."""
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:

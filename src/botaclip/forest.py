@@ -232,6 +232,8 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
 def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, kind: str) -> Forest:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if cfg.n_trees < 1:
+        raise ValueError("a forest needs at least one tree")
     if X.size == 0 or y.size == 0:
         raise EmptyData("cannot fit on an empty dataset")
     if X.shape[0] != y.shape[0]:

@@ -166,17 +166,14 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
                        dropout_rate, gen=rng.substream("init"))
 
     def step(batch, gen, tape):
-        logits, _ = model.forward(covers[batch], train=True, gen=gen,
-                                  with_penult=False)
+        logits = model.forward(covers[batch], train=True, gen=gen)
         loss, dlogits = cross_entropy_batch(logits, labels[batch], grad=True)
-        model.backward(tape, g_logits=dlogits)
+        model.backward(dlogits, tape)
         return loss
 
     def validate():
         val_loss = float(np.mean([
-            cross_entropy_batch(model.forward(covers[batch],
-                                              with_penult=False)[0],
-                                labels[batch])[0]
+            cross_entropy_batch(model.forward(covers[batch]), labels[batch])[0]
             for batch in _batches(val_idx, cfg.batch_size)]))
         return val_loss, val_loss, 0.0, math.nan, math.nan
 
@@ -185,7 +182,7 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
 
 
 def botania_accuracy(model: BotaniaMLP, covers, labels, top_k: int = 1) -> float:
-    logits, _ = model.forward(covers, with_penult=False)
+    logits = model.forward(covers)
     top = np.argsort(logits, axis=1, kind="stable")[:, ::-1][:, :top_k]
     return float(np.mean([labels[i] in top[i] for i in range(len(labels))]))
 
@@ -269,11 +266,6 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
 
     opt = AdamW(model.params(), lr=lr, weight_decay=weight_decay)
     return _fit(model, opt, rng, cfg, train_rows, step, validate)
-
-
-def embed_images(model: AlignmentModel, images: np.ndarray) -> np.ndarray:
-    """Apply the trained image branch in eval mode."""
-    return model.encode_images(np.asarray(images, dtype=np.float64))
 
 
 # --- supervised baseline --------------------------------------------------------

@@ -47,7 +47,7 @@ from botaclip.numerics import Rng, l2_normalize_rows
 from botaclip.spatial import FoldAssignment, buffered_split
 from botaclip.stats import friedman_test, holm_adjust, wilcoxon_signed_rank
 from botaclip.synth import generate_synthetic
-from botaclip.training import TrainConfig, embed_images, train_botaclip
+from botaclip.training import TrainConfig, train_botaclip
 
 GRAD_TOL = 1e-5
 LN2 = math.log(2.0)
@@ -134,13 +134,12 @@ class TestCriterion1Gradients:
         labels = rng.substream("lab").integers(0, 3, size=n)
 
         def scalar_fn():
-            logits, _ = model.forward(covers)
-            return cross_entropy_batch(logits, labels)[0]
+            return cross_entropy_batch(model.forward(covers), labels)[0]
 
-        logits, _ = model.forward(covers)
-        _, dlogits = cross_entropy_batch(logits, labels, grad=True)
+        _, dlogits = cross_entropy_batch(model.forward(covers), labels,
+                                         grad=True)
         tape = GradientTape()
-        model.backward(tape, g_logits=dlogits)
+        model.backward(dlogits, tape)
         numeric = split_like_params(
             numeric_param_grad(scalar_fn, model.params(), h=1e-5),
             model.params())
@@ -235,7 +234,7 @@ class TestCriterion3ForgettingMitigation:
                 data, ds, _, model, log = _train_desk(seed, lam)
                 rows0 = np.flatnonzero(ds.view_index == 0)
                 raw = ds.images[rows0]
-                overlaps[lam] = knn_overlap(raw, embed_images(model, raw),
+                overlaps[lam] = knn_overlap(raw, model.encode_images(raw),
                                             k=10)
                 if lam == 1.0:
                     assert log.scl[log.best_epoch - 1] < LN2
@@ -258,7 +257,7 @@ class TestCriterion4AlignmentTransfer:
             data, ds, fa, model, _ = _train_desk(seed, 1.0)
             rows0 = np.flatnonzero(ds.view_index == 0)
             raw = ds.images[rows0]
-            adapted = embed_images(model, raw)
+            adapted = model.encode_images(raw)
             covers = CoverMatrix(data.eval_presence.astype(float),
                                  ds.plot_ids, data.eval_species_ids)
             tss = {}

@@ -252,6 +252,45 @@ class TestTrainAndEmbed:
         assert ids == ids2
         np.testing.assert_allclose(adapted, orig, atol=1e-6)
 
+    def test_attention_checkpoint_with_qk_entries_loads(self, synth_dir,
+                                                         tmp_path):
+        # checkpoints written while the attention block kept its Q/K
+        # projections hold four more arrays; loading ignores them
+        from botaclip.encoders import AlignmentModel
+        from botaclip.numerics import Rng
+        from botaclip.training import alignment_model_from_state, model_state
+
+        model = AlignmentModel("attention", d_img=16, d_tab=16, rng=Rng(0),
+                               proj_dim=8, mlp_img_hidden=12,
+                               attn_model_dim=8)
+        state = model_state(model)
+        old = {}
+        for name, value in state.items():
+            if name == "tab_encoder.mha.v.weight":
+                gen = Rng(1).substream("qk")
+                for qk in ("q", "k"):
+                    old[f"tab_encoder.mha.{qk}.weight"] = gen.normal(
+                        size=(8, 8))
+                    old[f"tab_encoder.mha.{qk}.bias"] = gen.normal(size=8)
+            old[name] = value
+        assert len(old) == len(state) + 4
+        outs = []
+        for tag, st in (("new", state), ("old", old)):
+            ckpt = tmp_path / f"{tag}.ckpt"
+            fileio.save_checkpoint(ckpt, st)
+            out = tmp_path / f"{tag}.emb"
+            assert main(["embed", "--checkpoint", str(ckpt), "--embeddings",
+                         str(synth_dir / "images.emb"), "--out",
+                         str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        covers, _, _ = fileio.read_matrix_csv(synth_dir / "covers.csv")
+        rebuilt = alignment_model_from_state(
+            fileio.load_checkpoint(tmp_path / "old.ckpt"))
+        assert model_state(rebuilt).keys() == state.keys()
+        np.testing.assert_array_equal(rebuilt.encode_tables(covers),
+                                      model.encode_tables(covers))
+
     def test_embed_then_eval_and_stats(self, synth_dir, trained_dir,
                                        tmp_path):
         adapted = tmp_path / "adapted.emb"
@@ -625,6 +664,34 @@ class TestErrorPaths:
         assert main(args) == 1
         doc = _one_error_line(capsys)
         assert doc["error"] == "ValueError" and doc["exit"] == 1
+
+    @pytest.mark.parametrize("setting", [
+        "train.batch_size=abc", "lambda=abc", 'fold="1"',
+        "train.max_epochs=2.5", "regularized=no", "lambda=true",
+        "train.shuffle=1", "data.covers=3", "fold=false", "seed=null"])
+    def test_config_value_of_wrong_type_exit_1(self, tmp_path, capsys,
+                                               setting):
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train-botaclip", "--set", setting,
+                     "--out-dir", str(out)]) == 1
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "UsageError" and doc["exit"] == 1
+        assert f"config key {setting.split('=')[0]} must be" in doc["message"]
+        assert not out.exists()
+
+    def test_no_trees_exit_1(self, synth_dir, trained_dir, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        rc = main(["eval", "--task", "plant",
+                   "--embeddings", str(synth_dir / "images.emb"),
+                   "--covers", str(synth_dir / "eval_species.csv"),
+                   "--split", str(trained_dir / "split.csv"),
+                   "--out", str(report), "--set", "metrics.n_trees=0"])
+        assert rc == 1
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "ValueError" and "tree" in doc["message"]
+        assert not report.exists()
 
     def test_undecodable_file_exit_2(self, tmp_path, capsys):
         locations = tmp_path / "locations.csv"

@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,12 +38,12 @@ class TestIdentityAdapterInit:
 
     def test_bias_is_zero(self):
         a = init_identity_adapter(16, noise_variance=1e-4, rng=Rng(0))
-        np.testing.assert_array_equal(a.bias.value, np.zeros(16))
+        np.testing.assert_array_equal(a.linear.bias.value, np.zeros(16))
 
     def test_mean_abs_perturbation(self):
         # E|N(0, 1e-4)| = 0.01 * sqrt(2/pi) ~= 0.0079788
         a = init_identity_adapter(768, noise_variance=1e-4, rng=Rng(3))
-        dev = np.mean(np.abs(a.weight.value - np.eye(768)))
+        dev = np.mean(np.abs(a.linear.weight.value - np.eye(768)))
         assert abs(dev - 0.0079788) / 0.0079788 < 0.10
 
     def test_relative_output_change_small_dim(self):
@@ -72,13 +73,13 @@ class TestAdapterForward:
 
     def test_scaling_cancels_under_normalization(self):
         a = init_identity_adapter(5, noise_variance=0.0)
-        a.weight.value = 2.0 * np.eye(5)
+        a.linear.weight.value = 2.0 * np.eye(5)
         x = l2_normalize_rows(Rng(2).substream("y").normal(size=(3, 5)))
         np.testing.assert_allclose(a.forward(x), x, atol=1e-12)
 
     def test_zero_map_raises(self):
         a = init_identity_adapter(5, noise_variance=0.0)
-        a.weight.value = np.zeros((5, 5))
+        a.linear.weight.value = np.zeros((5, 5))
         with pytest.raises(ZeroRow):
             a.forward(np.ones((2, 5)))
 
@@ -99,8 +100,8 @@ class TestBackwardBasics:
         a.forward(Rng(5).substream("x").normal(size=(3, 4)))
         tape = GradientTape()
         a.backward(np.zeros((3, 4)), tape)
-        assert np.all(tape.get(a.weight) == 0)
-        assert np.all(tape.get(a.bias) == 0)
+        assert np.all(tape.get(a.linear.weight) == 0)
+        assert np.all(tape.get(a.linear.bias) == 0)
 
     def test_bias_gradient_is_column_sums(self):
         a = init_identity_adapter(4, noise_variance=0.0)
@@ -109,13 +110,14 @@ class TestBackwardBasics:
         g = Rng(6).substream("g").normal(size=(3, 4))
         tape = GradientTape()
         a.linear.backward(g, tape)
-        np.testing.assert_allclose(tape.get(a.bias), g.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(tape.get(a.linear.bias), g.sum(axis=0),
+                                   atol=1e-12)
 
     def test_tape_rejects_bad_shape(self):
         a = init_identity_adapter(3, noise_variance=0.0)
         tape = GradientTape()
         with pytest.raises(ShapeMismatch):
-            tape.add(a.weight, np.zeros(2))
+            tape.add(a.linear.weight, np.zeros(2))
 
     def test_gelu_matches_exact_forms_bit_for_bit(self):
         # The frozen composites below use the package's own Gelu, so this
@@ -142,29 +144,29 @@ class TestBotania:
     def test_eval_mode_deterministic(self):
         m = self._model(Rng(1).substream("init"))
         covers = Rng(1).substream("c").uniform(0, 100, size=(3, 7))
-        l1, p1 = m.forward(covers)
-        l2, p2 = m.forward(covers)
-        np.testing.assert_array_equal(l1, l2)
-        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(m.forward(covers), m.forward(covers))
+        np.testing.assert_array_equal(m.embedding.forward(covers),
+                                      m.embedding.forward(covers))
 
     def test_softmax_of_logits_normalized(self):
         m = self._model(Rng(2).substream("init"))
-        logits, _ = m.forward(Rng(2).substream("c").uniform(0, 100, size=(2, 7)))
+        logits = m.forward(Rng(2).substream("c").uniform(0, 100, size=(2, 7)))
         np.testing.assert_allclose(softmax(logits, axis=1).sum(axis=1), 1.0,
                                    atol=1e-12)
 
     def test_penult_unit_norm(self):
         m = self._model(Rng(3).substream("init"))
-        _, penult = m.forward(Rng(3).substream("c").uniform(0, 100, size=(4, 7)))
+        penult = m.embedding.forward(
+            Rng(3).substream("c").uniform(0, 100, size=(4, 7)))
         np.testing.assert_allclose(np.linalg.norm(penult, axis=1), 1.0,
                                    atol=1e-12)
 
     def test_train_mode_uses_rng(self):
         m = self._model(Rng(4).substream("init"))
         covers = Rng(4).substream("c").uniform(0, 100, size=(3, 7))
-        la, _ = m.forward(covers, train=True, gen=Rng(4).substream("drop", 0))
-        lb, _ = m.forward(covers, train=True, gen=Rng(4).substream("drop", 0))
-        lc, _ = m.forward(covers, train=True, gen=Rng(4).substream("drop", 1))
+        la = m.forward(covers, train=True, gen=Rng(4).substream("drop", 0))
+        lb = m.forward(covers, train=True, gen=Rng(4).substream("drop", 0))
+        lc = m.forward(covers, train=True, gen=Rng(4).substream("drop", 1))
         np.testing.assert_array_equal(la, lb)
         assert not np.array_equal(la, lc)
 
@@ -219,28 +221,35 @@ class TestGradientsAgainstFiniteDifferences:
 
             self._check(a.params(), run, analytic)
 
-    def test_botania_both_outputs(self):
+    def _check_botania_path(self, path, out_dim, seed0):
         # h = 1e-5: cover inputs are O(100), smaller steps are
         # roundoff-dominated
         for seed in range(3):
-            rng = Rng(seed + 100)
+            rng = Rng(seed + seed0)
             m = BotaniaMLP(in_dim=6, hidden=5, embed=4, n_classes=3,
                            gen=rng.substream("init"))
+            layer = path(m)
             covers = rng.substream("c").uniform(0, 100, size=(3, 6))
-            cl = rng.substream("cl").normal(size=(3, 3))
-            cp = rng.substream("cp").normal(size=(3, 4))
+            c = rng.substream("c_out").normal(size=(3, out_dim))
 
             def run():
-                logits, penult = m.forward(covers)
-                return float(np.sum(logits * cl) + np.sum(penult * cp))
+                return _loss_through(lambda: layer.forward(covers), c)
 
             def analytic():
-                m.forward(covers)
+                layer.forward(covers)
                 tape = GradientTape()
-                m.backward(tape, g_logits=cl, g_penult=cp)
+                layer.backward(c, tape)
                 return tape
 
-            self._check(m.params(), run, analytic, h=1e-5)
+            self._check(layer.params(), run, analytic, h=1e-5)
+
+    def test_botania_classifier(self):
+        self._check_botania_path(lambda m: m, 3, 100)
+
+    def test_botania_embedding(self):
+        # params() include the head, which the embedding does not reach:
+        # its analytic and numeric gradients must both be zero
+        self._check_botania_path(lambda m: m.embedding, 4, 110)
 
     def test_botania_train_mode_same_dropout_masks(self):
         rng = Rng(77)
@@ -250,14 +259,14 @@ class TestGradientsAgainstFiniteDifferences:
         cl = rng.substream("cl").normal(size=(4, 3))
 
         def run():
-            logits, _ = m.forward(covers, train=True,
-                                  gen=Rng(77).substream("drop"))
+            logits = m.forward(covers, train=True,
+                               gen=Rng(77).substream("drop"))
             return float(np.sum(logits * cl))
 
         def analytic():
             m.forward(covers, train=True, gen=Rng(77).substream("drop"))
             tape = GradientTape()
-            m.backward(tape, g_logits=cl)
+            m.backward(cl, tape)
             return tape
 
         self._check(m.params(), run, analytic, h=1e-5)
@@ -299,15 +308,21 @@ class TestGradientsAgainstFiniteDifferences:
 
             self._check(enc.params(), run, analytic)
 
-    def test_attention_qk_gradients_are_zero(self):
+    def test_attention_has_no_qk_params(self):
+        # Q and K cannot move the output of a one-token attention, so
+        # the block keeps only V and O; the heads check stays
         rng = Rng(301)
         enc = AttentionEncoder(6, 4, rng.substream("init"), model_dim=8,
                                n_heads=4)
+        assert [p.name for p in enc.mha.params()] == [
+            "attn.mha.v.weight", "attn.mha.v.bias",
+            "attn.mha.o.weight", "attn.mha.o.bias"]
         enc.forward(rng.substream("x").normal(size=(2, 6)))
         tape = GradientTape()
         enc.backward(rng.substream("c").normal(size=(2, 4)), tape)
-        assert np.all(tape.get(enc.mha.q.weight) == 0)
-        assert np.all(tape.get(enc.mha.k.bias) == 0)
+        assert set(tape.grads) == {p.name for p in enc.params()}
+        with pytest.raises(ShapeMismatch):
+            SingleTokenAttention("m", 8, 3, rng.substream("init"))
 
     def test_botasp_model(self):
         rng = Rng(400)
@@ -389,7 +404,8 @@ class _RefSingleTokenAttention:
         return self.v.backward(self.o.backward(g, tape), tape)
 
     def params(self):
-        return self.q.params() + self.k.params() + self.v.params() + self.o.params()
+        # Q and K are drawn, so V and O start where they did, but not kept
+        return self.v.params() + self.o.params()
 
 
 class _RefLinearAdapter:
@@ -629,12 +645,13 @@ def _covers(seed, shape):
     return Rng(seed).substream("covers").uniform(0, 100, size=shape)
 
 
-def _layer_case(build, in_dim, out_dim):
-    """A one-input model: forward in train mode, backward of a random
-    output gradient; returns (model, outputs, input gradients)."""
+def _layer_case(build, in_dim, out_dim, draw=_normal):
+    """A one-input model: forward in train mode of draw(seed, "x", shape),
+    backward of a random output gradient; returns (model, outputs, input
+    gradients)."""
     def run(ns, seed):
         model = build(ns, Rng(seed).substream("init"))
-        out = model.forward(_normal(seed, "x", (6, in_dim)), True,
+        out = model.forward(draw(seed, "x", (6, in_dim)), True,
                             Rng(seed).substream("drop"))
         tape = GradientTape()
         g_in = model.backward(_normal(seed, "g", (6, out_dim)), tape)
@@ -642,20 +659,39 @@ def _layer_case(build, in_dim, out_dim):
     return run
 
 
-def _botania_case(with_head, with_penult):
-    def run(ns, seed):
+class _RefBotaniaPath:
+    """One output of a frozen _RefBotaniaMLP, the logits or the
+    penultimate embedding, behind the layer protocol."""
+
+    def __init__(self, model, logits):
+        self.model = model
+        self.logits = logits
+
+    def forward(self, x, train=False, gen=None):
+        logits, penult = self.model.forward(x, train, gen,
+                                            with_head=self.logits,
+                                            with_penult=not self.logits)
+        return logits if self.logits else penult
+
+    def backward(self, g, tape):
+        if self.logits:
+            return self.model.backward(tape, g_logits=g)
+        return self.model.backward(tape, g_penult=g)
+
+    def params(self):
+        return self.model.params()
+
+
+def _botania_case(logits):
+    """The classifier (logits) or its embedding over covers in [0, 100]."""
+    def build(ns, gen):
         model = ns.BotaniaMLP(in_dim=7, hidden=6, embed=5, n_classes=4,
-                              dropout_rate=0.4,
-                              gen=Rng(seed).substream("init"))
-        logits, penult = model.forward(
-            _covers(seed, (6, 7)), True, Rng(seed).substream("drop"),
-            with_head=with_head, with_penult=with_penult)
-        tape = GradientTape()
-        g_in = model.backward(
-            tape, g_logits=_normal(seed, "gl", (6, 4)) if with_head else None,
-            g_penult=_normal(seed, "gp", (6, 5)) if with_penult else None)
-        return model, tape, [o for o in (logits, penult) if o is not None], [g_in]
-    return run
+                              dropout_rate=0.4, gen=gen)
+        if ns is _REF:
+            return _RefBotaniaPath(model, logits)
+        return model if logits else model.embedding
+    return _layer_case(build, 7, 4 if logits else 5,
+                       draw=lambda seed, _, shape: _covers(seed, shape))
 
 
 def _botasp_case(with_gz):
@@ -701,9 +737,10 @@ _CASES = {
     "attention": _layer_case(
         lambda ns, gen: ns.AttentionEncoder(6, 4, gen, model_dim=8, n_heads=4,
                                             dropout_rate=0.5), 6, 4),
-    "botania": _botania_case(True, True),
-    "botania_head_only": _botania_case(True, False),
-    "botania_penult_only": _botania_case(False, True),
+    # the classifier and its embedding: the frozen model's head-only and
+    # penult-only outputs
+    "botania_head_only": _botania_case(logits=True),
+    "botania_penult_only": _botania_case(logits=False),
     "botasp": _botasp_case(True),
     "botasp_no_gz": _botasp_case(False),
     **{f"align_{v}": _alignment_case(v) for v in encoders.VARIANTS},
@@ -726,3 +763,86 @@ def test_layers_match_frozen_reference(case):
         for what, a, b in zip(("params() names", "initial values", "outputs",
                                "input gradients", "tape gradients"), new, ref):
             assert a == b, f"{case}, seed {seed}: {what} differ"
+
+
+# --- structure: every layer runs as an element of a Sequential ---------------
+
+def _leaf_layer_classes():
+    return [c for c in vars(encoders).values()
+            if isinstance(c, type) and issubclass(c, encoders.Layer)
+            and c is not encoders.Layer
+            and not issubclass(c, (encoders.Sequential, encoders.Residual))]
+
+
+def _model_runs(seed=0):
+    """One call per model running its forward and backward in train
+    mode."""
+    rng = Rng(seed)
+    gen = rng.substream("drop")
+    covers = _covers(seed, (4, 9))
+    img = _normal(seed, "img", (4, 6))
+    botania = BotaniaMLP(in_dim=9, hidden=5, embed=6, n_classes=3,
+                         gen=rng.substream("binit"))
+
+    def layer(model, x, out_dim):
+        def run():
+            model.forward(x, True, gen)
+            model.backward(_normal(seed, "g", (4, out_dim)), GradientTape())
+        return run
+
+    def alignment(variant):
+        model = AlignmentModel(variant, d_img=6, d_tab=9, rng=Rng(seed),
+                               proj_dim=6, botania=botania, mlp_img_hidden=5,
+                               mlp_tab_hidden=5, attn_model_dim=8,
+                               attn_heads=4)
+
+        def run():
+            model.encode_images(img, True, gen)
+            model.encode_tables(covers, True, gen)
+            tape = GradientTape()
+            model.backward_images(_normal(seed, "gi", (4, 6)), tape)
+            model.backward_tables(_normal(seed, "gt", (4, 6)), tape)
+        return run
+
+    botasp = BotaSPModel(in_dim=6, n_species=3, proj_dim=4, hidden=5,
+                         gen=rng.substream("spinit"))
+
+    def supervised():
+        botasp.forward(img, True, gen)
+        botasp.backward(GradientTape(), _normal(seed, "gl", (4, 3)),
+                        _normal(seed, "gz", (4, 4)))
+
+    return [layer(botania, covers, 3), layer(botania.embedding, covers, 6),
+            supervised, *(alignment(v) for v in encoders.VARIANTS)]
+
+
+def test_every_layer_runs_inside_a_sequential(monkeypatch):
+    """A hook in Sequential.forward/backward sees every layer that does
+    work: each parameter or computation layer (anything but a Sequential
+    or a Residual) runs only as an element of a Sequential, called from
+    its loop, in every model's forward and backward."""
+    seq_code = {encoders.Sequential.forward.__code__,
+                encoders.Sequential.backward.__code__}
+    ran, outside = set(), set()
+
+    def watch(cls, method):
+        original = getattr(cls, method)
+
+        def watched(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            ran.add(cls.__name__)
+            if not (caller.f_code in seq_code
+                    and caller.f_locals.get("layer") is self):
+                outside.add(f"{cls.__name__}.{method} (from "
+                            f"{caller.f_code.co_qualname})")
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, watched)
+
+    leaves = _leaf_layer_classes()
+    for cls in leaves:
+        watch(cls, "forward")
+        watch(cls, "backward")
+    for run in _model_runs():
+        run()
+    assert not outside, sorted(outside)
+    assert ran == {c.__name__ for c in leaves}

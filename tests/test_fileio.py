@@ -293,6 +293,11 @@ class TestConfig:
         assert cfg["seed"] == 9
         assert cfg["optimizer"]["lr"] == 0.5
 
+    def test_int_passes_for_float(self):
+        cfg = load_config(overrides={"lambda": 0, "cell_size_m": 100,
+                                     "optimizer": {"lr": 1}})
+        assert cfg["lambda"] == 0 and cfg["optimizer"]["lr"] == 1
+
     def test_config_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
 

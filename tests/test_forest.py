@@ -95,6 +95,16 @@ class TestClassifier:
         assert p[0] > 0.9 and p[1] < 0.1
 
 
+@pytest.mark.parametrize("n_trees", [0, -1])
+@pytest.mark.parametrize("fit, criterion", [(fit_classifier, "gini"),
+                                            (fit_regressor, "mse")],
+                         ids=["classifier", "regressor"])
+def test_forest_needs_a_tree(fit, criterion, n_trees):
+    x, y = _separable_1d(seed=2, n=20)
+    with pytest.raises(ValueError, match="at least one tree"):
+        fit(x, y, ForestConfig(n_trees=n_trees, criterion=criterion))
+
+
 class TestSplitQuality:
     def test_split_never_increases_gini(self):
         gen = Rng(9).substream("x")

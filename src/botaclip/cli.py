@@ -576,7 +576,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return int(args.func(args) or 0)
+        # a non-finite intermediate is reported by the explicit finite
+        # checks, as one JSON line, not by numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            return int(args.func(args) or 0)
     except UsageError as exc:
         return _emit_error(exc, 1)
     except (DataError, OSError, UnicodeDecodeError) as exc:

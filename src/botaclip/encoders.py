@@ -2,11 +2,16 @@
 passes.
 
 Every layer follows one protocol (see Layer): forward(x, train, gen),
-backward(g, tape) and params(). A model is a Sequential of layers, run
-forward in order and backward in reverse. Every layer caches what its
-backward pass needs; a backward that needs a cache raises
-MissingForwardCache when no forward filled it. Gradients accumulate into a GradientTape keyed by
-parameter name, which the optimizer consumes. All math is float64.
+backward(g, tape, input_grad) and params(). A model is a Sequential of
+layers, run forward in order and backward in reverse. Every layer caches
+what its backward pass needs; a backward that needs a cache raises
+MissingForwardCache when no forward filled it. Gradients accumulate into a
+GradientTape keyed by parameter name, which the optimizer consumes. A
+trainer, which never reads the gradient of a model's input, passes
+input_grad=False: the model's Sequentials then skip the parameter-free
+layers in front of their first parameterized layer, and that layer records
+its parameter gradients without computing its input gradient. All math is
+float64.
 """
 
 from __future__ import annotations
@@ -83,9 +88,12 @@ class Layer:
 
     forward(x, train=False, gen=None) maps a batch (samples as rows) and
     caches what backward needs; train and gen reach the dropout layers.
-    backward(g, tape) takes the gradient of the output, adds the parameter
-    gradients to tape and returns the gradient of the input. params() lists
-    the trainable arrays in a fixed order, the order of a checkpoint.
+    backward(g, tape, input_grad=True) takes the gradient of the output,
+    adds the parameter gradients to tape and returns the gradient of the
+    input. With input_grad false the caller does not read that gradient,
+    and Linear and Sequential return None instead of computing it.
+    params() lists the trainable arrays in a fixed order, the order of a
+    checkpoint.
     """
 
     def params(self):
@@ -116,12 +124,13 @@ class Linear(Layer):
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, g: np.ndarray, tape: GradientTape) -> np.ndarray:
+    def backward(self, g: np.ndarray, tape: GradientTape,
+                 input_grad: bool = True) -> np.ndarray | None:
         if self._x is None:
             raise MissingForwardCache(self.weight.name)
         tape.add(self.weight, g.T @ self._x)
         tape.add(self.bias, g.sum(axis=0))
-        return g @ self.weight.value
+        return g @ self.weight.value if input_grad else None
 
     def params(self):
         return [self.weight, self.bias]
@@ -136,7 +145,7 @@ class Gelu(Layer):
         self._cdf = normal_cdf(x)
         return x * self._cdf
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         if self._x is None:
             raise MissingForwardCache("gelu")
         x = self._x
@@ -151,7 +160,7 @@ class Relu(Layer):
         self._x = x
         return np.maximum(x, 0.0)
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         if self._x is None:
             raise MissingForwardCache("relu")
         return g * (self._x > 0)
@@ -175,7 +184,7 @@ class Dropout(Layer):
         self._mask = keep / (1.0 - self.rate)
         return x * self._mask
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         if self._mask is None:
             raise MissingForwardCache("dropout")
         return g * self._mask
@@ -199,7 +208,7 @@ class LayerNorm(Layer):
         self._cache = (xhat, inv)
         return xhat * self.gamma.value + self.beta.value
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         if self._cache is None:
             raise MissingForwardCache(self.gamma.name)
         xhat, inv = self._cache
@@ -225,7 +234,7 @@ class RowNormalize(Layer):
         self._cache = (y, norms)
         return y
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         if self._cache is None:
             raise MissingForwardCache("l2norm")
         y, norms = self._cache
@@ -234,20 +243,25 @@ class RowNormalize(Layer):
 
 class Sequential(Layer):
     """Layers run forward in order and backward in reverse; the parameters
-    are theirs, in order."""
+    are theirs, in order. Without input_grad, backward stops at the first
+    layer that has parameters and asks it for no input gradient either."""
 
     def __init__(self, *layers: Layer):
         self.layers = layers
+        self._first_param = next((i for i, layer in enumerate(layers)
+                                  if layer.params()), len(layers))
 
     def forward(self, x, train=False, gen=None):
         for layer in self.layers:
             x = layer.forward(x, train, gen)
         return x
 
-    def backward(self, g, tape):
-        for layer in reversed(self.layers):
-            g = layer.backward(g, tape)
-        return g
+    def backward(self, g, tape, input_grad=True):
+        stop = 0 if input_grad else self._first_param
+        for i in range(len(self.layers) - 1, stop - 1, -1):
+            layer = self.layers[i]
+            g = layer.backward(g, tape, input_grad or i > stop)
+        return g if input_grad else None
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -262,7 +276,7 @@ class Residual(Layer):
     def forward(self, x, train=False, gen=None):
         return x + self.inner.forward(x, train, gen)
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         return g + self.inner.backward(g, tape)
 
     def params(self):
@@ -325,7 +339,7 @@ class CoverRange(Layer):
             raise DataError("cover values must lie in [0, 100]")
         return x
 
-    def backward(self, g, tape):
+    def backward(self, g, tape, input_grad=True):
         return g
 
 
@@ -426,11 +440,12 @@ class BotaSPModel:
         feat = self.features.forward(z, train, gen)
         return self.head.forward(feat, train, gen), z, feat
 
-    def backward(self, tape: GradientTape, g_logits, g_z=None):
+    def backward(self, tape: GradientTape, g_logits, g_z=None,
+                 input_grad: bool = True):
         g = self.features.backward(self.head.backward(g_logits, tape), tape)
         if g_z is not None:
             g = g + g_z
-        return self.project.backward(g, tape)
+        return self.project.backward(g, tape, input_grad)
 
     def params(self):
         return (self.project.params() + self.features.params()
@@ -489,14 +504,14 @@ class AlignmentModel:
     def encode_images(self, x, train=False, gen=None):
         return self.img_branch.forward(x, train, gen)
 
-    def backward_images(self, g, tape):
-        return self.img_branch.backward(g, tape)
+    def backward_images(self, g, tape, input_grad=True):
+        return self.img_branch.backward(g, tape, input_grad)
 
     def encode_tables(self, covers, train=False, gen=None):
         return self.tab_branch.forward(covers, train, gen)
 
-    def backward_tables(self, g, tape):
-        return self.tab_branch.backward(g, tape)
+    def backward_tables(self, g, tape, input_grad=True):
+        return self.tab_branch.backward(g, tape, input_grad)
 
     def params(self):
         return (self.img_branch.params() + self.tab_branch.params()

@@ -54,7 +54,7 @@ def save_embeddings(path, values: np.ndarray, ids: list[str] | None = None) -> N
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, values.shape[0],
                              values.shape[1]))
-        fh.write(payload.tobytes())
+        fh.write(payload)
         if ids is None:
             fh.write(struct.pack("<I", 0))
         else:
@@ -107,10 +107,12 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
             fh.write(struct.pack("<I", value.ndim))
             for dim in value.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(value, dtype="<f8"))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Named float64 arrays, read-only views over the bytes read; a model
+    built from them copies each into its own parameter."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CKPT_MAGIC:
@@ -127,7 +129,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             n = math.prod(shape)
             raw = _read_exact(fh, n * 8, f"payload of {name}")
             try:
-                out[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+                out[name] = np.frombuffer(raw, "<f8").reshape(shape)
             except ValueError as exc:  # a shape numpy cannot hold
                 raise DataError(f"{path}: {name}: {exc}") from None
     return out

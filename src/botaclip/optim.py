@@ -87,8 +87,8 @@ class EarlyStopper:
     """Stop after `patience` consecutive epochs without strict improvement.
 
     Improvement means the validation loss drops by more than 1e-12 below the
-    best seen so far. Callers snapshot parameters whenever update() reports
-    a new best and restore that snapshot when training ends.
+    best seen so far. Callers keep the parameters of the epoch that
+    `improved` last reported and restore them when training ends.
     """
 
     def __init__(self, patience: int):

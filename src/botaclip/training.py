@@ -91,10 +91,6 @@ def _batches(rows: np.ndarray, batch_size: int):
         yield rows[start:start + batch_size]
 
 
-def _snapshot(params):
-    return {p.name: p.value.copy() for p in params}
-
-
 def _scalars(model: AlignmentModel) -> ScalarsTauB:
     return ScalarsTauB(float(model.tau.value), float(model.bias.value))
 
@@ -114,11 +110,22 @@ def _fit(model, opt, rng: Rng, cfg: TrainConfig, train_rows: np.ndarray,
     (f"dropout/{epoch}", bi) substream, and applies the gradients that
     step recorded on tape. validate() returns the epoch's (val_loss, term,
     reg, tau, b) for the log; early stopping watches val_loss, and the
-    parameters of the best epoch are restored at the end."""
+    parameters of the best epoch, or the initial ones if no epoch improved,
+    are restored at the end.
+
+    The best values are copied into buffers allocated once, and only when
+    they are about to change: at the start of the epoch after an improving
+    one (or of the first epoch). An improving last epoch copies and
+    restores nothing."""
     stopper = EarlyStopper(cfg.patience)
     log = TrainLog()
-    best = _snapshot(model.params())
+    params = model.params()
+    best = [np.empty_like(p.value) for p in params]
+    current_is_best = True
     for epoch in range(1, cfg.max_epochs + 1):
+        if current_is_best:
+            for p, saved in zip(params, best):
+                np.copyto(saved, p.value)
         order = train_rows.copy()
         if cfg.shuffle:
             order = order[rng.substream("shuffle", epoch).permutation(order.size)]
@@ -131,13 +138,13 @@ def _fit(model, opt, rng: Rng, cfg: TrainConfig, train_rows: np.ndarray,
         val_loss, *terms = validate()
         log.append(epoch, float(np.mean(losses)), val_loss, *terms)
         stop = stopper.update(epoch, val_loss)
-        if stopper.improved:
-            best = _snapshot(model.params())
+        current_is_best = stopper.improved
         if stop:
             break
     log.best_epoch = stopper.best_epoch
-    for p in model.params():
-        p.value = best[p.name]
+    if not current_is_best:
+        for p, saved in zip(params, best):
+            p.value = saved
     return model, log
 
 
@@ -168,7 +175,7 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
     def step(batch, gen, tape):
         logits = model.forward(covers[batch], train=True, gen=gen)
         loss, dlogits = cross_entropy_batch(logits, labels[batch], grad=True)
-        model.backward(dlogits, tape)
+        model.backward(dlogits, tape, input_grad=False)
         return loss
 
     def validate():
@@ -245,8 +252,8 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
             z_img, z_tab, _scalars(model), grad=True)
         reg, d_reg = similarity_regularizer(x, z_img, grad=lam > 0)
         g_img = d_zi + lam * d_reg if lam > 0 else d_zi
-        model.backward_images(g_img, tape)
-        model.backward_tables(d_zt, tape)
+        model.backward_images(g_img, tape, input_grad=False)
+        model.backward_tables(d_zt, tape, input_grad=False)
         tape.add(model.tau, np.float64(d_tau))
         tape.add(model.bias, np.float64(d_b))
         held[:] = d_zi, d_zt, d_reg
@@ -290,7 +297,7 @@ def train_botasp(embeddings: np.ndarray, presence: np.ndarray,
         logits, z, _ = model.forward(embeddings[batch], train=True, gen=gen)
         loss, (dlogits, dz) = botasp_loss(
             logits, targets[batch], embeddings[batch], z, cfg.lam, grad=True)
-        model.backward(tape, g_logits=dlogits, g_z=dz)
+        model.backward(tape, g_logits=dlogits, g_z=dz, input_grad=False)
         return loss
 
     def terms(batch):
@@ -321,8 +328,9 @@ def model_state(model) -> dict[str, np.ndarray]:
 
 
 def _load_params(model, state: dict[str, np.ndarray]):
+    """Copies each array of state into the parameter of its name."""
     for p in model.params():
-        p.value = np.asarray(state[p.name], dtype=np.float64).copy()
+        p.value = np.array(state[p.name], dtype=np.float64, order="C")
     return model
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -664,6 +665,26 @@ class TestErrorPaths:
         assert main(args) == 1
         doc = _one_error_line(capsys)
         assert doc["error"] == "ValueError" and doc["exit"] == 1
+
+    def test_numeric_failure_writes_one_json_line(self, synth_dir, tmp_path,
+                                                  capsys):
+        cfg = {"data": {"embeddings": str(synth_dir / "images.emb"),
+                        "covers": str(synth_dir / "covers.csv"),
+                        "locations": str(synth_dir / "locations.csv")},
+               "model": {"botania_hidden": 24, "botania_classes": 8}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        # the overflows on the way to the non-finite matrix warn nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train-botaclip", "--config", str(cfg_path),
+                       "--set", "optimizer.lr=1e100",
+                       "--set", "train.max_epochs=3",
+                       "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        assert _one_error_line(capsys)["exit"] == 3
 
     @pytest.mark.parametrize("setting", [
         "train.batch_size=abc", "lambda=abc", 'fold="1"',

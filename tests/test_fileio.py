@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from botaclip.errors import BadMagic, DataError, TruncatedFile, UsageError, ZeroRow
 from botaclip.fileio import (
@@ -314,3 +315,54 @@ def test_manifest_contains_hashes(tmp_path):
     assert str(src) in doc["inputs"]
     assert len(doc["inputs"][str(src)]) == 64
     assert "config_sha256" in doc
+
+
+# --- binary round trips, bit for bit ------------------------------------------
+
+_NAME = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+# float64 bit patterns: any, plus ±0.0, the smallest and largest
+# subnormals, infinities and NaNs with a payload and the sign bit set
+_F64_BITS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([
+    0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 1, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x7FF8000000000001, 0xFFF4000000000abc]))
+
+
+@st.composite
+def _checkpoint_params(draw):
+    names = draw(st.lists(_NAME, max_size=4, unique=True))
+    return {name: draw(hnp.arrays(np.uint64, hnp.array_shapes(
+        min_dims=0, max_dims=3, min_side=0, max_side=3),
+        elements=_F64_BITS)).view(np.float64) for name in names}
+
+
+class TestBinaryRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_checkpoint_params())
+    def test_checkpoint(self, tmp_path_factory, params):
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(params)
+        for name, value in params.items():
+            assert loaded[name].shape == value.shape
+            assert np.array_equal(loaded[name].view(np.uint64),
+                                  value.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_embeddings_raw(self, tmp_path_factory, data):
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        # finite float32 bit patterns (exponent not all ones): subnormals
+        # and ±0.0 included
+        bits = data.draw(hnp.arrays(np.uint32, (rows, cols), elements=(
+            st.integers(0, 2**32 - 1).filter(lambda b: (b >> 23) & 0xFF != 0xFF))))
+        ids = data.draw(st.none() | st.lists(
+            st.text(st.sampled_from(',"\n\'') | st.characters(
+                blacklist_categories=("Cs",)), max_size=6),
+            min_size=rows, max_size=rows, unique=True))
+        path = tmp_path_factory.mktemp("emb") / "e.emb"
+        save_embeddings(path, bits.view(np.float32), ids)
+        values, loaded_ids = load_embeddings(path, normalize=False)
+        assert loaded_ids == ids
+        assert values.dtype == np.float64
+        assert np.array_equal(values.astype(np.float32).view(np.uint32), bits)

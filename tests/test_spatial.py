@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from botaclip.errors import LeakageDetected, TooFewCells
+from botaclip.errors import EmptySplit, LeakageDetected, TooFewCells
 from botaclip.numerics import Rng
 from botaclip.spatial import (
     FoldAssignment,
@@ -186,3 +186,24 @@ class TestStratifiedKFold:
         a = stratified_kfold(strata, 4, Rng(10).substream("kf"))
         b = stratified_kfold(strata, 4, Rng(10).substream("kf"))
         np.testing.assert_array_equal(a, b)
+
+
+class TestBufferedSplitSeparation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60).flatmap(lambda n: hnp.arrays(
+               np.float64, (n, 2), elements=st.floats(-1e5, 1e5))),
+           st.floats(100.0, 5e4), st.integers(2, 5), st.integers(0, 4),
+           st.integers(0, 2**16))
+    def test_no_train_sample_in_or_next_to_a_validation_cell(
+            self, pts, cell_size, k, fold, seed):
+        try:
+            fa = FoldAssignment.build(pts, k, Rng(seed).substream("folds"),
+                                      cell_size=cell_size)
+            train, val, _ = buffered_split(fa, fold % k)
+        except (TooFewCells, EmptySplit):
+            return
+        # cells recomputed from the coordinates, not read from the split
+        cells = np.floor(pts / cell_size).astype(np.int64)
+        for t in cells[train]:
+            assert np.abs(cells[val] - t).max(axis=1).min() >= 2
+        check_no_leakage(fa, train, val)

@@ -1,10 +1,14 @@
 import hashlib
 import math
+import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from botaclip.encoders import AlignmentModel, BotaniaMLP, GradientTape
+from botaclip.encoders import (AlignmentModel, BotaniaMLP, GradientTape,
+                               Linear, Param, Sequential)
 from botaclip.errors import DataError, EmptySplit
 from botaclip.losses import (ScalarsTauB, sigmoid_contrastive_loss,
                              similarity_regularizer)
@@ -15,6 +19,7 @@ from botaclip.synth import generate_synthetic
 from botaclip.training import (
     TrainConfig,
     TrainLog,
+    _fit,
     alignment_model_from_state,
     botania_accuracy,
     botania_from_state,
@@ -360,3 +365,160 @@ def test_train_log_csv_rejects_malformed(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataError, match=message):
         TrainLog.from_csv(path)
+
+
+# --- the shared loop: best-epoch restore, memory, input gradients ------------
+
+def _scripted_fit(val_losses, max_epochs, patience):
+    """_fit over a one-Linear model whose validate() returns val_losses in
+    turn and keeps an eager copy of the parameters after each epoch.
+    Returns (initial values, per-epoch copies, log, params after _fit, the
+    parameter arrays _fit started with)."""
+    gen = Rng(3).substream("fit")
+    model = Sequential(Linear("l", 3, 2, gen))
+    x, y = gen.normal(size=(8, 3)), gen.normal(size=(8, 2))
+    params = model.params()
+    initial = [p.value.copy() for p in params]
+    arrays = [p.value for p in params]
+    copies = []
+
+    def step(batch, gen, tape):
+        g = model.forward(x[batch]) - y[batch]
+        model.backward(g, tape)
+        return float(np.mean(g * g))
+
+    def validate():
+        copies.append([p.value.copy() for p in params])
+        loss = val_losses[len(copies) - 1]
+        return loss, loss, 0.0, math.nan, math.nan
+
+    cfg = TrainConfig(batch_size=4, max_epochs=max_epochs, patience=patience,
+                      seed=3)
+    _, log = _fit(model, AdamW(params, lr=0.1), Rng(3), cfg, np.arange(8),
+                  step, validate)
+    return initial, copies, log, params, arrays
+
+
+def _same_bits(params, values):
+    return [p.value.tobytes() for p in params] == [v.tobytes() for v in values]
+
+
+class TestFitRestore:
+    def test_best_epoch_is_the_last(self):
+        _, copies, log, params, arrays = _scripted_fit(
+            [5.0, 4.0, 3.0, 2.0, 1.0], max_epochs=5, patience=2)
+        assert log.best_epoch == 5
+        assert _same_bits(params, copies[4])
+        # nothing was restored: the parameters are the arrays trained
+        assert all(p.value is a for p, a in zip(params, arrays))
+
+    def test_earlier_best_epoch_then_patience_stop(self):
+        _, copies, log, params, _ = _scripted_fit(
+            [5.0, 3.0, 4.0, 3.5, 3.0, 9.0], max_epochs=20, patience=3)
+        assert log.epochs == [1, 2, 3, 4, 5] and log.best_epoch == 2
+        assert _same_bits(params, copies[1])
+        assert not _same_bits(params, copies[4])
+
+    def test_no_epoch_improves_restores_initial_values(self):
+        initial, copies, log, params, _ = _scripted_fit(
+            [math.nan] * 4, max_epochs=4, patience=2)
+        assert log.epochs == [1, 2] and log.best_epoch == -1
+        assert _same_bits(params, initial)
+        assert not _same_bits(params, copies[-1])
+
+
+def _traced_peak_of_fit(epochs, shape=(256, 256)):
+    """tracemalloc's peak over a _fit of `epochs` improving epochs of two
+    parameters of `shape`; the stand-in optimizer halves them in place, so
+    the snapshot buffers are the only parameter-sized allocations."""
+    params = [Param(f"p{i}", np.ones(shape)) for i in range(2)]
+
+    class Halve:
+        def step(self, tape):
+            for p in params:
+                p.value *= 0.5
+
+    model = SimpleNamespace(params=lambda: params)
+    losses = iter(range(epochs, 0, -1))
+
+    def validate():
+        loss = float(next(losses))
+        return loss, loss, 0.0, math.nan, math.nan
+
+    cfg = TrainConfig(batch_size=4, max_epochs=epochs, patience=1)
+    tracemalloc.start()
+    try:
+        _fit(model, Halve(), Rng(0), cfg, np.arange(8),
+             lambda batch, gen, tape: 0.0, validate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(p.value.nbytes for p in params)
+
+
+def test_fit_snapshot_memory_does_not_grow_with_epochs():
+    peak_one, nbytes = _traced_peak_of_fit(1)
+    peak_six, _ = _traced_peak_of_fit(6)
+    # one set of snapshot buffers, reused: not one set per improving epoch,
+    # nor a new set allocated while the previous one is alive
+    assert nbytes <= peak_one < 1.5 * nbytes
+    assert peak_six <= peak_one + 64 * 1024
+
+
+def _count_input_gradients(monkeypatch):
+    """Counts, per Linear weight name, backward calls that computed an
+    input gradient."""
+    computed = Counter()
+    original = Linear.backward
+
+    def counting(self, g, tape, input_grad=True):
+        out = original(self, g, tape, input_grad)
+        computed[self.weight.name] += out is not None
+        return out
+    monkeypatch.setattr(Linear, "backward", counting)
+    return computed
+
+
+def test_trainers_compute_no_input_gradient(monkeypatch):
+    computed = _count_input_gradients(monkeypatch)
+    covers, labels = _toy_separable_covers()
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=1)
+    train_botania(covers, labels, np.arange(180), np.arange(180, 240), cfg,
+                  hidden=8, embed=6, n_classes=2)
+    _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=2)
+    train_botaclip(ds, fa, cfg, fold=1, model_options={"botania_hidden": 24})
+    for variant in ("mlp", "attention"):
+        train_botaclip(ds, fa, cfg, fold=1, variant=variant, proj_dim=8,
+                       model_options={"mlp_img_hidden": 12,
+                                      "mlp_tab_hidden": 12,
+                                      "attn_model_dim": 8})
+    gen = Rng(9).substream("sp")
+    emb = l2_normalize_rows(gen.normal(size=(60, 8)))
+    presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
+    train_botasp(emb, presence, np.arange(40), np.arange(40, 60), cfg,
+                 proj_dim=8, hidden=14)
+    first = ["botania.lin1.weight", "img_adapter.weight",
+             "img_encoder.lin1.weight", "tab_encoder.lin1.weight",
+             "tab_encoder.reduce.weight", "botasp.proj.weight"]
+    assert {name: computed[name] for name in first} == dict.fromkeys(first, 0)
+    # the layers behind them still pass their input gradient on
+    assert computed["botania.lin2.weight"] > 0
+    assert computed["tab_adapter.weight"] > 0
+    assert computed["botasp.hidden.weight"] > 0
+
+
+def test_direct_backward_still_returns_the_input_gradient(monkeypatch):
+    computed = _count_input_gradients(monkeypatch)
+    gen = Rng(5).substream("direct")
+    covers = gen.uniform(0, 100, size=(4, 6))
+    model = BotaniaMLP(6, 5, 4, 3, gen=gen)
+    model.forward(covers, True, gen)
+    g = gen.normal(size=(4, 3))
+    full, lean = GradientTape(), GradientTape()
+    g_in = model.backward(g, full)
+    assert g_in.shape == covers.shape
+    assert computed["botania.lin1.weight"] == 1
+    assert model.backward(g, lean, input_grad=False) is None
+    assert computed["botania.lin1.weight"] == 1
+    assert {k: v.tobytes() for k, v in full.grads.items()} == \
+        {k: v.tobytes() for k, v in lean.grads.items()}

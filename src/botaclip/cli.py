@@ -149,9 +149,15 @@ def _assignment_from_split_file(path) -> tuple[FoldAssignment, list[str]]:
 
 
 def _train_cfg(cfg, section) -> TrainConfig:
-    """The section's training settings; `regularized` false turns the drift
+    """The section's training settings, each count checked to be at least 1
+    before anything is read or written; `regularized` false turns the drift
     penalty off, as lambda 0 does."""
     block = cfg[section]
+    for key, value in (("train.batch_size", cfg["train"]["batch_size"]),
+                       (f"{section}.max_epochs", block["max_epochs"]),
+                       (f"{section}.patience", block["patience"])):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     return TrainConfig(batch_size=cfg["train"]["batch_size"],
                        max_epochs=block["max_epochs"],
                        patience=block["patience"],
@@ -238,6 +244,7 @@ def cmd_split(args) -> int:
 
 def cmd_train_botania(args) -> int:
     cfg = _load_cfg(args)
+    tcfg = _train_cfg(cfg, "botania_train")
     out = _outdir(args)
     covers, plot_ids, _ = fileio.read_matrix_csv(cfg["data"]["covers"])
     label_ids, labels = fileio.read_labels(cfg["data"]["labels"])
@@ -246,7 +253,6 @@ def cmd_train_botania(args) -> int:
     _, pts = fileio.read_locations(cfg["data"]["locations"])
     fa = _assignment_from_cfg(pts, cfg)
     train_idx, val_idx, _ = buffered_split(fa, cfg["fold"])
-    tcfg = _train_cfg(cfg, "botania_train")
     model, log = training.train_botania(
         covers, labels, train_idx, val_idx, tcfg,
         hidden=cfg["model"]["botania_hidden"],
@@ -268,6 +274,7 @@ def cmd_train_botania(args) -> int:
 
 def cmd_train_botaclip(args) -> int:
     cfg = _load_cfg(args)
+    tcfg = _train_cfg(cfg, "train")
     out = _outdir(args)
     emb, emb_ids = fileio.load_embeddings(cfg["data"]["embeddings"],
                                           normalize=cfg["normalize_on_load"])
@@ -297,7 +304,6 @@ def cmd_train_botaclip(args) -> int:
         proj = cfg["model"]["projection_dim"]
     else:
         proj = emb.shape[1]
-    tcfg = _train_cfg(cfg, "train")
     model, log = training.train_botaclip(
         pairs, fa, tcfg, variant=cfg["variant"], fold=cfg["fold"],
         botania=botania, proj_dim=proj, model_options=model_options,
@@ -323,6 +329,7 @@ def cmd_train_botaclip(args) -> int:
 
 def cmd_train_botasp(args) -> int:
     cfg = _load_cfg(args)
+    tcfg = _train_cfg(cfg, "botasp_train")
     out = _outdir(args)
     emb, emb_ids = fileio.load_embeddings(cfg["data"]["embeddings"],
                                           normalize=cfg["normalize_on_load"])
@@ -336,7 +343,6 @@ def cmd_train_botasp(args) -> int:
     _, pts = fileio.read_locations(cfg["data"]["locations"])
     fa = _assignment_from_cfg(pts, cfg)
     train_idx, val_idx, _ = buffered_split(fa, cfg["fold"])
-    tcfg = _train_cfg(cfg, "botasp_train")
     model, log = training.train_botasp(
         X, binary[:, kept], train_idx, val_idx, tcfg,
         proj_dim=X.shape[1], hidden=cfg["model"]["botasp_hidden"],
@@ -372,6 +378,11 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     met = cfg["metrics"]
+    if met["seeds"] < 1:
+        raise ValueError(f"metrics.seeds must be >= 1, got {met['seeds']}")
+    if not 0.0 <= met["threshold"] <= 1.0:
+        raise ValueError("metrics.threshold must be in [0, 1], got "
+                         f"{met['threshold']}")
     seeds = tuple(range(met["seeds"]))
     if args.task == "plant" and not (args.covers and args.split):
         raise UsageError("plant task needs --covers and --split")

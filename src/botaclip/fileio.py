@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .errors import BadMagic, DataError, TruncatedFile, UsageError
-from .numerics import as_matrix, l2_normalize_rows
+from .errors import BadMagic, DataError, NumericError, TruncatedFile, UsageError
+from .numerics import ZERO_ROW_EPS, as_matrix, l2_normalize_rows, row_norms
 
 EMB_MAGIC = b"EMB1"
 CKPT_MAGIC = b"CKPT"
@@ -67,8 +67,9 @@ def save_embeddings(path, values: np.ndarray, ids: list[str] | None = None) -> N
 
 def load_embeddings(path, normalize: bool = True):
     """Returns (float64 matrix, ids or None). normalize projects rows onto
-    the unit sphere, the ingestion default for embedding files. A NaN or
-    inf raises NonFinite either way."""
+    the unit sphere, the ingestion default for embedding files. A row with a
+    NaN or inf, or with zero norm where rows are normalized, raises
+    DataError naming the file and the row."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != EMB_MAGIC:
             raise BadMagic(f"{path} is not an embedding file")
@@ -90,9 +91,24 @@ def load_embeddings(path, normalize: bool = True):
             if len(set(ids)) != len(ids):
                 raise DataError("row ids must be unique")
     wide = values.astype(np.float64)
-    wide = l2_normalize_rows(wide) if normalize else as_matrix(wide)
+    try:
+        wide = l2_normalize_rows(wide) if normalize else as_matrix(wide)
+    except NumericError:
+        raise _bad_row(path, wide, ids) from None
     wide.flags.writeable = False
     return wide, ids
+
+
+def _bad_row(path, m: np.ndarray, ids) -> DataError:
+    """DataError naming the first row of m with a NaN or inf or, if there
+    is none, the first row of zero norm."""
+    finite = np.isfinite(m).all(axis=1)
+    if finite.all():
+        k, problem = int(np.argmax(row_norms(m) <= ZERO_ROW_EPS)), "zero norm"
+    else:
+        k, problem = int(np.argmin(finite)), "NaN or inf"
+    row = f"row {k}" if ids is None else f"row {k} (id {ids[k]!r})"
+    return DataError(f"{path}, {row}: {problem}")
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:

@@ -619,24 +619,29 @@ class TestErrorPaths:
         assert doc["error"] == "DataError" and doc["exit"] == 2
         assert "plot c" in doc["message"]
 
-    def test_numeric_error_exit_3(self, tmp_path, capsys):
+    def test_bad_embedding_value_exit_2(self, tmp_path, capsys):
+        # a bad value in an .emb input is a data error, as in a CSV
         emb = tmp_path / "z.emb"
         fileio.save_embeddings(emb, np.zeros((2, 3)))
         labels = tmp_path / "labels.csv"
         labels.write_text("plot_id,class_id\na,0\nb,1\n")
         rc = main(["cluster-metrics", "--embeddings", str(emb),
                    "--labels", str(labels)])
-        assert rc == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "ZeroRow"
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert "z.emb, row 0: zero norm" in doc["message"]
         # raw input skips normalization but must still reject NaN
         values = np.ones((4, 8))
         values[2, 5] = np.nan
-        fileio.save_embeddings(emb, values)
+        fileio.save_embeddings(emb, values, ids=["a#0", "b#0", "c#0", "d#0"])
         labels.write_text("plot_id,class_id\na,0\nb,0\nc,1\nd,1\n")
         rc = main(["cluster-metrics", "--embeddings", str(emb),
                    "--labels", str(labels), "--raw-input"])
-        assert rc == 3
-        assert _one_error_line(capsys)["error"] == "NonFinite"
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError"
+        assert "z.emb, row 2 (id 'c#0'): NaN or inf" in doc["message"]
 
     @pytest.mark.parametrize("args", [
         ["split", "--folds", "1"],
@@ -645,13 +650,38 @@ class TestErrorPaths:
         ["train-botaclip", "--set", "variant=foo"],
         ["train-botaclip", "--set", "train.patience=0"],
         ["train-botaclip", "--set", "lambda=-1"],
+        ["train-botaclip", "--set", "train.max_epochs=0"],
+        ["train-botaclip", "--set", "train.batch_size=0"],
+        ["train-botaclip", "--set", "train.batch_size=-5"],
+        ["train-botania", "--set", "botania_train.max_epochs=0"],
+        ["train-botasp", "--set", "botasp_train.max_epochs=-1"],
+        ["eval", "--set", "metrics.seeds=0"],
+        ["eval", "--set", "metrics.threshold=2.5"],
+        ["eval", "--set", "metrics.threshold=-0.1"],
     ], ids=["folds_1", "fold_9", "cell_size_0", "variant_foo", "patience_0",
-            "lambda_negative"])
+            "lambda_negative", "max_epochs_0", "batch_size_0",
+            "batch_size_negative", "botania_max_epochs_0",
+            "botasp_max_epochs_negative", "seeds_0", "threshold_above_1",
+            "threshold_below_0"])
     def test_out_of_range_value_exit_1(self, synth_dir, tmp_path, capsys,
                                        args):
+        key = args[-1].split("=")[0]
         if args[0] == "split":
             args = args + ["--locations", str(synth_dir / "locations.csv"),
                            "--out", str(tmp_path / "split.csv")]
+        elif args[0] == "eval":
+            # inputs a plant evaluation would run on, so that only the
+            # setting can fail
+            split = tmp_path / "split.csv"
+            assert main(["split", "--locations",
+                         str(synth_dir / "locations.csv"),
+                         "--out", str(split)]) == 0
+            args = args + ["--task", "plant",
+                           "--embeddings", str(synth_dir / "images.emb"),
+                           "--covers", str(synth_dir / "eval_species.csv"),
+                           "--split", str(split),
+                           "--set", "metrics.n_trees=2",
+                           "--out", str(tmp_path / "report.csv")]
         else:
             cfg = {"data": {"embeddings": str(synth_dir / "images.emb"),
                             "covers": str(synth_dir / "covers.csv"),
@@ -665,6 +695,10 @@ class TestErrorPaths:
         assert main(args) == 1
         doc = _one_error_line(capsys)
         assert doc["error"] == "ValueError" and doc["exit"] == 1
+        if "." in key:
+            assert key in doc["message"]
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+        assert not (tmp_path / "report.csv").exists()
 
     def test_numeric_failure_writes_one_json_line(self, synth_dir, tmp_path,
                                                   capsys):
@@ -788,8 +822,9 @@ def _damaged(data: bytes, damage) -> bytes:
 class TestDamagedBinaries:
     """embed on a truncated or byte-flipped checkpoint or embedding file
     exits 0, or exits 2 with one JSON line; it never raises. A flip inside a
-    float can also make a NaN or inf, or a zero input row, which exit 3 as
-    documented for non-finite values."""
+    checkpoint's float can also make a NaN or inf output, which exits 3 as
+    documented for non-finite values; in an embedding file a NaN, inf or
+    zero row is bad input and exits 2."""
 
     @settings(max_examples=300, deadline=None)
     @given(which=st.sampled_from(["model.ckpt", "images.emb"]),
@@ -813,4 +848,7 @@ class TestDamagedBinaries:
             assert len(lines) == 1, lines
             doc = json.loads(lines[0])
             assert doc["exit"] == rc
-            assert rc == 2 or doc["error"] in ("NonFinite", "ZeroRow"), doc
+            if which == "images.emb":
+                assert rc == 2, doc
+            else:
+                assert rc == 2 or doc["error"] in ("NonFinite", "ZeroRow"), doc

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from botaclip.errors import BadMagic, DataError, TruncatedFile, UsageError, ZeroRow
+from botaclip.errors import BadMagic, DataError, TruncatedFile, UsageError
 from botaclip.fileio import (
     config_hash,
     load_checkpoint,
@@ -60,11 +60,20 @@ class TestEmbeddingFile:
         with pytest.raises(ValueError):
             loaded[0, 0] = 5.0
 
-    def test_zero_row_on_normalize(self, tmp_path):
+    def test_bad_row_is_a_data_error(self, tmp_path):
         path = tmp_path / "x.emb"
         save_embeddings(path, np.zeros((1, 4)))
-        with pytest.raises(ZeroRow):
+        with pytest.raises(DataError, match=r"x\.emb, row 0: zero norm"):
             load_embeddings(path, normalize=True)
+        load_embeddings(path, normalize=False)
+        values = np.ones((3, 2))
+        values[1, 0] = np.inf
+        values[2] = 0.0
+        save_embeddings(path, values, ids=["a", "b", "c"])
+        for normalize in (True, False):
+            with pytest.raises(DataError,
+                               match=r"x\.emb, row 1 \(id 'b'\): NaN or inf"):
+                load_embeddings(path, normalize=normalize)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.emb"

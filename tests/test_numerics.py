@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pairref
@@ -8,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import botaclip
+from botaclip import numerics
+from botaclip.cli import main
 from botaclip.encoders import Gelu
 from botaclip.errors import NonFinite, ZeroRow
-from botaclip.numerics import Rng, l2_normalize_rows, log_sigmoid, sigmoid
+from botaclip.numerics import (Rng, erf, l2_normalize_rows, log_sigmoid,
+                               normal_cdf, sigmoid)
 
 
 class TestL2NormalizeRows:
@@ -108,6 +117,123 @@ class TestActivationBits:
         want = pairref.sigmoid(x)
         assert sigmoid(x, out=x) is x
         assert x.tobytes() == want.tobytes()
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _erf_edges():
+    """Both sides of each branch point (|v| = 1 and 6) and the special
+    values, with both signs."""
+    pts = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, math.inf, 1.0, 6.0]
+    for p in (1.0, 6.0):
+        lo, hi = p, p
+        for _ in range(3):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            pts += [lo, hi]
+    pts = np.array(pts)
+    return np.concatenate([pts, -pts, [math.nan, -math.nan]])
+
+
+class TestErf:
+    """erf and normal_cdf against scipy.special.erf, the Cephes code the
+    numpy version reproduces, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _scipy_erf(self):
+        self.ref = pytest.importorskip("scipy.special").erf
+
+    def assert_same_bits(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        got, want = erf(v), self.ref(v)
+        assert got.shape == v.shape
+        bad = np.flatnonzero(_bits(got) != _bits(want))
+        assert bad.size == 0, (v.ravel()[bad[:5]], got.ravel()[bad[:5]],
+                               want.ravel()[bad[:5]])
+        cdf = normal_cdf(v)
+        assert cdf.tobytes() == (0.5 * (1.0 + self.ref(v / np.sqrt(2.0)))
+                                 ).tobytes()
+
+    def test_edges(self):
+        v = _erf_edges()
+        self.assert_same_bits(v)
+        assert _bits(erf(np.array([-0.0]))) == _bits(-0.0)
+        assert list(erf(np.array([-math.inf, math.inf]))) == [-1.0, 1.0]
+
+    def test_nan_is_the_quiet_nan_whatever_its_payload(self):
+        v = np.array([0x7FF8000000000123, 0xFFF0000000000001,
+                      0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        with np.errstate(invalid="ignore"):   # two signalling NaNs
+            assert np.all(_bits(erf(v)) == _bits(np.nan))
+            self.assert_same_bits(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=30),
+                      elements=st.one_of(
+                          st.floats(allow_nan=True, allow_infinity=True,
+                                    allow_subnormal=True),
+                          st.floats(-9.0, 9.0))))
+    def test_any_float(self, v):
+        self.assert_same_bits(v)
+
+    def test_dense_sweep_of_the_exp_branch(self, monkeypatch):
+        # 1 < |v| < 6 evaluates exp(-v^2); numpy's exp and libm's round a few
+        # percent of these arguments differently. The sweep is dense enough
+        # that taking numpy's exp everywhere changes some results, and the
+        # libm recomputation puts every one of them right.
+        v = np.linspace(1.0, 6.0, 400_001)[1:-1]
+        v = np.concatenate([v, -v])
+        self.assert_same_bits(v)
+        monkeypatch.setattr(numerics, "_EXP_2ULP", -1.0)
+        assert np.any(_bits(erf(v)) != _bits(self.ref(v)))
+
+    def test_desk_checkpoint_bytes_match_the_scipy_erf(self, tmp_path,
+                                                        monkeypatch):
+        # a desk-sized train-botaclip (d=64, 192 plots x 4 views, hidden 96):
+        # the checkpoint from the numpy erf is the one scipy's erf trains
+        assert main(["synth", "--out-dir", str(tmp_path / "data"),
+                     "--pairs", "192", "--views", "4", "--img-dim", "64",
+                     "--n-species", "64", "--latent-dim", "8",
+                     "--noise", "1.6", "--n-eval-species", "6",
+                     "--cell-size", "50000", "--seed", "11"]) == 0
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({
+            "seed": 11,
+            "data": {"embeddings": str(tmp_path / "data" / "images.emb"),
+                     "covers": str(tmp_path / "data" / "covers.csv"),
+                     "locations": str(tmp_path / "data" / "locations.csv")},
+            "model": {"botania_hidden": 96, "botania_classes": 8},
+            "train": {"max_epochs": 100, "patience": 100}}))
+
+        def checkpoint(name):
+            assert main(["train-botaclip", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "model.ckpt").read_bytes()
+
+        ours = checkpoint("numpy")
+        monkeypatch.setattr(numerics, "erf", self.ref)
+        assert checkpoint("scipy") == ours
+
+
+class TestNoScipyAtRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(botaclip.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, botaclip.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+        assert any(d.startswith("scipy")
+                   for d in project["optional-dependencies"]["test"])
 
 
 class TestFiniteDiff:

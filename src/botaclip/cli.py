@@ -150,8 +150,7 @@ def _assignment_from_split_file(path) -> tuple[FoldAssignment, list[str]]:
 
 def _train_cfg(cfg, section) -> TrainConfig:
     """The section's training settings, each count checked to be at least 1
-    before anything is read or written; `regularized` false turns the drift
-    penalty off, as lambda 0 does."""
+    before anything is read or written."""
     block = cfg[section]
     for key, value in (("train.batch_size", cfg["train"]["batch_size"]),
                        (f"{section}.max_epochs", block["max_epochs"]),
@@ -161,7 +160,7 @@ def _train_cfg(cfg, section) -> TrainConfig:
     return TrainConfig(batch_size=cfg["train"]["batch_size"],
                        max_epochs=block["max_epochs"],
                        patience=block["patience"],
-                       lam=cfg["lambda"] if cfg["regularized"] else 0.0,
+                       lam=cfg["lambda"],
                        seed=cfg["seed"],
                        shuffle=cfg["train"]["shuffle"])
 
@@ -285,30 +284,28 @@ def cmd_train_botaclip(args) -> int:
     pairs = _paired_dataset(emb, emb_ids, covers, locations)
     fa = _assignment_from_cfg(pairs.locations, cfg)
 
+    m = cfg["model"]
     botania = None
     if cfg["data"]["botania_checkpoint"]:
-        botania = _model_from_checkpoint(cfg["data"]["botania_checkpoint"],
-                                         training.botania_from_state,
-                                         "a BotaNIA")
-    model_options = {
-        "mlp_img_hidden": cfg["model"]["mlp_img_hidden"],
-        "mlp_tab_hidden": cfg["model"]["mlp_tab_hidden"],
-        "attn_model_dim": cfg["model"]["attention_model_dim"],
-        "attn_heads": cfg["model"]["attention_heads"],
-        "adapter_noise_variance": cfg["model"]["adapter_noise_variance"],
-        "botania_hidden": cfg["model"]["botania_hidden"],
-        "botania_classes": cfg["model"]["botania_classes"],
-        "botania_dropout": cfg["model"]["botania_dropout"],
-    }
+        botania = _model_from_checkpoint(
+            cfg["data"]["botania_checkpoint"],
+            lambda state: training.botania_from_state(
+                state, dropout_rate=m["botania_dropout"]),
+            "a BotaNIA")
     if cfg["variant"] != "botania-linear":
-        proj = cfg["model"]["projection_dim"]
+        proj = m["projection_dim"]
     else:
         proj = emb.shape[1]
     model, log = training.train_botaclip(
         pairs, fa, tcfg, variant=cfg["variant"], fold=cfg["fold"],
-        botania=botania, proj_dim=proj, model_options=model_options,
         lr=cfg["optimizer"]["lr"],
-        weight_decay=cfg["optimizer"]["weight_decay"])
+        weight_decay=cfg["optimizer"]["weight_decay"], proj_dim=proj,
+        botania=botania, botania_hidden=m["botania_hidden"],
+        botania_classes=m["botania_classes"],
+        botania_dropout=m["botania_dropout"],
+        adapter_noise_variance=m["adapter_noise_variance"],
+        mlp_img_hidden=m["mlp_img_hidden"], mlp_tab_hidden=m["mlp_tab_hidden"],
+        attn_model_dim=m["attention_model_dim"])
     fileio.save_checkpoint(out / "model.ckpt", training.model_state(model))
     log.to_csv(out / "train_log.csv")
     roles = roles_for_fold(fa, cfg["fold"])
@@ -449,6 +446,12 @@ def cmd_stats(args) -> int:
     names = args.names or [Path(p).stem for p in args.reports]
     if len(names) != len(args.reports):
         raise UsageError("--names must match --reports")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise UsageError(f"model name {repeated[0]!r} is given to two "
+                         "reports; set distinct --names")
+    if not 0.0 < args.alpha < 1.0:  # NaN fails this as well
+        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
     reports = [evaluate.MetricReport.from_csv(p) for p in args.reports]
     score_maps = [r.scores_for(args.metric) for r in reports]
     common = sorted(set.intersection(*(set(m) for m in score_maps)))
@@ -524,10 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="write a buffered spatial split manifest")
     p.add_argument("--locations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cell-size", type=float, default=5000.0)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--fold", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    cfg = fileio.DEFAULT_CONFIG
+    p.add_argument("--cell-size", type=float, default=cfg["cell_size_m"])
+    p.add_argument("--folds", type=int, default=cfg["n_folds"])
+    p.add_argument("--fold", type=int, default=cfg["fold"])
+    p.add_argument("--seed", type=int, default=cfg["seed"])
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train-botania", help="pretrain the cover classifier")

@@ -287,15 +287,13 @@ class SingleTokenAttention(Sequential):
     """Multi-head self-attention over a one-token sequence.
 
     With a single key the softmax is identically 1, so the block reduces to
-    out = W_o (W_v x + b_v) + b_o. The Q/K projections cannot influence the
-    output and are not kept, but their initial values are still drawn, so
-    V and O start from the same values as in a block that holds them.
+    out = W_o (W_v x + b_v) + b_o for any number of heads. The Q/K
+    projections cannot influence the output and are not kept, but their
+    initial values are still drawn, so V and O start from the same values
+    as in a block that holds them.
     """
 
-    def __init__(self, name: str, dim: int, n_heads: int,
-                 gen: np.random.Generator):
-        if dim % n_heads:
-            raise ShapeMismatch(f"dim {dim} not divisible by {n_heads} heads")
+    def __init__(self, name: str, dim: int, gen: np.random.Generator):
         _torch_linear_init(dim, dim, gen)  # Q, drawn and dropped
         _torch_linear_init(dim, dim, gen)  # K, drawn and dropped
         super().__init__(Linear(f"{name}.v", dim, dim, gen),
@@ -311,7 +309,7 @@ class LinearAdapter(Sequential):
         super().__init__(self.linear, RowNormalize())
 
 
-def init_identity_adapter(dim: int, noise_variance: float = 1e-4,
+def init_identity_adapter(dim: int, noise_variance: float,
                           rng: Rng | np.random.Generator | None = None,
                           name: str = "adapter") -> LinearAdapter:
     """Adapter starting at (a perturbation of) the identity, with zero bias."""
@@ -347,14 +345,12 @@ class BotaniaMLP(Sequential):
     """Cover-vector classifier: trunk -> Dropout -> head, forward giving
     the logits. Its `embedding` is the tabular representation.
 
-    Canonical dimensions are 3587 -> 1536 -> 768 -> 232 with Dropout(0.4);
-    all of them are constructor arguments so small instances stay testable.
+    Canonical dimensions are 3587 -> 1536 -> 768 -> 232 with Dropout(0.4),
+    the run configuration's defaults.
     """
 
-    def __init__(self, in_dim: int = 3587, hidden: int = 1536,
-                 embed: int = 768, n_classes: int = 232,
-                 dropout_rate: float = 0.4,
-                 gen: np.random.Generator | None = None,
+    def __init__(self, in_dim: int, hidden: int, embed: int, n_classes: int,
+                 dropout_rate: float, gen: np.random.Generator | None = None,
                  name: str = "botania"):
         self.in_dim = in_dim
         self.embed_dim = embed
@@ -404,11 +400,10 @@ class AttentionEncoder(Sequential):
     """
 
     def __init__(self, in_dim: int, out_dim: int,
-                 gen: np.random.Generator, model_dim: int = 1024,
-                 n_heads: int = 4, name: str = "attn",
-                 dropout_rate: float = 0.1):
+                 gen: np.random.Generator, model_dim: int,
+                 name: str = "attn", dropout_rate: float = 0.1):
         reduce = Linear(f"{name}.reduce", in_dim, model_dim, gen)
-        self.mha = SingleTokenAttention(f"{name}.mha", model_dim, n_heads, gen)
+        self.mha = SingleTokenAttention(f"{name}.mha", model_dim, gen)
         super().__init__(
             reduce,
             Residual(Sequential(LayerNorm(f"{name}.ln1", model_dim), self.mha)),
@@ -423,8 +418,8 @@ class BotaSPModel:
     Downstream features are the post-GELU, pre-dropout hidden activations
     (width 1536 at canonical size)."""
 
-    def __init__(self, in_dim: int, n_species: int, proj_dim: int = 768,
-                 hidden: int = 1536, dropout_rate: float = 0.4,
+    def __init__(self, in_dim: int, n_species: int, proj_dim: int,
+                 hidden: int, dropout_rate: float,
                  gen: np.random.Generator | None = None, name: str = "botasp"):
         self.project = Sequential(Linear(f"{name}.proj", in_dim, proj_dim, gen),
                                   RowNormalize())
@@ -459,16 +454,19 @@ class AlignmentModel:
     """Paired image/tabular encoders plus the learnable temperature and bias.
 
     variant selects the branches: the pretrained-style cover MLP with
-    linear adapters on both sides, a two-layer MLP on both sides, or the
-    attention block on the tabular side.
+    linear adapters on both sides (botania, adapter_noise_variance), a
+    two-layer MLP on both sides (mlp_img_hidden, mlp_tab_hidden), or the
+    attention block on the tabular side (mlp_img_hidden, attn_model_dim).
+    The settings a variant does not use may stay None.
     """
 
     def __init__(self, variant: str, d_img: int, d_tab: int,
-                 rng: Rng, proj_dim: int = 768,
+                 rng: Rng, *, proj_dim: int,
                  botania: BotaniaMLP | None = None,
-                 mlp_img_hidden: int = 2600, mlp_tab_hidden: int = 1024,
-                 attn_model_dim: int = 1024, attn_heads: int = 4,
-                 adapter_noise_variance: float = 1e-4,
+                 adapter_noise_variance: float | None = None,
+                 mlp_img_hidden: int | None = None,
+                 mlp_tab_hidden: int | None = None,
+                 attn_model_dim: int | None = None,
                  tau_init: float = math.log(10.0), bias_init: float = -10.0):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
@@ -496,8 +494,7 @@ class AlignmentModel:
                 TwoLayerEncoder(d_tab, mlp_tab_hidden, proj_dim, tab_gen,
                                 name="tab_encoder") if variant == "mlp" else
                 AttentionEncoder(d_tab, proj_dim, tab_gen,
-                                 model_dim=attn_model_dim, n_heads=attn_heads,
-                                 name="tab_encoder"))
+                                 model_dim=attn_model_dim, name="tab_encoder"))
         self.tau = Param("scalars.tau", np.float64(tau_init), decay=False)
         self.bias = Param("scalars.bias", np.float64(bias_init), decay=False)
 

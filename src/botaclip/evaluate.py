@@ -110,10 +110,9 @@ def _classify_fold(X, y, train_idx, val_idx, n_trees, threshold, tree_seed,
 
 
 def eval_plant(embeddings: np.ndarray, covers: CoverMatrix,
-               assignment: FoldAssignment, fold: int, *,
-               n_trees: int = 100, threshold: float = 0.5,
-               min_presences: int = 1, max_presences: int | None = None,
-               seeds=(0,)) -> MetricReport:
+               assignment: FoldAssignment, fold: int, *, n_trees: int,
+               threshold: float, min_presences: int,
+               max_presences: int | None, seeds) -> MetricReport:
     """Presence prediction per plant species on the buffered spatial fold.
 
     Embedding rows must align with the cover-matrix plots. Covers are
@@ -140,9 +139,8 @@ def eval_plant(embeddings: np.ndarray, covers: CoverMatrix,
 
 
 def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
-                   row_index: dict, *, n_folds: int = 5,
-                   cell_size: float = 5000.0, n_trees: int = 100,
-                   threshold: float = 0.5, seeds=(0,)) -> MetricReport:
+                   row_index: dict, *, n_folds: int, cell_size: float,
+                   n_trees: int, threshold: float, seeds) -> MetricReport:
     """Presence-only evaluation with pseudo-absences and a buffered spatial
     k-fold per species; suitability ranking scored against the validation
     background.
@@ -191,9 +189,8 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
     return report
 
 
-def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *,
-              n_folds: int = 5, n_strata: int = 5, n_trees: int = 100,
-              seeds=(0,)) -> MetricReport:
+def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *, n_folds: int,
+              n_strata: int, n_trees: int, seeds) -> MetricReport:
     """Per-group abundance regression under elevation-stratified k-fold CV."""
     if embeddings.shape[0] != soil.values.shape[0]:
         raise DataError("embedding rows must match soil samples")

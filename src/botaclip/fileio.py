@@ -65,11 +65,10 @@ def save_embeddings(path, values: np.ndarray, ids: list[str] | None = None) -> N
                 fh.write(raw)
 
 
-def load_embeddings(path, normalize: bool = True):
+def load_embeddings(path, *, normalize: bool):
     """Returns (float64 matrix, ids or None). normalize projects rows onto
-    the unit sphere, the ingestion default for embedding files. A row with a
-    NaN or inf, or with zero norm where rows are normalized, raises
-    DataError naming the file and the row."""
+    the unit sphere. A row with a NaN or inf, or with zero norm where rows
+    are normalized, raises DataError naming the file and the row."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != EMB_MAGIC:
             raise BadMagic(f"{path} is not an embedding file")
@@ -362,7 +361,6 @@ def read_split_manifest(path):
 DEFAULT_CONFIG = {
     "seed": 0,
     "variant": "botania-linear",
-    "regularized": True,
     "lambda": 1.0,
     "fold": 1,
     "n_folds": 5,
@@ -384,7 +382,6 @@ DEFAULT_CONFIG = {
         "mlp_tab_hidden": 1024,
         "mlp_img_hidden": 2600,
         "attention_model_dim": 1024,
-        "attention_heads": 4,
         "adapter_noise_variance": 1e-4,
         "botasp_hidden": 1536,
         "botasp_dropout": 0.4,

@@ -29,7 +29,7 @@ from .numerics import Rng
 
 @dataclass
 class ForestConfig:
-    n_trees: int = 100
+    n_trees: int
     criterion: str = "gini"          # "gini" | "mse"
     max_features: str | int = "auto"  # sqrt(d) for gini, d for mse
     bootstrap: bool = True
@@ -251,10 +251,8 @@ def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, kind: str) -> Forest:
     return Forest(_grow(X, y, cfg, gens, roots), X.shape[1], kind)
 
 
-def fit_classifier(X: np.ndarray, y: np.ndarray,
-                   cfg: ForestConfig | None = None) -> Forest:
+def fit_classifier(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     """Binary classifier; y must be 0/1."""
-    cfg = cfg or ForestConfig()
     if cfg.criterion != "gini":
         raise ValueError("classifier requires the gini criterion")
     y = np.asarray(y)
@@ -263,9 +261,7 @@ def fit_classifier(X: np.ndarray, y: np.ndarray,
     return _fit(X, y, cfg, "classifier")
 
 
-def fit_regressor(X: np.ndarray, y: np.ndarray,
-                  cfg: ForestConfig | None = None) -> Forest:
-    cfg = cfg or ForestConfig(criterion="mse")
+def fit_regressor(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     if cfg.criterion != "mse":
         raise ValueError("regressor requires the mse criterion")
     return _fit(X, y, cfg, "regressor")

@@ -142,7 +142,7 @@ def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray,
 
 
 def botasp_loss(logits: np.ndarray, targets: np.ndarray, z_orig: np.ndarray,
-                z_new: np.ndarray, lam: float = 100.0, grad: bool = False):
+                z_new: np.ndarray, lam: float, grad: bool = False):
     """Multi-label BCE over species plus lam times the weighted Gram drift
     of the projection, both rows unit-norm; returns (loss, grads), grads
     (dlogits, dz_new) with dz_new None at lam=0, or None when grad is

@@ -24,8 +24,8 @@ class AdamW:
 
     CHUNK = 32768
 
-    def __init__(self, params: list[Param], lr: float = 1e-3,
-                 weight_decay: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params: list[Param], *, lr: float,
+                 weight_decay: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         names = [p.name for p in self.params]

@@ -14,14 +14,12 @@ import numpy as np
 
 from .errors import EmptySplit, LeakageDetected, TooFewCells
 
-DEFAULT_CELL_SIZE = 5000.0
-
 ROLE_TRAIN = "train"
 ROLE_VALIDATION = "validation"
 ROLE_BUFFER = "buffer-excluded"
 
 
-def assign_cells(points: np.ndarray, cell_size: float = DEFAULT_CELL_SIZE) -> np.ndarray:
+def assign_cells(points: np.ndarray, cell_size: float) -> np.ndarray:
     """Integer cell indices (ix, iy) = floor(coordinate / cell_size)."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
@@ -52,7 +50,7 @@ class FoldAssignment:
 
     @classmethod
     def build(cls, points: np.ndarray, k: int, gen: np.random.Generator,
-              cell_size: float = DEFAULT_CELL_SIZE) -> "FoldAssignment":
+              cell_size: float) -> "FoldAssignment":
         cells = assign_cells(points, cell_size)
         fold_of_cell = make_folds(cells, k, gen)
         fold_ids = np.array([fold_of_cell[(int(ix), int(iy))]

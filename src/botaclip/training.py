@@ -39,14 +39,14 @@ UNIT_CHECK_TOL = 1e-9
 TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "scl", "reg", "tau", "b"]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrainConfig:
-    batch_size: int = 256
-    max_epochs: int = 1000
-    patience: int = 10
-    lam: float = 1.0
-    seed: int = 0
-    shuffle: bool = True
+    batch_size: int
+    max_epochs: int
+    patience: int
+    lam: float
+    seed: int
+    shuffle: bool
 
 
 @dataclass
@@ -159,9 +159,8 @@ def _val_means(rows: np.ndarray, batch_size: int, terms):
 
 def train_botania(covers: np.ndarray, labels: np.ndarray,
                   train_idx: np.ndarray, val_idx: np.ndarray,
-                  cfg: TrainConfig, hidden: int = 1536, embed: int = 768,
-                  n_classes: int = 232, dropout_rate: float = 0.4,
-                  lr: float = 0.3):
+                  cfg: TrainConfig, *, hidden: int, embed: int,
+                  n_classes: int, dropout_rate: float, lr: float):
     """Plain-Adam classifier pretraining; early stopping on validation
     cross-entropy; returns the best-epoch model and the log."""
     train_idx = np.asarray(train_idx)
@@ -197,13 +196,21 @@ def botania_accuracy(model: BotaniaMLP, covers, labels, top_k: int = 1) -> float
 # --- contrastive alignment ----------------------------------------------------
 
 def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
-                   cfg: TrainConfig, variant: str = "botania-linear",
-                   fold: int = 1, botania: BotaniaMLP | None = None,
-                   proj_dim: int | None = None,
-                   model_options: dict | None = None,
-                   lr: float = 1e-3, weight_decay: float = 1e-3):
+                   cfg: TrainConfig, *, variant: str, fold: int, lr: float,
+                   weight_decay: float, proj_dim: int,
+                   botania: BotaniaMLP | None = None,
+                   botania_hidden: int | None = None,
+                   botania_classes: int | None = None,
+                   botania_dropout: float | None = None,
+                   adapter_noise_variance: float | None = None,
+                   mlp_img_hidden: int | None = None,
+                   mlp_tab_hidden: int | None = None,
+                   attn_model_dim: int | None = None):
     """Align image views with cover vectors; image embeddings stay frozen
     inputs, adapters (and the trainable cover encoder) update.
+
+    botania-linear trains botania or, if it is None, a fresh BotaniaMLP of
+    the botania_* settings; settings the variant does not use may be None.
 
     Multi-view pairs expand into one (view, pair) sample each; validation
     uses only the first view of each pair. The model with the best
@@ -219,16 +226,14 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
 
     d_img = pairs.images.shape[1]
     d_tab = pairs.covers.shape[1]
-    opts = dict(model_options or {})
-    b_hidden = opts.pop("botania_hidden", 96)
-    b_classes = opts.pop("botania_classes", 8)
-    b_dropout = opts.pop("botania_dropout", 0.4)
     if variant == "botania-linear" and botania is None:
-        botania = BotaniaMLP(d_tab, b_hidden, proj_dim or d_img, b_classes,
-                             b_dropout, gen=rng.substream("init/botania"))
-    model = AlignmentModel(variant, d_img=d_img, d_tab=d_tab, rng=rng,
-                           proj_dim=proj_dim or d_img, botania=botania,
-                           **opts)
+        botania = BotaniaMLP(d_tab, botania_hidden, proj_dim, botania_classes,
+                             botania_dropout, gen=rng.substream("init/botania"))
+    model = AlignmentModel(
+        variant, d_img=d_img, d_tab=d_tab, rng=rng, proj_dim=proj_dim,
+        botania=botania, adapter_noise_variance=adapter_noise_variance,
+        mlp_img_hidden=mlp_img_hidden, mlp_tab_hidden=mlp_tab_hidden,
+        attn_model_dim=attn_model_dim)
     train_rows = pairs.view_rows_for_pairs(train_p)
     val_rows = pairs.view_rows_for_pairs(val_p, first_view_only=True)
     if train_rows.size == 0 or val_rows.size == 0:
@@ -279,9 +284,8 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
 
 def train_botasp(embeddings: np.ndarray, presence: np.ndarray,
                  train_idx: np.ndarray, val_idx: np.ndarray,
-                 cfg: TrainConfig, proj_dim: int = 768, hidden: int = 1536,
-                 dropout_rate: float = 0.4, lr: float = 1e-3,
-                 weight_decay: float = 1e-3):
+                 cfg: TrainConfig, *, proj_dim: int, hidden: int,
+                 dropout_rate: float, lr: float, weight_decay: float):
     """Presence/absence pretraining over unit-norm embeddings with the
     similarity-drift penalty on the projection (lambda from cfg.lam)."""
     train_idx = np.asarray(train_idx)
@@ -335,11 +339,12 @@ def _load_params(model, state: dict[str, np.ndarray]):
 
 
 def alignment_model_from_state(state: dict[str, np.ndarray]) -> AlignmentModel:
-    """Rebuild an alignment model from named checkpoint arrays; the variant
-    and every dimension are inferred from parameter names and shapes."""
+    """Rebuild an alignment model for inference from named checkpoint
+    arrays; the variant and every dimension are inferred from parameter
+    names and shapes, and dropout, which inference skips, is 0."""
     rng = Rng(0)
     if "img_adapter.weight" in state:
-        botania = botania_from_state(state)
+        botania = botania_from_state(state, dropout_rate=0.0)
         d_img = state["img_adapter.weight"].shape[1]
         model = AlignmentModel("botania-linear", d_img=d_img,
                                d_tab=botania.in_dim, rng=rng, proj_dim=d_img,
@@ -352,8 +357,7 @@ def alignment_model_from_state(state: dict[str, np.ndarray]) -> AlignmentModel:
         model = AlignmentModel(
             "attention", d_img=d_img, d_tab=d_tab, rng=rng, proj_dim=proj,
             mlp_img_hidden=state["img_encoder.lin1.weight"].shape[0],
-            attn_model_dim=model_dim,
-            attn_heads=4 if model_dim % 4 == 0 else 1)
+            attn_model_dim=model_dim)
     else:
         d_img = state["img_encoder.lin1.weight"].shape[1]
         d_tab = state["tab_encoder.lin1.weight"].shape[1]
@@ -365,18 +369,21 @@ def alignment_model_from_state(state: dict[str, np.ndarray]) -> AlignmentModel:
     return _load_params(model, state)
 
 
-def botania_from_state(state: dict[str, np.ndarray]) -> BotaniaMLP:
+def botania_from_state(state: dict[str, np.ndarray], *,
+                       dropout_rate: float) -> BotaniaMLP:
+    """The checkpoint's BotaniaMLP; a checkpoint records no dropout rate."""
     in_dim, hidden = state["botania.lin1.weight"].shape[::-1]
     embed = state["botania.lin2.weight"].shape[0]
     n_classes = state["botania.head.weight"].shape[0]
-    return _load_params(BotaniaMLP(in_dim, hidden, embed, n_classes, gen=None),
-                        state)
+    return _load_params(BotaniaMLP(in_dim, hidden, embed, n_classes,
+                                   dropout_rate, gen=None), state)
 
 
 def botasp_from_state(state: dict[str, np.ndarray]) -> BotaSPModel:
+    """The checkpoint's BotaSPModel for inference, which skips dropout."""
     in_dim = state["botasp.proj.weight"].shape[1]
     proj_dim = state["botasp.proj.weight"].shape[0]
     hidden = state["botasp.hidden.weight"].shape[0]
     n_species = state["botasp.head.weight"].shape[0]
-    return _load_params(BotaSPModel(in_dim, n_species, proj_dim, hidden,
+    return _load_params(BotaSPModel(in_dim, n_species, proj_dim, hidden, 0.0,
                                     gen=None), state)

@@ -68,10 +68,11 @@ def _train_desk(seed: int, lam: float):
     fa = FoldAssignment.build(ds.locations, 5, Rng(seed).substream("folds"),
                               5000.0)
     cfg = TrainConfig(batch_size=256, max_epochs=DESK_EPOCHS, patience=10,
-                      lam=lam, seed=seed)
-    model, log = train_botaclip(ds, fa, cfg, fold=1,
-                                variant="botania-linear",
-                                model_options={"botania_hidden": 96})
+                      lam=lam, seed=seed, shuffle=True)
+    model, log = train_botaclip(
+        ds, fa, cfg, variant="botania-linear", fold=1, lr=1e-3,
+        weight_decay=1e-3, proj_dim=DESK["img_dim"], botania_hidden=96,
+        botania_classes=8, botania_dropout=0.4, adapter_noise_variance=1e-4)
     return data, ds, fa, model, log
 
 
@@ -86,13 +87,13 @@ class TestCriterion1Gradients:
         d_tab = int(rng.substream("dt").integers(4, 9))
         botania = None
         if variant == "botania-linear":
-            botania = BotaniaMLP(d_tab, 5, d_img, 3,
+            botania = BotaniaMLP(d_tab, 5, d_img, 3, 0.4,
                                  gen=rng.substream("binit"))
         model = AlignmentModel(
             variant, d_img=d_img, d_tab=d_tab, rng=Rng(seed + 1),
             proj_dim=d_img if variant == "botania-linear" else 4,
-            botania=botania, mlp_img_hidden=6, mlp_tab_hidden=5,
-            attn_model_dim=8, attn_heads=4, tau_init=0.4, bias_init=-0.6)
+            botania=botania, adapter_noise_variance=1e-4, mlp_img_hidden=6,
+            mlp_tab_hidden=5, attn_model_dim=8, tau_init=0.4, bias_init=-0.6)
         img = l2_normalize_rows(rng.substream("img").normal(size=(n, d_img)))
         covers = rng.substream("cov").uniform(0, 100, size=(n, d_tab))
         lam = float(rng.substream("lam").uniform(0.2, 2.0))
@@ -129,7 +130,7 @@ class TestCriterion1Gradients:
     def _check_botania_ce(self, seed):
         rng = Rng(seed)
         n = int(rng.substream("n").integers(2, 5))
-        model = BotaniaMLP(6, 5, 4, 3, gen=rng.substream("init"))
+        model = BotaniaMLP(6, 5, 4, 3, 0.4, gen=rng.substream("init"))
         covers = rng.substream("cov").uniform(0, 100, size=(n, 6))
         labels = rng.substream("lab").integers(0, 3, size=n)
 
@@ -152,7 +153,7 @@ class TestCriterion1Gradients:
         rng = Rng(seed)
         n = int(rng.substream("n").integers(2, 5))
         d, s_dim = 5, 3
-        model = BotaSPModel(d, s_dim, proj_dim=4, hidden=6,
+        model = BotaSPModel(d, s_dim, proj_dim=4, hidden=6, dropout_rate=0.4,
                             gen=rng.substream("init"))
         x = l2_normalize_rows(rng.substream("x").normal(size=(n, d)))
         targets = (rng.substream("t").random((n, s_dim)) < 0.5).astype(float)
@@ -263,7 +264,8 @@ class TestCriterion4AlignmentTransfer:
             tss = {}
             for name, X in (("raw", raw), ("adapted", adapted)):
                 report = eval_plant(X, covers, fa, 1, n_trees=30,
-                                    seeds=(seed,))
+                                    threshold=0.5, min_presences=1,
+                                    max_presences=None, seeds=(seed,))
                 tss[name] = float(np.mean(list(
                     report.scores_for("tss").values())))
             gap = tss["adapted"] - tss["raw"]

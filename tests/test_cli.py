@@ -50,7 +50,8 @@ class TestSynthCommand:
             assert (synth_dir / name).exists()
 
     def test_embeddings_carry_view_ids(self, synth_dir):
-        _, ids = fileio.load_embeddings(synth_dir / "images.emb")
+        _, ids = fileio.load_embeddings(synth_dir / "images.emb",
+                                        normalize=True)
         assert ids[0] == "p00000#0"
         assert len(ids) == 320
 
@@ -238,7 +239,7 @@ class TestTrainAndEmbed:
         from botaclip.encoders import AlignmentModel
         from botaclip.numerics import Rng
 
-        botania = BotaniaMLP(16, 8, 16, 4, gen=Rng(0).substream("b"))
+        botania = BotaniaMLP(16, 8, 16, 4, 0.4, gen=Rng(0).substream("b"))
         model = AlignmentModel("botania-linear", d_img=16, d_tab=16,
                                rng=Rng(0), proj_dim=16, botania=botania,
                                adapter_noise_variance=0.0)
@@ -248,8 +249,9 @@ class TestTrainAndEmbed:
         rc = main(["embed", "--checkpoint", str(ckpt), "--embeddings",
                    str(synth_dir / "images.emb"), "--out", str(out)])
         assert rc == 0
-        orig, ids = fileio.load_embeddings(synth_dir / "images.emb")
-        adapted, ids2 = fileio.load_embeddings(out)
+        orig, ids = fileio.load_embeddings(synth_dir / "images.emb",
+                                           normalize=True)
+        adapted, ids2 = fileio.load_embeddings(out, normalize=True)
         assert ids == ids2
         np.testing.assert_allclose(adapted, orig, atol=1e-6)
 
@@ -364,6 +366,49 @@ class TestTrainAndEmbed:
         assert "full: 2 of 3 units left out" in out
         assert "other: 2 of 3 units left out" in out
 
+    @staticmethod
+    def _reports(tmp_path, names):
+        paths = []
+        for k, name in enumerate(names):
+            report = MetricReport("plant")
+            for u in "abcde":
+                report.add(u, 1, 0, "tss", 0.1 * k + 0.01 * ord(u))
+            paths.append(tmp_path / name)
+            paths[-1].parent.mkdir(exist_ok=True)
+            report.to_csv(paths[-1])
+        return [str(p) for p in paths]
+
+    @pytest.mark.parametrize("files, names, repeated", [
+        (["r1.csv", "r2.csv", "r3.csv"], ["a", "b", "a"], "a"),
+        (["x/report.csv", "y/report.csv"], [], "report"),
+    ], ids=["names", "stems"])
+    def test_stats_duplicate_model_name_exit_1(self, tmp_path, capsys, files,
+                                               names, repeated):
+        # the scores of one model would silently replace the other's
+        out = tmp_path / "stats.csv"
+        argv = ["stats", "--reports", *self._reports(tmp_path, files),
+                "--metric", "tss", "--out", str(out)]
+        if names:
+            argv += ["--names", *names]
+        capsys.readouterr()
+        assert main(argv) == 1
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "UsageError"
+        assert repr(repeated) in doc["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "2", "1", "0", "-0.1"])
+    def test_stats_alpha_out_of_range_exit_1(self, tmp_path, capsys, alpha):
+        out = tmp_path / "stats.csv"
+        capsys.readouterr()
+        assert main(["stats", "--reports",
+                     *self._reports(tmp_path, ["r1.csv", "r2.csv"]),
+                     "--metric", "tss", "--alpha", alpha,
+                     "--out", str(out)]) == 1
+        doc = _one_error_line(capsys)
+        assert doc["exit"] == 1 and "alpha" in doc["message"]
+        assert not out.exists()
+
 
 class TestOtherTrainers:
     def test_botania_then_seeded_alignment(self, synth_dir, tmp_path):
@@ -438,40 +483,31 @@ class TestOtherTrainers:
         assert str(ckpt) in doc["message"]
         assert not (tmp_path / "adapted.emb").exists()
 
-    def test_regularized_false_matches_lambda_zero(self, synth_dir,
-                                                  botasp_dir, tmp_path):
-        # lambda is the drift penalty's only switch in the library; the
-        # `regularized` key turns it off for every trainer
-        align_cfg = tmp_path / "cfg_align.json"
-        align_cfg.write_text(json.dumps({
-            "seed": 0,
-            "data": {"embeddings": str(synth_dir / "images.emb"),
-                     "covers": str(synth_dir / "covers.csv"),
-                     "locations": str(synth_dir / "locations.csv")},
-            "model": {"botania_hidden": 24, "botania_classes": 8},
-            "train": {"max_epochs": 3, "patience": 5}}))
-        for command, cfg, ckpt in (
-                ("train-botasp", botasp_dir.parent / "cfg_botasp.json",
-                 "botasp.ckpt"),
-                ("train-botaclip", align_cfg, "model.ckpt")):
-            got = []
-            for key in ("regularized=false", "lambda=0"):
-                out = tmp_path / command / key.split("=")[0]
-                assert main([command, "--config", str(cfg), "--out-dir",
-                             str(out), "--set", key]) == 0
-                got.append((out / ckpt).read_bytes())
-            assert got[0] == got[1], command
-        # the fixture's default lambda 1 trains another model
+    def test_lambda_is_the_only_drift_switch(self, botasp_dir, tmp_path,
+                                             capsys):
+        # the `regularized` key, which did what lambda 0 does, is gone
+        cfg = str(botasp_dir.parent / "cfg_botasp.json")
+        out = tmp_path / "regularized"
+        capsys.readouterr()
+        assert main(["train-botasp", "--config", cfg, "--out-dir", str(out),
+                     "--set", "regularized=false"]) == 1
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "UsageError"
+        assert "unknown config key: regularized" in doc["message"]
+        assert not out.exists()
+        # lambda 0 trains another model than the fixture's default lambda 1
+        out = tmp_path / "lambda"
+        assert main(["train-botasp", "--config", cfg, "--out-dir", str(out),
+                     "--set", "lambda=0"]) == 0
         assert (botasp_dir / "botasp.ckpt").read_bytes() != \
-            (tmp_path / "train-botasp" / "lambda" / "botasp.ckpt").read_bytes()
+            (out / "botasp.ckpt").read_bytes()
 
     def test_mlp_and_attention_variants(self, synth_dir, tmp_path):
         for variant, model in (
                 ("mlp", {"projection_dim": 8, "mlp_img_hidden": 12,
                          "mlp_tab_hidden": 12}),
                 ("attention", {"projection_dim": 8, "mlp_img_hidden": 12,
-                               "attention_model_dim": 8,
-                               "attention_heads": 4})):
+                               "attention_model_dim": 8})):
             cfg = {
                 "seed": 0,
                 "variant": variant,
@@ -722,7 +758,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("setting", [
         "train.batch_size=abc", "lambda=abc", 'fold="1"',
-        "train.max_epochs=2.5", "regularized=no", "lambda=true",
+        "train.max_epochs=2.5", "normalize_on_load=no", "lambda=true",
         "train.shuffle=1", "data.covers=3", "fold=false", "seed=null"])
     def test_config_value_of_wrong_type_exit_1(self, tmp_path, capsys,
                                                setting):
@@ -790,9 +826,10 @@ def embed_inputs(tmp_path_factory):
     from botaclip.training import model_state
 
     out = tmp_path_factory.mktemp("garble")
-    botania = BotaniaMLP(2, 2, 2, 2, gen=Rng(0).substream("b"))
+    botania = BotaniaMLP(2, 2, 2, 2, 0.4, gen=Rng(0).substream("b"))
     model = AlignmentModel("botania-linear", d_img=2, d_tab=2, rng=Rng(0),
-                           proj_dim=2, botania=botania)
+                           proj_dim=2, botania=botania,
+                           adapter_noise_variance=1e-4)
     fileio.save_checkpoint(out / "model.ckpt", model_state(model))
     fileio.save_embeddings(out / "images.emb",
                            Rng(1).substream("e").normal(size=(3, 2)),

@@ -139,7 +139,8 @@ class TestBackwardBasics:
 
 class TestBotania:
     def _model(self, gen):
-        return BotaniaMLP(in_dim=7, hidden=6, embed=5, n_classes=4, gen=gen)
+        return BotaniaMLP(in_dim=7, hidden=6, embed=5, n_classes=4,
+                          dropout_rate=0.4, gen=gen)
 
     def test_eval_mode_deterministic(self):
         m = self._model(Rng(1).substream("init"))
@@ -173,7 +174,7 @@ class TestBotania:
 
 class TestSingleTokenAttention:
     def test_reduces_to_affine_map(self):
-        mha = SingleTokenAttention("m", 8, 4, Rng(7).substream("init"))
+        mha = SingleTokenAttention("m", 8, Rng(7).substream("init"))
         gen = Rng(7).substream("x")
         x = gen.normal(size=(1, 8))
         y = gen.normal(size=(1, 8))
@@ -227,7 +228,7 @@ class TestGradientsAgainstFiniteDifferences:
         for seed in range(3):
             rng = Rng(seed + seed0)
             m = BotaniaMLP(in_dim=6, hidden=5, embed=4, n_classes=3,
-                           gen=rng.substream("init"))
+                           dropout_rate=0.4, gen=rng.substream("init"))
             layer = path(m)
             covers = rng.substream("c").uniform(0, 100, size=(3, 6))
             c = rng.substream("c_out").normal(size=(3, out_dim))
@@ -292,8 +293,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_attention_encoder(self):
         for seed in range(3):
             rng = Rng(seed + 300)
-            enc = AttentionEncoder(6, 4, rng.substream("init"), model_dim=8,
-                                   n_heads=4)
+            enc = AttentionEncoder(6, 4, rng.substream("init"), model_dim=8)
             x = rng.substream("x").normal(size=(3, 6))
             c = rng.substream("c").normal(size=(3, 4))
 
@@ -310,10 +310,9 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_attention_has_no_qk_params(self):
         # Q and K cannot move the output of a one-token attention, so
-        # the block keeps only V and O; the heads check stays
+        # the block keeps only V and O, and any width takes it
         rng = Rng(301)
-        enc = AttentionEncoder(6, 4, rng.substream("init"), model_dim=8,
-                               n_heads=4)
+        enc = AttentionEncoder(6, 4, rng.substream("init"), model_dim=8)
         assert [p.name for p in enc.mha.params()] == [
             "attn.mha.v.weight", "attn.mha.v.bias",
             "attn.mha.o.weight", "attn.mha.o.bias"]
@@ -321,13 +320,13 @@ class TestGradientsAgainstFiniteDifferences:
         tape = GradientTape()
         enc.backward(rng.substream("c").normal(size=(2, 4)), tape)
         assert set(tape.grads) == {p.name for p in enc.params()}
-        with pytest.raises(ShapeMismatch):
-            SingleTokenAttention("m", 8, 3, rng.substream("init"))
+        mha = SingleTokenAttention("m", 7, rng.substream("init"))
+        assert mha.forward(np.ones((2, 7))).shape == (2, 7)
 
     def test_botasp_model(self):
         rng = Rng(400)
         m = BotaSPModel(in_dim=5, n_species=3, proj_dim=4, hidden=6,
-                        gen=rng.substream("init"))
+                        dropout_rate=0.4, gen=rng.substream("init"))
         x = rng.substream("x").normal(size=(3, 5))
         cl = rng.substream("cl").normal(size=(3, 3))
         cz = rng.substream("cz").normal(size=(3, 4))
@@ -366,12 +365,13 @@ class TestAlignmentModel:
         img = rng.substream("img").normal(size=(4, 6))
         covers = rng.substream("cov").uniform(0, 100, size=(4, 9))
         botania = BotaniaMLP(in_dim=9, hidden=5, embed=6, n_classes=3,
-                             gen=rng.substream("binit"))
+                             dropout_rate=0.4, gen=rng.substream("binit"))
         for variant in ("botania-linear", "mlp", "attention"):
             m = AlignmentModel(variant, d_img=6, d_tab=9, rng=Rng(901),
                                proj_dim=6, botania=botania,
+                               adapter_noise_variance=1e-4,
                                mlp_img_hidden=5, mlp_tab_hidden=5,
-                               attn_model_dim=8, attn_heads=4)
+                               attn_model_dim=8)
             zi = m.encode_images(img)
             zt = m.encode_tables(covers)
             np.testing.assert_allclose(np.linalg.norm(zi, axis=1), 1.0, atol=1e-9)
@@ -631,7 +631,9 @@ class _RefAlignmentModel:
 
 
 _REF = SimpleNamespace(
-    SingleTokenAttention=_RefSingleTokenAttention,
+    # the head count the frozen block takes fed its divisibility check only
+    SingleTokenAttention=lambda name, dim, gen: _RefSingleTokenAttention(
+        name, dim, 4, gen),
     LinearAdapter=_RefLinearAdapter, BotaniaMLP=_RefBotaniaMLP,
     TwoLayerEncoder=_RefTwoLayerEncoder, AttentionEncoder=_RefAttentionEncoder,
     BotaSPModel=_RefBotaSPModel, AlignmentModel=_RefAlignmentModel)
@@ -711,11 +713,13 @@ def _botasp_case(with_gz):
 def _alignment_case(variant):
     def run(ns, seed):
         botania = ns.BotaniaMLP(in_dim=9, hidden=5, embed=6, n_classes=3,
+                                dropout_rate=0.4,
                                 gen=Rng(seed).substream("binit"))
         model = ns.AlignmentModel(variant, d_img=6, d_tab=9, rng=Rng(seed),
                                   proj_dim=6, botania=botania,
+                                  adapter_noise_variance=1e-4,
                                   mlp_img_hidden=7, mlp_tab_hidden=8,
-                                  attn_model_dim=8, attn_heads=4)
+                                  attn_model_dim=8)
         gen = Rng(seed).substream("drop")
         z_img = model.encode_images(_normal(seed, "img", (6, 6)), True, gen)
         z_tab = model.encode_tables(_covers(seed, (6, 9)), True, gen)
@@ -730,12 +734,12 @@ _CASES = {
     "linear_adapter": _layer_case(
         lambda ns, gen: ns.LinearAdapter(5, 4, gen=gen), 5, 4),
     "single_token_attention": _layer_case(
-        lambda ns, gen: ns.SingleTokenAttention("m", 8, 4, gen), 8, 8),
+        lambda ns, gen: ns.SingleTokenAttention("m", 8, gen), 8, 8),
     "two_layer": _layer_case(
         lambda ns, gen: ns.TwoLayerEncoder(7, 6, 4, gen, dropout_rate=0.5),
         7, 4),
     "attention": _layer_case(
-        lambda ns, gen: ns.AttentionEncoder(6, 4, gen, model_dim=8, n_heads=4,
+        lambda ns, gen: ns.AttentionEncoder(6, 4, gen, model_dim=8,
                                             dropout_rate=0.5), 6, 4),
     # the classifier and its embedding: the frozen model's head-only and
     # penult-only outputs
@@ -782,7 +786,7 @@ def _model_runs(seed=0):
     covers = _covers(seed, (4, 9))
     img = _normal(seed, "img", (4, 6))
     botania = BotaniaMLP(in_dim=9, hidden=5, embed=6, n_classes=3,
-                         gen=rng.substream("binit"))
+                         dropout_rate=0.4, gen=rng.substream("binit"))
 
     def layer(model, x, out_dim):
         def run():
@@ -792,9 +796,9 @@ def _model_runs(seed=0):
 
     def alignment(variant):
         model = AlignmentModel(variant, d_img=6, d_tab=9, rng=Rng(seed),
-                               proj_dim=6, botania=botania, mlp_img_hidden=5,
-                               mlp_tab_hidden=5, attn_model_dim=8,
-                               attn_heads=4)
+                               proj_dim=6, botania=botania,
+                               adapter_noise_variance=1e-4, mlp_img_hidden=5,
+                               mlp_tab_hidden=5, attn_model_dim=8)
 
         def run():
             model.encode_images(img, True, gen)
@@ -805,7 +809,7 @@ def _model_runs(seed=0):
         return run
 
     botasp = BotaSPModel(in_dim=6, n_species=3, proj_dim=4, hidden=5,
-                         gen=rng.substream("spinit"))
+                         dropout_rate=0.4, gen=rng.substream("spinit"))
 
     def supervised():
         botasp.forward(img, True, gen)

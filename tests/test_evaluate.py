@@ -52,7 +52,8 @@ class TestEvalPlant:
                              ds.plot_ids, data.eval_species_ids)
         rows0 = np.flatnonzero(ds.view_index == 0)
         report = eval_plant(ds.images[rows0], covers, fa, 1, n_trees=15,
-                            seeds=(0,))
+                            threshold=0.5, min_presences=1,
+                            max_presences=None, seeds=(0,))
         scores = report.scores_for("tss")
         assert len(scores) >= 8
         assert np.mean(list(scores.values())) > 0.15
@@ -65,7 +66,8 @@ class TestEvalPlant:
         covers = CoverMatrix(values, ds.plot_ids, data.eval_species_ids)
         rows0 = np.flatnonzero(ds.view_index == 0)
         report = eval_plant(ds.images[rows0], covers, fa, 1, n_trees=5,
-                            min_presences=10, seeds=(0,))
+                            threshold=0.5, min_presences=10,
+                            max_presences=None, seeds=(0,))
         assert data.eval_species_ids[0] not in report.scores_for("tss")
 
     def test_row_mismatch_rejected(self):
@@ -73,15 +75,18 @@ class TestEvalPlant:
         covers = CoverMatrix(data.eval_presence.astype(float), ds.plot_ids,
                              data.eval_species_ids)
         with pytest.raises(DataError):
-            eval_plant(ds.images[:10], covers, fa, 1)
+            eval_plant(ds.images[:10], covers, fa, 1, n_trees=100,
+                       threshold=0.5, min_presences=1, max_presences=None,
+                       seeds=(0,))
 
     def test_deterministic(self):
         data, ds, fa = _synthetic_setup()
         covers = CoverMatrix(data.eval_presence.astype(float), ds.plot_ids,
                              data.eval_species_ids)
         rows0 = np.flatnonzero(ds.view_index == 0)
-        a = eval_plant(ds.images[rows0], covers, fa, 1, n_trees=8, seeds=(0,))
-        b = eval_plant(ds.images[rows0], covers, fa, 1, n_trees=8, seeds=(0,))
+        a, b = (eval_plant(ds.images[rows0], covers, fa, 1, n_trees=8,
+                           threshold=0.5, min_presences=1, max_presences=None,
+                           seeds=(0,)) for _ in range(2))
         assert a.rows == b.rows
 
 
@@ -104,7 +109,8 @@ class TestEvalButterfly:
         emb, path = self._occurrence_file(tmp_path)
         occ, row_index = read_occurrences(path)
         report = eval_butterfly(emb, occ, row_index, n_folds=4,
-                                cell_size=5000.0, n_trees=15, seeds=(0,))
+                                cell_size=5000.0, n_trees=15, threshold=0.5,
+                                seeds=(0,))
         tss = report.scores_for("tss")
         assert tss and tss["b1"] > 0.2
         boyce = report.scores_for("boyce")
@@ -113,10 +119,9 @@ class TestEvalButterfly:
     def test_deterministic(self, tmp_path):
         emb, path = self._occurrence_file(tmp_path, seed=5)
         occ, row_index = read_occurrences(path)
-        a = eval_butterfly(emb, occ, row_index, n_folds=3, n_trees=6,
-                           seeds=(0,))
-        b = eval_butterfly(emb, occ, row_index, n_folds=3, n_trees=6,
-                           seeds=(0,))
+        a, b = (eval_butterfly(emb, occ, row_index, n_folds=3,
+                               cell_size=5000.0, n_trees=6, threshold=0.5,
+                               seeds=(0,)) for _ in range(2))
         assert a.rows == b.rows
 
 
@@ -141,4 +146,5 @@ class TestEvalSoil:
         table = TrophicTable(np.ones((5, 2)), np.arange(5.0),
                              [str(i) for i in range(5)], ["a", "b"])
         with pytest.raises(DataError):
-            eval_soil(np.ones((4, 3)), table)
+            eval_soil(np.ones((4, 3)), table, n_folds=5, n_strata=5,
+                      n_trees=100, seeds=(0,))

@@ -44,7 +44,7 @@ class TestEmbeddingFile:
     def test_ids_round_trip(self, tmp_path):
         path = tmp_path / "x.emb"
         save_embeddings(path, np.ones((2, 3)), ids=["a#0", "b#0"])
-        _, ids = load_embeddings(path)
+        _, ids = load_embeddings(path, normalize=True)
         assert ids == ["a#0", "b#0"]
 
     def test_normalize_on_load(self, tmp_path):
@@ -56,7 +56,7 @@ class TestEmbeddingFile:
     def test_loaded_matrix_is_read_only(self, tmp_path):
         path = tmp_path / "x.emb"
         save_embeddings(path, np.ones((2, 2)))
-        loaded, _ = load_embeddings(path)
+        loaded, _ = load_embeddings(path, normalize=True)
         with pytest.raises(ValueError):
             loaded[0, 0] = 5.0
 
@@ -79,7 +79,7 @@ class TestEmbeddingFile:
         path = tmp_path / "x.emb"
         path.write_bytes(b"NOPE" + b"\0" * 20)
         with pytest.raises(BadMagic):
-            load_embeddings(path)
+            load_embeddings(path, normalize=True)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.emb"
@@ -87,7 +87,7 @@ class TestEmbeddingFile:
         raw = path.read_bytes()
         path.write_bytes(raw[:30])
         with pytest.raises(TruncatedFile):
-            load_embeddings(path)
+            load_embeddings(path, normalize=True)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         with pytest.raises(DataError):

@@ -67,11 +67,13 @@ class TestClassifier:
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
-            fit_classifier(np.ones((3, 1)), np.array([0, 1, 2]))
+            fit_classifier(np.ones((3, 1)), np.array([0, 1, 2]),
+                           ForestConfig(n_trees=100))
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            fit_classifier(np.empty((0, 2)), np.empty(0))
+            fit_classifier(np.empty((0, 2)), np.empty(0),
+                           ForestConfig(n_trees=100))
 
     def test_shape_mismatch_on_predict(self):
         x, y = _separable_1d(seed=7)

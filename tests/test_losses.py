@@ -429,12 +429,13 @@ class TestFullChainGradients:
         botania = None
         if variant == "botania-linear":
             botania = BotaniaMLP(in_dim=d_tab, hidden=5, embed=proj,
-                                 n_classes=3, gen=rng.substream("binit"))
+                                 n_classes=3, dropout_rate=0.4,
+                                 gen=rng.substream("binit"))
         model = AlignmentModel(variant, d_img=d_img, d_tab=d_tab,
                                rng=Rng(seed + 1), proj_dim=proj,
-                               botania=botania, mlp_img_hidden=5,
-                               mlp_tab_hidden=5, attn_model_dim=8,
-                               attn_heads=4, tau_init=0.3, bias_init=-0.5)
+                               botania=botania, adapter_noise_variance=1e-4,
+                               mlp_img_hidden=5, mlp_tab_hidden=5,
+                               attn_model_dim=8, tau_init=0.3, bias_init=-0.5)
         img = l2_normalize_rows(rng.substream("img").normal(size=(n, d_img)))
         covers = rng.substream("cov").uniform(0, 100, size=(n, d_tab))
         lam = 0.8
@@ -478,7 +479,7 @@ class TestFullChainGradients:
         rng = Rng(80)
         n, d, s_dim = 3, 5, 4
         model = BotaSPModel(in_dim=d, n_species=s_dim, proj_dim=4, hidden=6,
-                            gen=rng.substream("init"))
+                            dropout_rate=0.4, gen=rng.substream("init"))
         x = l2_normalize_rows(rng.substream("x").normal(size=(n, d)))
         targets = (rng.substream("t").random((n, s_dim)) < 0.5).astype(float)
         z_orig = l2_normalize_rows(rng.substream("zo").normal(size=(n, 4)))

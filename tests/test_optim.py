@@ -228,7 +228,8 @@ class TestInPlaceStep:
     def test_value_updated_in_place(self):
         p = Param("w", np.ones((4, 4)))
         value = p.value
-        AdamW([p]).step(_tape_with(p, np.ones((4, 4))))
+        AdamW([p], lr=1e-3, weight_decay=1e-3).step(
+            _tape_with(p, np.ones((4, 4))))
         assert p.value is value and np.all(value < 1.0)
 
     def test_non_contiguous_value_still_updates(self):
@@ -236,5 +237,6 @@ class TestInPlaceStep:
         p = Param("w", np.zeros((4, 3)))
         p.value = start
         assert p.value.flags.c_contiguous
-        AdamW([p], weight_decay=0.0).step(_tape_with(p, np.ones((4, 3))))
+        AdamW([p], lr=1e-3, weight_decay=0.0).step(
+            _tape_with(p, np.ones((4, 3))))
         assert np.all(p.value < start)

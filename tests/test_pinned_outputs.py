@@ -4,8 +4,8 @@ SHA-256 recorded in tests/pinned_digests.json.
 A change that must keep outputs bit-identical keeps this table; a change
 that alters outputs on purpose regenerates it with the command in
 tests/tinyrun.py and says so. The digests hold for the numpy and BLAS
-builds recorded beside them, with BLAS on one thread; elsewhere the test
-skips and names both.
+builds and the BLAS kernel recorded beside them, with BLAS on one thread;
+elsewhere the test skips and names both.
 """
 
 import json

@@ -32,6 +32,13 @@ from botaclip.training import (
 )
 
 LN2 = math.log(2.0)
+# settings every train_botaclip call below passes: the optimizer's, and the
+# classes and dropout of the fresh cover classifier it starts from
+ALIGN = dict(lr=1e-3, weight_decay=1e-3, botania_classes=8,
+             botania_dropout=0.4)
+# the botania-linear variant over the 16-wide images of _alignment_setup
+LINEAR = dict(ALIGN, variant="botania-linear", proj_dim=16,
+              adapter_noise_variance=1e-4)
 
 
 def _toy_separable_covers(n=240, seed=0):
@@ -47,20 +54,24 @@ def _toy_separable_covers(n=240, seed=0):
 class TestTrainBotania:
     def test_separable_reaches_full_accuracy(self):
         covers, labels = _toy_separable_covers()
-        cfg = TrainConfig(batch_size=64, max_epochs=50, patience=20, seed=1)
+        cfg = TrainConfig(batch_size=64, max_epochs=50, patience=20, lam=1.0,
+                          seed=1, shuffle=True)
         model, log = train_botania(covers, labels, np.arange(180),
                                    np.arange(180, 240), cfg, hidden=8,
-                                   embed=6, n_classes=2, lr=0.3)
+                                   embed=6, n_classes=2, dropout_rate=0.4,
+                                   lr=0.3)
         acc = botania_accuracy(model, covers[180:], labels[180:])
         assert acc == 1.0
         assert log.best_epoch <= 50
 
     def test_patience_exhaustion_stops_early(self):
         covers, labels = _toy_separable_covers(seed=2)
-        cfg = TrainConfig(batch_size=64, max_epochs=300, patience=3, seed=2)
+        cfg = TrainConfig(batch_size=64, max_epochs=300, patience=3, lam=1.0,
+                          seed=2, shuffle=True)
         model, log = train_botania(covers, labels, np.arange(180),
                                    np.arange(180, 240), cfg, hidden=8,
-                                   embed=6, n_classes=2, lr=0.3)
+                                   embed=6, n_classes=2, dropout_rate=0.4,
+                                   lr=0.3)
         assert log.epochs[-1] < 300
         assert log.best_epoch < log.epochs[-1]
 
@@ -68,7 +79,11 @@ class TestTrainBotania:
         covers, labels = _toy_separable_covers()
         with pytest.raises(EmptySplit):
             train_botania(covers, labels, np.arange(0), np.arange(10),
-                          TrainConfig(), hidden=4, embed=4, n_classes=2)
+                          TrainConfig(batch_size=256, max_epochs=1000,
+                                      patience=10, lam=1.0, seed=0,
+                                      shuffle=True),
+                          hidden=4, embed=4, n_classes=2, dropout_rate=0.4,
+                          lr=0.3)
 
 
 def _alignment_setup(seed=0, pairs=160, lam=1.0, max_epochs=15, variant="botania-linear"):
@@ -79,21 +94,21 @@ def _alignment_setup(seed=0, pairs=160, lam=1.0, max_epochs=15, variant="botania
     fa = FoldAssignment.build(ds.locations, 5, Rng(seed).substream("folds"),
                               5000.0)
     cfg = TrainConfig(batch_size=64, max_epochs=max_epochs, patience=10,
-                      lam=lam, seed=seed)
+                      lam=lam, seed=seed, shuffle=True)
     return data, ds, fa, cfg
 
 
 class TestTrainBotaclip:
     def test_validation_loss_below_all_zero_baseline(self):
         _, ds, fa, cfg = _alignment_setup(seed=1, max_epochs=25)
-        model, log = train_botaclip(ds, fa, cfg, fold=1,
-                                    model_options={"botania_hidden": 24})
+        model, log = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
+                                    **LINEAR)
         assert log.scl[log.best_epoch - 1] < LN2
 
     def test_lambda_zero_logs_drift_without_optimizing_it(self):
         _, ds, fa, cfg = _alignment_setup(seed=2, lam=0.0, max_epochs=6)
-        model, log = train_botaclip(ds, fa, cfg, fold=1,
-                                    model_options={"botania_hidden": 24})
+        model, log = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
+                                    **LINEAR)
         assert all(np.isfinite(log.reg))
         assert any(r > 0 for r in log.reg)
         for v, s, r in zip(log.val_loss, log.scl, log.reg):
@@ -102,16 +117,15 @@ class TestTrainBotaclip:
     def test_input_embeddings_bit_identical_after_training(self):
         _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=5)
         before = hashlib.sha256(ds.images.tobytes()).hexdigest()
-        train_botaclip(ds, fa, cfg, fold=1,
-                       model_options={"botania_hidden": 24})
+        train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24, **LINEAR)
         assert hashlib.sha256(ds.images.tobytes()).hexdigest() == before
 
     def test_deterministic_for_fixed_seed(self):
         _, ds, fa, cfg = _alignment_setup(seed=5, max_epochs=5)
-        m1, log1 = train_botaclip(ds, fa, cfg, fold=1,
-                                  model_options={"botania_hidden": 24})
-        m2, log2 = train_botaclip(ds, fa, cfg, fold=1,
-                                  model_options={"botania_hidden": 24})
+        m1, log1 = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
+                                  **LINEAR)
+        m2, log2 = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
+                                  **LINEAR)
         assert log1.val_loss == log2.val_loss
         assert log1.tau == log2.tau
         for p1, p2 in zip(m1.params(), m2.params()):
@@ -119,19 +133,18 @@ class TestTrainBotaclip:
 
     def test_best_checkpoint_no_worse_than_logged_minimum(self):
         _, ds, fa, cfg = _alignment_setup(seed=6, max_epochs=12)
-        model, log = train_botaclip(ds, fa, cfg, fold=1,
-                                    model_options={"botania_hidden": 24})
+        model, log = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
+                                    **LINEAR)
         assert log.val_loss[log.best_epoch - 1] == min(log.val_loss)
 
     def test_mlp_and_attention_variants_train(self):
         for variant, opts in (("mlp", {"mlp_img_hidden": 12,
                                        "mlp_tab_hidden": 12}),
                               ("attention", {"mlp_img_hidden": 12,
-                                             "attn_model_dim": 8,
-                                             "attn_heads": 4})):
+                                             "attn_model_dim": 8})):
             _, ds, fa, cfg = _alignment_setup(seed=7, max_epochs=4)
             model, log = train_botaclip(ds, fa, cfg, fold=1, variant=variant,
-                                        proj_dim=8, model_options=opts)
+                                        proj_dim=8, **opts, **ALIGN)
             assert len(log.epochs) == 4
             z = model.encode_images(ds.images[:5])
             np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0,
@@ -228,12 +241,12 @@ def _ref_train_botaclip(pairs, assignment, cfg, variant="botania-linear",
 
 
 _VARIANTS = {
-    "botania-linear": {"model_options": {"botania_hidden": 12}},
+    "botania-linear": {"proj_dim": 16, "model_options": {
+        "botania_hidden": 12, "adapter_noise_variance": 1e-4}},
     "mlp": {"proj_dim": 8, "model_options": {"mlp_img_hidden": 12,
                                              "mlp_tab_hidden": 12}},
     "attention": {"proj_dim": 8, "model_options": {"mlp_img_hidden": 12,
-                                                   "attn_model_dim": 8,
-                                                   "attn_heads": 4}},
+                                                   "attn_model_dim": 8}},
 }
 
 
@@ -248,7 +261,9 @@ def test_shared_loop_matches_frozen_reference(variant, lam, shuffle):
     cfg = TrainConfig(batch_size=32, max_epochs=6, patience=2, lam=lam,
                       seed=13, shuffle=shuffle)
     kwargs = _VARIANTS[variant]
-    model, log = train_botaclip(ds, fa, cfg, variant=variant, **kwargs)
+    model, log = train_botaclip(ds, fa, cfg, variant=variant, fold=1,
+                                proj_dim=kwargs["proj_dim"],
+                                **kwargs["model_options"], **ALIGN)
     ref_model, ref_log = _ref_train_botaclip(ds, fa, cfg, variant=variant,
                                              **kwargs)
     state, ref_state = model_state(model), model_state(ref_model)
@@ -271,9 +286,10 @@ class TestTrainBotaSP:
         w = gen.normal(size=(d, s))
         presence = (emb @ w > 0).astype(np.int64)
         cfg = TrainConfig(batch_size=64, max_epochs=5, patience=10, lam=0.0,
-                          seed=8)
+                          seed=8, shuffle=True)
         _, log = train_botasp(emb, presence, np.arange(150),
-                              np.arange(150, 200), cfg, proj_dim=8, hidden=10)
+                              np.arange(150, 200), cfg, proj_dim=8, hidden=10,
+                              dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
         assert all(np.diff(log.scl) < 0)  # scl column carries validation BCE
 
     def test_feature_export_width_is_hidden_width(self):
@@ -281,9 +297,10 @@ class TestTrainBotaSP:
         emb = l2_normalize_rows(gen.normal(size=(60, 8)))
         presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
         cfg = TrainConfig(batch_size=32, max_epochs=2, patience=5, lam=100.0,
-                          seed=9)
+                          seed=9, shuffle=True)
         model, _ = train_botasp(emb, presence, np.arange(40),
-                                np.arange(40, 60), cfg, proj_dim=8, hidden=14)
+                                np.arange(40, 60), cfg, proj_dim=8, hidden=14,
+                                dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
         feats = botasp_features(model, emb)
         assert feats.shape == (60, 14)
 
@@ -292,16 +309,13 @@ class TestCheckpointRoundTrip:
     def test_alignment_all_variants(self):
         for variant in ("botania-linear", "mlp", "attention"):
             _, ds, fa, cfg = _alignment_setup(seed=10, max_epochs=2)
-            kwargs = {}
             if variant == "botania-linear":
-                kwargs["model_options"] = {"botania_hidden": 24}
+                kwargs = dict(LINEAR, botania_hidden=24)
             else:
-                kwargs["proj_dim"] = 8
-                kwargs["model_options"] = {"mlp_img_hidden": 12,
-                                           "mlp_tab_hidden": 12,
-                                           "attn_model_dim": 8}
-            model, _ = train_botaclip(ds, fa, cfg, fold=1, variant=variant,
-                                      **kwargs)
+                kwargs = dict(ALIGN, variant=variant, proj_dim=8,
+                              mlp_img_hidden=12, mlp_tab_hidden=12,
+                              attn_model_dim=8)
+            model, _ = train_botaclip(ds, fa, cfg, fold=1, **kwargs)
             rebuilt = alignment_model_from_state(model_state(model))
             assert rebuilt.variant == variant
             x = ds.images[:7]
@@ -309,8 +323,8 @@ class TestCheckpointRoundTrip:
                                           model.encode_images(x))
 
     def test_botania_state_round_trip(self):
-        model = BotaniaMLP(6, 5, 4, 3, gen=Rng(11).substream("i"))
-        rebuilt = botania_from_state(model_state(model))
+        model = BotaniaMLP(6, 5, 4, 3, 0.4, gen=Rng(11).substream("i"))
+        rebuilt = botania_from_state(model_state(model), dropout_rate=0.4)
         covers = Rng(11).substream("c").uniform(0, 100, size=(3, 6))
         np.testing.assert_array_equal(model.forward(covers),
                                       rebuilt.forward(covers))
@@ -322,9 +336,10 @@ class TestCheckpointRoundTrip:
         emb = l2_normalize_rows(gen.normal(size=(30, 8)))
         presence = (gen.random((30, 3)) < 0.5).astype(np.int64)
         cfg = TrainConfig(batch_size=16, max_epochs=1, patience=2, lam=0.0,
-                          seed=12)
+                          seed=12, shuffle=True)
         model, _ = train_botasp(emb, presence, np.arange(20),
-                                np.arange(20, 30), cfg, proj_dim=6, hidden=9)
+                                np.arange(20, 30), cfg, proj_dim=6, hidden=9,
+                                dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
         rebuilt = botasp_from_state(model_state(model))
         np.testing.assert_array_equal(botasp_features(rebuilt, emb),
                                       botasp_features(model, emb))
@@ -393,9 +408,9 @@ def _scripted_fit(val_losses, max_epochs, patience):
         return loss, loss, 0.0, math.nan, math.nan
 
     cfg = TrainConfig(batch_size=4, max_epochs=max_epochs, patience=patience,
-                      seed=3)
-    _, log = _fit(model, AdamW(params, lr=0.1), Rng(3), cfg, np.arange(8),
-                  step, validate)
+                      lam=1.0, seed=3, shuffle=True)
+    _, log = _fit(model, AdamW(params, lr=0.1, weight_decay=1e-3), Rng(3),
+                  cfg, np.arange(8), step, validate)
     return initial, copies, log, params, arrays
 
 
@@ -445,7 +460,8 @@ def _traced_peak_of_fit(epochs, shape=(256, 256)):
         loss = float(next(losses))
         return loss, loss, 0.0, math.nan, math.nan
 
-    cfg = TrainConfig(batch_size=4, max_epochs=epochs, patience=1)
+    cfg = TrainConfig(batch_size=4, max_epochs=epochs, patience=1, lam=1.0,
+                      seed=0, shuffle=True)
     tracemalloc.start()
     try:
         _fit(model, Halve(), Rng(0), cfg, np.arange(8),
@@ -482,21 +498,22 @@ def _count_input_gradients(monkeypatch):
 def test_trainers_compute_no_input_gradient(monkeypatch):
     computed = _count_input_gradients(monkeypatch)
     covers, labels = _toy_separable_covers()
-    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=1)
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, lam=1.0,
+                      seed=1, shuffle=True)
     train_botania(covers, labels, np.arange(180), np.arange(180, 240), cfg,
-                  hidden=8, embed=6, n_classes=2)
+                  hidden=8, embed=6, n_classes=2, dropout_rate=0.4, lr=0.3)
     _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=2)
-    train_botaclip(ds, fa, cfg, fold=1, model_options={"botania_hidden": 24})
+    train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24, **LINEAR)
     for variant in ("mlp", "attention"):
         train_botaclip(ds, fa, cfg, fold=1, variant=variant, proj_dim=8,
-                       model_options={"mlp_img_hidden": 12,
-                                      "mlp_tab_hidden": 12,
-                                      "attn_model_dim": 8})
+                       mlp_img_hidden=12, mlp_tab_hidden=12, attn_model_dim=8,
+                       **ALIGN)
     gen = Rng(9).substream("sp")
     emb = l2_normalize_rows(gen.normal(size=(60, 8)))
     presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
     train_botasp(emb, presence, np.arange(40), np.arange(40, 60), cfg,
-                 proj_dim=8, hidden=14)
+                 proj_dim=8, hidden=14, dropout_rate=0.4, lr=1e-3,
+                 weight_decay=1e-3)
     first = ["botania.lin1.weight", "img_adapter.weight",
              "img_encoder.lin1.weight", "tab_encoder.lin1.weight",
              "tab_encoder.reduce.weight", "botasp.proj.weight"]
@@ -511,7 +528,7 @@ def test_direct_backward_still_returns_the_input_gradient(monkeypatch):
     computed = _count_input_gradients(monkeypatch)
     gen = Rng(5).substream("direct")
     covers = gen.uniform(0, 100, size=(4, 6))
-    model = BotaniaMLP(6, 5, 4, 3, gen=gen)
+    model = BotaniaMLP(6, 5, 4, 3, 0.4, gen=gen)
     model.forward(covers, True, gen)
     g = gen.normal(size=(4, 3))
     full, lean = GradientTape(), GradientTape()

@@ -17,6 +17,7 @@ tests/test_pinned_outputs.py compares against.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -98,10 +99,20 @@ def write_inputs(root) -> None:
 
 
 def versions() -> dict:
-    """The numpy and BLAS builds the arithmetic of a run depends on."""
+    """The numpy and BLAS builds the arithmetic of a run depends on, and
+    the kernel that a DYNAMIC_ARCH OpenBLAS, as in numpy's wheels, picks
+    for this CPU at run time."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__,
-            "blas": f"{blas['name']} {blas.get('version', '?')}"}
+    out = {"numpy": np.__version__,
+           "blas": f"{blas['name']} {blas.get('version', '?')}"}
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("*openblas*")):
+        core = getattr(ctypes.CDLL(str(lib)),
+                       "scipy_openblas_get_corename64_", None)
+        if core is not None:
+            core.restype = ctypes.c_char_p
+            out["blas_core"] = core().decode()
+    return out
 
 
 def digests(directory) -> dict:

@@ -108,8 +108,10 @@ def runner(tmp_path_factory):
         if (command, settings) not in done:
             out = Path(f"out{len(done)}")
             argv = [*command, "--config", "base.json"]
-            argv += ["--out", str(out / "report.csv")] if command[0] == "eval" \
-                else ["--out-dir", str(out)]
+            if command[0] == "eval":
+                argv += ["--out", str(out / "report.csv")]
+            else:
+                argv += ["--out-dir", str(out)]
             for setting in settings:
                 argv += ["--set", setting]
             cwd = os.getcwd()
@@ -126,7 +128,8 @@ def runner(tmp_path_factory):
 
 
 def test_every_key_is_probed_or_allowed():
-    assert set(_leaf_keys(fileio.DEFAULT_CONFIG)) == PROBES.keys() | ALLOWED.keys()
+    keys = set(_leaf_keys(fileio.DEFAULT_CONFIG))
+    assert keys == PROBES.keys() | ALLOWED.keys()
 
 
 @pytest.mark.parametrize("key", sorted(PROBES))

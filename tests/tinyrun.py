@@ -6,8 +6,8 @@ plus butterfly occurrences and soil samples derived from them, each with an
 embedding file of their own. run_pipeline(root) then runs synth ->
 train-botania -> train-botaclip (the three variants) -> train-botasp ->
 embed -> eval (plant, butterfly, soil) -> stats -> cluster-metrics into
-root/run and returns the SHA-256 of every file it wrote there, manifests
-left out.
+root/run and returns the SHA-256 of every file under root/data and
+root/run, manifests left out.
 
     python tests/tinyrun.py DIR > tests/pinned_digests.json
 
@@ -92,9 +92,9 @@ def write_inputs(root) -> None:
                      math.log1p(math.exp(t[1])), math.log1p(math.exp(t[2]))])
     fileio.write_csv(data / "soil.csv", ["sample_id", "x_m", "y_m",
                                          "elevation_m", "g1", "g2"], rows)
+    soil_ids = loc_ids[:SOIL_SAMPLES]
     fileio.save_embeddings(data / "soil_images.emb",
-                           np.array([view0[p] for p in loc_ids[:SOIL_SAMPLES]]),
-                           loc_ids[:SOIL_SAMPLES])
+                           np.array([view0[p] for p in soil_ids]), soil_ids)
     (Path(root) / "base.json").write_text(json.dumps(BASE_CONFIG))
 
 

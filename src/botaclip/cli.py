@@ -10,7 +10,9 @@ with the same config and seed reproduces every file bit for bit.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +26,10 @@ from .numerics import Rng
 from .spatial import FoldAssignment, buffered_split, roles_for_fold
 from .stats import ablation_report
 from .training import TrainConfig
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -587,7 +593,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Keep the memory a command frees in the heap for its next step.
+
+    Under glibc's dynamic thresholds the heap is trimmed after a training
+    step frees its temporaries, and the next step faults the same pages
+    back in. This fixes the mmap threshold at 32 MiB, the ceiling of the
+    dynamic one, and the trim threshold at 1 GiB, above the tens of
+    megabytes a step frees at the paper's widths. Either setting alone turns
+    off the dynamic adjustment of both. Off glibc this does nothing, and
+    importing the library never calls it."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr or name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -239,13 +239,6 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
     if train_rows.size == 0 or val_rows.size == 0:
         raise EmptySplit("no usable train or validation views")
 
-    # A step's projection gradients live until the next step has made its
-    # own: freed together on return, they let malloc trim the heap that the
-    # next step grows back through page faults (desk benchmark, d=64, 2-vCPU
-    # box, in-place pair kernels: 231k instead of 124k minor faults and
-    # train-botaclip 2.68 instead of 2.50 s, medians of 6 alternating runs).
-    held = []
-
     def step(batch, gen, tape):
         x = pairs.images[batch]
         c = pairs.covers[pairs.pair_index[batch]]
@@ -261,7 +254,6 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
         model.backward_tables(d_zt, tape, input_grad=False)
         tape.add(model.tau, np.float64(d_tau))
         tape.add(model.bias, np.float64(d_b))
-        held[:] = d_zi, d_zt, d_reg
         return scl + lam * reg
 
     def terms(batch):

@@ -33,7 +33,7 @@ class ScalarsTauB:
 
 def _check_unit_rows(m: np.ndarray, what: str) -> None:
     dev = np.abs(row_norms(m) - 1.0)
-    if dev.size and dev.max() > UNIT_NORM_TOL:
+    if dev.size and not dev.max() <= UNIT_NORM_TOL:  # NaN fails <= too
         raise NotNormalized(f"{what} rows deviate from unit norm by {dev.max():.2e}")
 
 

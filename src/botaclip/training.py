@@ -97,7 +97,7 @@ def _scalars(model: AlignmentModel) -> ScalarsTauB:
 
 def _check_unit(z, what):
     dev = np.abs(row_norms(z) - 1.0)
-    if dev.size and dev.max() > UNIT_CHECK_TOL:
+    if dev.size and not dev.max() <= UNIT_CHECK_TOL:  # NaN fails <= too
         raise NotNormalized(f"{what} left the unit sphere by {dev.max():.2e}")
 
 

@@ -152,6 +152,14 @@ class TestRegularizer:
         with pytest.raises(NotNormalized):
             _drift(img, l2_normalize_rows(img))
 
+    @pytest.mark.parametrize("which", ["original", "projected"])
+    def test_rejects_nan_row(self, which):
+        bad = np.eye(3)
+        bad[1] = np.nan
+        img, z = (bad, np.eye(3)) if which == "original" else (np.eye(3), bad)
+        with pytest.raises(NotNormalized):
+            similarity_regularizer(img, z)
+
     def test_permutation_invariance(self):
         gen = Rng(7).substream("p")
         img = l2_normalize_rows(gen.normal(size=(5, 4)))

@@ -9,7 +9,7 @@ import pytest
 
 from botaclip.encoders import (AlignmentModel, BotaniaMLP, GradientTape,
                                Linear, Param, Sequential)
-from botaclip.errors import DataError, EmptySplit
+from botaclip.errors import DataError, EmptySplit, NotNormalized
 from botaclip.losses import (ScalarsTauB, sigmoid_contrastive_loss,
                              similarity_regularizer)
 from botaclip.numerics import Rng, l2_normalize_rows, row_norms
@@ -19,6 +19,7 @@ from botaclip.synth import generate_synthetic
 from botaclip.training import (
     TrainConfig,
     TrainLog,
+    _check_unit,
     _fit,
     alignment_model_from_state,
     botania_accuracy,
@@ -89,13 +90,21 @@ class TestTrainBotania:
 def _alignment_setup(seed=0, pairs=160, lam=1.0, max_epochs=15, variant="botania-linear"):
     data = generate_synthetic(pairs=pairs, latent_dim=4, img_dim=16,
                               n_species=12, views_per_pair=2, noise=0.8,
-                              seed=seed)
+                              seed=seed, cell_size=5000.0, n_classes=8,
+                              n_eval_species=10)
     ds = data.dataset
     fa = FoldAssignment.build(ds.locations, 5, Rng(seed).substream("folds"),
                               5000.0)
     cfg = TrainConfig(batch_size=64, max_epochs=max_epochs, patience=10,
                       lam=lam, seed=seed, shuffle=True)
     return data, ds, fa, cfg
+
+
+def test_unit_check_rejects_nan_row():
+    z = np.eye(3)
+    z[2] = np.nan
+    with pytest.raises(NotNormalized):
+        _check_unit(z, "image projection")
 
 
 class TestTrainBotaclip:

@@ -30,12 +30,12 @@ from .numerics import Rng
 @dataclass
 class ForestConfig:
     n_trees: int
+    seed: int
     criterion: str = "gini"          # "gini" | "mse"
     max_features: str | int = "auto"  # sqrt(d) for gini, d for mse
     bootstrap: bool = True
     min_samples_split: int = 2
     max_depth: int | None = None
-    seed: int = 0
 
 
 @dataclass

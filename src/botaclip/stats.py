@@ -176,9 +176,8 @@ class AblationReport:
     comparisons: list[ComparisonRow]
 
 
-def ablation_report(scores_by_model: dict[str, np.ndarray],
-                    higher_is_better: bool = True,
-                    alpha: float = 0.05) -> AblationReport:
+def ablation_report(scores_by_model: dict[str, np.ndarray], *, alpha: float,
+                    higher_is_better: bool = True) -> AblationReport:
     """Global Friedman test plus best-vs-others signed-rank comparisons.
 
     A winner is declared only when the Friedman test is significant at

@@ -29,14 +29,11 @@ class SyntheticData:
     eval_species_ids: list[str]
 
 
-def generate_synthetic(pairs: int, latent_dim: int, img_dim: int = 768,
-                       n_species: int = 64, views_per_pair: int = 1,
-                       noise: float = 0.5, seed: int = 0,
-                       cell_size: float = 5000.0,
-                       pairs_per_cell: float = 4.0,
-                       latent_jitter: float = 0.5,
-                       n_classes: int = 8,
-                       n_eval_species: int = 10) -> SyntheticData:
+def generate_synthetic(pairs: int, latent_dim: int, *, img_dim: int,
+                       n_species: int, views_per_pair: int, noise: float,
+                       seed: int, cell_size: float, n_classes: int,
+                       n_eval_species: int, pairs_per_cell: float = 4.0,
+                       latent_jitter: float = 0.5) -> SyntheticData:
     """Build a fully specified synthetic paired dataset.
 
     noise is the per-dimension noise scale relative to a unit-scale signal;

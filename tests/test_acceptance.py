@@ -54,7 +54,8 @@ LN2 = math.log(2.0)
 
 # frozen desk-scale configuration shared by criteria 3, 4 and 9
 DESK = dict(pairs=512, latent_dim=8, img_dim=64, n_species=64,
-            views_per_pair=4, noise=1.6)
+            views_per_pair=4, noise=1.6, cell_size=5000.0, n_classes=8,
+            n_eval_species=10)
 DESK_EPOCHS = 150
 
 

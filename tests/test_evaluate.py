@@ -38,7 +38,8 @@ class TestMetricReport:
 def _synthetic_setup(seed=0):
     data = generate_synthetic(pairs=220, latent_dim=4, img_dim=16,
                               n_species=16, views_per_pair=1, noise=0.3,
-                              seed=seed)
+                              seed=seed, cell_size=5000.0, n_classes=8,
+                              n_eval_species=10)
     ds = data.dataset
     fa = FoldAssignment.build(ds.locations, 5, Rng(seed).substream("folds"),
                               5000.0)

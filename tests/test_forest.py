@@ -68,12 +68,12 @@ class TestClassifier:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             fit_classifier(np.ones((3, 1)), np.array([0, 1, 2]),
-                           ForestConfig(n_trees=100))
+                           ForestConfig(n_trees=100, seed=0))
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
             fit_classifier(np.empty((0, 2)), np.empty(0),
-                           ForestConfig(n_trees=100))
+                           ForestConfig(n_trees=100, seed=0))
 
     def test_shape_mismatch_on_predict(self):
         x, y = _separable_1d(seed=7)
@@ -104,7 +104,7 @@ class TestClassifier:
 def test_forest_needs_a_tree(fit, criterion, n_trees):
     x, y = _separable_1d(seed=2, n=20)
     with pytest.raises(ValueError, match="at least one tree"):
-        fit(x, y, ForestConfig(n_trees=n_trees, criterion=criterion))
+        fit(x, y, ForestConfig(n_trees=n_trees, seed=0, criterion=criterion))
 
 
 class TestSplitQuality:
@@ -147,7 +147,8 @@ class TestRegressor:
         else:
             y[3] = bad
         with pytest.raises(NonFinite):
-            fit_regressor(x, y, ForestConfig(n_trees=2, criterion="mse"))
+            fit_regressor(x, y, ForestConfig(n_trees=2, seed=0,
+                                             criterion="mse"))
 
     def test_constant_target(self):
         gen = Rng(10).substream("x")

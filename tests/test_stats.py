@@ -160,7 +160,8 @@ class TestHolm:
 class TestAblationReport:
     def test_identical_models_no_winner(self):
         scores = Rng(6).substream("ab").random(20)
-        report = ablation_report({"a": scores, "b": scores.copy()})
+        report = ablation_report({"a": scores, "b": scores.copy()},
+                                 alpha=0.05)
         assert report.friedman.p_value == 1.0
         assert report.best_model is None
         assert report.comparisons == []
@@ -168,7 +169,7 @@ class TestAblationReport:
     def test_uniform_improvement(self):
         gen = Rng(7).substream("ab")
         base = gen.random(40)
-        report = ablation_report({"a": base, "b": base + 0.1})
+        report = ablation_report({"a": base, "b": base + 0.1}, alpha=0.05)
         assert report.best_model == "b"
         row = report.comparisons[0]
         assert abs(row.median_diff - 0.1) < 1e-12
@@ -178,7 +179,8 @@ class TestAblationReport:
 
     def test_pct_change_relative_to_baseline(self):
         base = np.full(30, 0.5) + Rng(8).substream("n").normal(size=30) * 1e-3
-        report = ablation_report({"base": base, "new": base + 0.05})
+        report = ablation_report({"base": base, "new": base + 0.05},
+                                 alpha=0.05)
         row = report.comparisons[0]
         assert abs(row.pct_change - 100.0 * row.median_diff
                    / abs(np.median(base))) < 1e-9
@@ -187,7 +189,7 @@ class TestAblationReport:
         gen = Rng(9).substream("ab")
         base = gen.random(30) + 1.0
         report = ablation_report({"big": base + 0.2, "small": base},
-                                 higher_is_better=False)
+                                 alpha=0.05, higher_is_better=False)
         assert report.best_model == "small"
 
     def test_adjusted_ps_present_and_ordered(self):
@@ -197,7 +199,7 @@ class TestAblationReport:
             "a": base,
             "b": base + 0.2,
             "c": base + gen.normal(size=35) * 0.01,
-        })
+        }, alpha=0.05)
         assert report.best_model == "b"
         for row in report.comparisons:
             assert row.p_adjusted >= row.p_value - 1e-15

@@ -9,7 +9,8 @@ from botaclip.synth import generate_synthetic, view_ids
 
 def _small(**kw):
     defaults = dict(pairs=40, latent_dim=4, img_dim=16, n_species=12,
-                    views_per_pair=2, noise=0.5, seed=3)
+                    views_per_pair=2, noise=0.5, seed=3, cell_size=5000.0,
+                    n_classes=8, n_eval_species=10)
     defaults.update(kw)
     return generate_synthetic(**defaults)
 
@@ -104,7 +105,8 @@ def test_random_split_overestimates_vs_buffered():
     for seed in range(3):
         data = generate_synthetic(pairs=300, latent_dim=6, img_dim=24,
                                   n_species=32, views_per_pair=1, noise=1.0,
-                                  seed=seed)
+                                  seed=seed, cell_size=5000.0, n_classes=8,
+                                  n_eval_species=10)
         ds = data.dataset
         fa = FoldAssignment.build(ds.locations, 5,
                                   Rng(seed).substream("f"), 5000.0)

@@ -6,8 +6,9 @@ plus butterfly occurrences and soil samples derived from them, each with an
 embedding file of their own. run_pipeline(root) then runs synth ->
 train-botania -> train-botaclip (the three variants) -> train-botasp ->
 embed -> eval (plant, butterfly, soil) -> stats -> cluster-metrics into
-root/run and returns the SHA-256 of every file under root/data and
-root/run, manifests left out.
+root/run, and prep -> split on a long-format survey derived from the synth
+covers into root/run/prep. It returns the SHA-256 of every file under
+root/data and root/run, manifests left out.
 
     python tests/tinyrun.py DIR > tests/pinned_digests.json
 
@@ -35,6 +36,10 @@ SYNTH = ["--pairs", "96", "--latent-dim", "4", "--img-dim", "8",
          "--cell-size", "20000", "--n-classes", "4", "--n-eval-species", "4"]
 BUTTERFLY_SPECIES = 2
 SOIL_SAMPLES = 48
+# Braun-Blanquet cover-abundance classes, each with the lowest percent
+# cover that the survey writes it for
+BB_FLOORS = (("r", 0.0), ("+", 1.0), ("1", 5.0), ("2", 25.0), ("3", 50.0),
+             ("4", 75.0), ("5", 95.0))
 
 # a run configuration that each tiny command finishes in well under a
 # second with; relative paths, so outputs do not depend on the directory
@@ -96,6 +101,28 @@ def write_inputs(root) -> None:
     fileio.save_embeddings(data / "soil_images.emb",
                            np.array([view0[p] for p in soil_ids]), soil_ids)
     (Path(root) / "base.json").write_text(json.dumps(BASE_CONFIG))
+
+
+def write_survey(data) -> None:
+    """data/survey.csv: the long-format survey of the synth plots, one row
+    per plot and species with a cover above 0, the cover as its class and
+    the synth class as the prodrome class. covers.csv is split as text, so
+    the survey does not depend on the matrix reader."""
+    lines = (Path(data) / "covers.csv").read_text().splitlines()
+    species = lines[0].split(",")[1:]
+    _, locations = fileio.read_csv(Path(data) / "locations.csv")
+    _, classes = fileio.read_csv(Path(data) / "classes.csv")
+    rows = []
+    for line, (plot, x, y), (_, cls) in zip(lines[1:], locations, classes):
+        plot_id, *covers = line.split(",")
+        assert plot_id == plot
+        for sp, cover in zip(species, map(float, covers)):
+            if cover > 0.0:
+                bb = [name for name, floor in BB_FLOORS if cover >= floor][-1]
+                rows.append([plot, x, y, cls, sp, bb])
+    fileio.write_csv(Path(data) / "survey.csv",
+                     ["plot_id", "x_m", "y_m", "prodrome_class", "species_id",
+                      "bb_class"], rows)
 
 
 def versions() -> dict:
@@ -160,6 +187,10 @@ def run_pipeline(root) -> dict:
              "--metric", "tss", "--out", "run/stats.csv"])
         run(["cluster-metrics", "--embeddings", "run/images_adapted.emb",
              "--labels", "data/classes.csv", "--out", "run/cluster.csv"])
+        write_survey("data")
+        run(["prep", "--releves", "data/survey.csv", "--out-dir", "run/prep"])
+        run(["split", "--locations", "run/prep/locations.csv",
+             "--out", "run/prep/split.csv", "--seed", "5"])
         out = {}
         for directory in ["data", "run", *sorted(Path("run").glob("*/"))]:
             out.update({f"{Path(directory).as_posix()}/{name}": digest

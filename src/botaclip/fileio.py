@@ -3,6 +3,9 @@
 Embeddings are stored as 32-bit floats and widened to 64-bit on load (with
 optional unit-normalization of rows, the default for ingestion). CSV is RFC
 4180 with "\n" line ends; floats are written with repr() to round-trip exactly.
+The wide plot x species matrices are formatted a row at a time and, when the
+file is plain, parsed whole by numpy; both give the bytes and values of the
+per-cell path.
 """
 
 from __future__ import annotations
@@ -239,16 +242,73 @@ def typed_columns(path, header, rows, cols, dtype=np.float64,
 
 def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
                      col_ids: list[str], id_column: str = "plot_id") -> None:
-    header = [id_column] + list(col_ids)
-    rows = ([rid] + [v for v in row] for rid, row in zip(row_ids, values))
-    write_csv(path, header, rows)
+    """A wide id+numeric-columns CSV, one row of values per row id. Each
+    row of values.tolist() is formatted with repr(), which for a Python
+    float, int or bool is the text fmt_cell gives the numpy cell; ids go
+    through fmt_cell."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"matrix values must be numbers, not {values.dtype}")
+    if values.dtype.kind == "f":  # float(v) of each cell, as in fmt_cell
+        values = values.astype(np.float64, copy=False)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(fmt_cell, [id_column, *col_ids])) + "\n")
+        for rid, row in zip(row_ids, values.tolist()):
+            fh.write(",".join([fmt_cell(rid), *map(repr, row)]) + "\n")
+
+
+# Text that _read_plain_matrix leaves to read_csv: the quote and CR, which
+# csv.reader interprets, and U+001C-U+001F, which numpy strips around a
+# number as whitespace and float() does not.
+_NOT_PLAIN = re.compile('["\r\x1c-\x1f]')
+
+
+def _read_plain_matrix(path):
+    """(values, row_ids, header) of a matrix file that is plain text with
+    one field count and only finite numbers numpy's text reader parses;
+    None for any other file. np.loadtxt parses each number with
+    PyOS_string_to_double, as float() does, so the values are read_csv's
+    and typed_columns'."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if _NOT_PLAIN.search(text):
+        return None
+    lines = [ln for ln in text.split("\n") if "," in ln or ln.strip()]
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    if {ln.count(",") for ln in lines} != {len(header) - 1} or len(header) < 2:
+        return None
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                            usecols=range(1, len(header)), ndmin=2)
+    except ValueError:  # a cell such as 1_0 that float() alone reads
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values, [ln.partition(",")[0] for ln in lines[1:]], header
 
 
 def read_matrix_csv(path):
-    """Returns (values, row_ids, col_ids) for a wide id+numeric-columns CSV."""
-    header, rows = read_csv(path)
-    return (typed_columns(path, header, rows, slice(1, None)),
-            [r[0] for r in rows], header[1:])
+    """Returns (values, row_ids, col_ids) for a wide id+numeric-columns CSV.
+    A plain file is parsed whole by numpy; any other goes through read_csv
+    and typed_columns, with the same values and the same errors. A row id
+    that repeats an earlier one raises row_error."""
+    plain = _read_plain_matrix(path)
+    if plain is None:
+        header, rows = read_csv(path)
+        plain = (typed_columns(path, header, rows, slice(1, None)),
+                 [r[0] for r in rows], header)
+    values, row_ids, header = plain
+    first: dict[str, int] = {}
+    for k, rid in enumerate(row_ids):
+        if first.setdefault(rid, k) != k:
+            raise row_error(path, k, f"row id {rid!r} repeats an earlier row")
+    return values, row_ids, header[1:]
 
 
 # --- domain schemas -----------------------------------------------------------

@@ -135,6 +135,7 @@ def _fit(model, opt, rng: Rng, cfg: TrainConfig, train_rows: np.ndarray,
             losses.append(step(batch, rng.substream(f"dropout/{epoch}", bi),
                                tape))
             opt.step(tape)
+            del tape  # validation runs without the last step's gradients
         val_loss, *terms = validate()
         log.append(epoch, float(np.mean(losses)), val_loss, *terms)
         stop = stopper.update(epoch, val_loss)

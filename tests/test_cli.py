@@ -100,6 +100,33 @@ class TestSplitCommand:
         assert f"{locations}, line 8" in doc["message"]
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["bulk", "csv"])
+def test_repeated_plot_id_exit_2(tmp_path, capsys, eol):
+    # a second p00000 row would otherwise leave the first without a view
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--pairs", "24",
+                 "--latent-dim", "4", "--img-dim", "8", "--n-species", "6",
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    covers = data / "covers.csv"
+    lines = covers.read_text().splitlines()
+    lines.insert(2, lines[1])
+    covers.write_bytes(eol.join(lines + [""]).encode())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"embeddings": str(data / "images.emb"), "covers": str(covers),
+                 "locations": str(data / "locations.csv")},
+        "train": {"max_epochs": 2},
+        "model": {"botania_hidden": 8, "botania_classes": 4}}))
+    rc = main(["train-botaclip", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "DataError" and doc["exit"] == 2
+    assert doc["message"] == (f"{covers}, line 3: row id 'p00000' repeats "
+                              "an earlier row")
+
+
 _SURVEY = "plot_id,x_m,y_m,prodrome_class,species_id,bb_class\n"
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import csvref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from botaclip.errors import BadMagic, DataError, TruncatedFile, UsageError
 from botaclip.fileio import (
+    _read_plain_matrix,
     config_hash,
     load_checkpoint,
     load_config,
@@ -218,6 +220,170 @@ class TestCsvRoundTrip:
         path.write_text('plot_id,class_id\na,0\n"b"x,1\n')
         with pytest.raises(DataError, match=re.escape(f"{path}, line 3")):
             read_csv(path)
+
+
+def _matrix_outcome(read, path):
+    """What a matrix reader gives for path: its values' shape and bytes,
+    row ids and column ids, or the text of the DataError it raised."""
+    try:
+        values, row_ids, col_ids = read(path)
+    except DataError as exc:
+        return str(exc)
+    return values.shape, values.tobytes(), row_ids, col_ids
+
+
+def _reference_outcome(path):
+    """The frozen reader's outcome, with the DataError naming the first
+    repeated row id in place of a result that has one."""
+    want = _matrix_outcome(csvref.read_matrix_csv, path)
+    if not isinstance(want, str):
+        row_ids = want[2]
+        k = next((k for k in range(len(row_ids))
+                  if row_ids[k] in row_ids[:k]), None)
+        if k is not None:
+            want = str(csvref.row_error(
+                path, k, f"row id {row_ids[k]!r} repeats an earlier row"))
+    return want
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1e22, math.nan, math.inf,
+     -math.inf])
+# ids that need quoting, or text around them, beside plain ones
+_MATRIX_ID = _TEXT | st.sampled_from(["a,b", 'q"x', "l\nm", "c\rd", " "])
+
+
+@st.composite
+def _numeric_matrices(draw):
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 5)))
+    kind = draw(st.sampled_from(["float64", "float32", "int64", "bool"]))
+    if kind == "int64":
+        values = draw(hnp.arrays(np.int64, shape))
+    elif kind == "bool":
+        values = draw(hnp.arrays(np.bool_, shape))
+    else:
+        values = draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
+        with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
+            values = values.astype(kind)
+    row_ids = draw(st.lists(_MATRIX_ID, min_size=shape[0],
+                            max_size=shape[0]))
+    col_ids = draw(st.lists(_MATRIX_ID, min_size=shape[1],
+                            max_size=shape[1]))
+    return values, row_ids, col_ids
+
+
+_NUMBER_TEXT = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                | st.integers(-10**30, 10**30).map(str))
+# cells float() reads and numpy does not, non-finite ones, blank ones,
+# quoted ones, and bad ones
+_ODD_TEXT = st.sampled_from(
+    ["1_0", "\u0661", "nan", "-inf", "1e400", "", " ", " 1.5 ", "\u20032",
+     "+.5", "\x1c1", "1\x1f", "0x10", "1e", '"2.5"', '"1,5"', '2"', "1\x00"])
+_CELL_TEXT = st.integers(0, 11).flatmap(
+    lambda k: _ODD_TEXT if k == 0 else _NUMBER_TEXT)
+_ROW_ID_TEXT = (st.integers(0, 6).map(lambda k: f"p{k}")
+                | st.sampled_from(["", " x ", '"q,1"', '"r""s"', "t\x00"]))
+
+
+@st.composite
+def _matrix_texts(draw):
+    """CSV text shaped like a matrix file: blank and whitespace-only
+    lines, ragged rows, odd cells, LF or CRLF line ends."""
+    width = draw(st.integers(0, 4))
+    lines = [",".join(["plot_id"] + [f"s{j}" for j in range(width)])]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0"])))
+        n = width if draw(st.integers(0, 7)) else draw(st.integers(0, width + 1))
+        lines.append(",".join([draw(_ROW_ID_TEXT)]
+                              + [draw(_CELL_TEXT) for _ in range(n)]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+class TestMatrixAgainstReference:
+    """The bulk matrix writer and reader against the per-cell ones in
+    tests/csvref.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_numeric_matrices())
+    def test_writer_bytes(self, tmp_path_factory, matrix):
+        values, row_ids, col_ids = matrix
+        out = tmp_path_factory.mktemp("csv")
+        write_matrix_csv(out / "new.csv", values, row_ids, col_ids)
+        csvref.write_matrix_csv(out / "ref.csv", values, row_ids, col_ids)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_writer_bytes_wider_than_the_paper(self, tmp_path):
+        gen = Rng(4).substream("wide")
+        values = gen.normal(size=(3, 4000)) * 10.0 ** gen.integers(
+            -320, 300, size=(3, 4000))
+        values[0, :6] = [-0.0, 5e-324, 1e16, 1e-5, math.nan, -math.inf]
+        ids, cols = ["p,1", 'p"2', "p3"], [f"sp{j:04d}" for j in range(4000)]
+        with np.errstate(over="ignore"):
+            narrow = values.astype(np.float32)
+        for v in (values, narrow, values > 0,
+                  gen.integers(-2**63, 2**63 - 1, size=(3, 4000))):
+            write_matrix_csv(tmp_path / "new.csv", v, ids, cols)
+            csvref.write_matrix_csv(tmp_path / "ref.csv", v, ids, cols)
+            assert (tmp_path / "new.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
+
+    def test_writer_rejects_text_values(self, tmp_path):
+        with pytest.raises(TypeError, match="numbers"):
+            write_matrix_csv(tmp_path / "m.csv", np.array([["a"]]), ["r"],
+                             ["c"])
+
+    @settings(max_examples=500, deadline=None)
+    @given(_matrix_texts())
+    def test_reader_values_ids_and_errors(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _matrix_outcome(read_matrix_csv, path) == \
+            _reference_outcome(path)
+
+    def test_written_matrix_is_read_in_bulk(self, tmp_path):
+        path = tmp_path / "m.csv"
+        values = Rng(6).substream("bulk").normal(size=(5, 3700))
+        write_matrix_csv(path, values, [f"p{k}" for k in range(5)],
+                         [f"sp{j}" for j in range(3700)])
+        assert _read_plain_matrix(path) is not None
+        loaded, _, _ = read_matrix_csv(path)
+        assert loaded.tobytes() == values.tobytes()
+        assert _matrix_outcome(read_matrix_csv, path) == \
+            _reference_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        'plot_id,a,b\n"p1",1.0,2.0\n',
+        "plot_id,a,b\r\np1,1.0,2.0\r\n",
+        "plot_id,a,b\np1,1_0,2.0\n",
+        "plot_id,a,b\np1,\u0661,2.0\n",
+        "plot_id,a,b\np1,1.0,nan\n",
+        "plot_id,a,b\np1,1e400,2.0\n",
+        "plot_id,a,b\np1,,2.0\n",
+        "plot_id,a,b\np1,1.0\n",
+        "plot_id,a,b\np1,1.0,\x1c2.0\n",
+        "plot_id,a,b\n",
+        "plot_id\np1\n",
+        "\n \n",
+    ], ids=["quote", "crlf", "underscore", "arabic_digit", "nan", "overflow",
+            "empty_cell", "ragged", "separator_char", "header_only",
+            "no_value_column", "blank"])
+    def test_odd_file_takes_the_csv_path(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_plain_matrix(path) is None
+        assert _matrix_outcome(read_matrix_csv, path) == \
+            _reference_outcome(path)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["bulk", "csv"])
+    def test_repeated_row_id_names_its_line(self, tmp_path, eol):
+        path = tmp_path / "m.csv"
+        path.write_bytes(eol.join(["plot_id,a", "p1,1.0", "", "p2,2.0",
+                                   "p1,3.0", ""]).encode())
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}, line 5: row id 'p1' repeats an earlier row")):
+            read_matrix_csv(path)
 
 
 class TestDomainReaders:

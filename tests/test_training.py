@@ -1,12 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from botaclip import training
 from botaclip.encoders import (AlignmentModel, BotaniaMLP, GradientTape,
                                Linear, Param, Sequential)
 from botaclip.errors import DataError, EmptySplit, NotNormalized
@@ -548,3 +550,45 @@ def test_direct_backward_still_returns_the_input_gradient(monkeypatch):
     assert computed["botania.lin1.weight"] == 1
     assert {k: v.tobytes() for k, v in full.grads.items()} == \
         {k: v.tobytes() for k, v in lean.grads.items()}
+
+
+def test_validation_runs_without_the_last_step_gradients(monkeypatch):
+    """Every tape and every gradient array a step recorded is gone by the
+    time validation starts, in each trainer."""
+    recorded, alive_at_validation = [], []
+
+    class TrackedTape(GradientTape):
+        def __init__(self):
+            super().__init__()
+            recorded.append(weakref.ref(self))
+
+        def add(self, param, grad):
+            super().add(param, grad)
+            recorded.append(weakref.ref(self.grads[param.name]))
+
+    fit = training._fit
+
+    def checked_fit(model, opt, rng, cfg, train_rows, step, validate):
+        def checked():
+            alive_at_validation.append(
+                sum(ref() is not None for ref in recorded))
+            return validate()
+        return fit(model, opt, rng, cfg, train_rows, step, checked)
+
+    monkeypatch.setattr(training, "GradientTape", TrackedTape)
+    monkeypatch.setattr(training, "_fit", checked_fit)
+    covers, labels = _toy_separable_covers()
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, lam=1.0,
+                      seed=1, shuffle=True)
+    train_botania(covers, labels, np.arange(180), np.arange(180, 240), cfg,
+                  hidden=8, embed=6, n_classes=2, dropout_rate=0.4, lr=0.3)
+    _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=2)
+    train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24, **LINEAR)
+    gen = Rng(9).substream("sp")
+    emb = l2_normalize_rows(gen.normal(size=(60, 8)))
+    presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
+    train_botasp(emb, presence, np.arange(40), np.arange(40, 60), cfg,
+                 proj_dim=8, hidden=14, dropout_rate=0.4, lr=1e-3,
+                 weight_decay=1e-3)
+    assert len(recorded) > 6
+    assert alive_at_validation == [0] * 6

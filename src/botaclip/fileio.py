@@ -243,9 +243,9 @@ def typed_columns(path, header, rows, cols, dtype=np.float64,
 def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
                      col_ids: list[str], id_column: str = "plot_id") -> None:
     """A wide id+numeric-columns CSV, one row of values per row id. Each
-    row of values.tolist() is formatted with repr(), which for a Python
-    float, int or bool is the text fmt_cell gives the numpy cell; ids go
-    through fmt_cell."""
+    row's tolist() is formatted with repr(), which for a Python float, int
+    or bool is the text fmt_cell gives the numpy cell; ids go through
+    fmt_cell."""
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         raise TypeError(f"matrix values must be numbers, not {values.dtype}")
@@ -253,8 +253,8 @@ def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
         values = values.astype(np.float64, copy=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(fmt_cell, [id_column, *col_ids])) + "\n")
-        for rid, row in zip(row_ids, values.tolist()):
-            fh.write(",".join([fmt_cell(rid), *map(repr, row)]) + "\n")
+        for rid, row in zip(row_ids, values):
+            fh.write(",".join([fmt_cell(rid), *map(repr, row.tolist())]) + "\n")
 
 
 # Text that _read_plain_matrix leaves to read_csv: the quote and CR, which

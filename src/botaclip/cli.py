@@ -2,9 +2,9 @@
 downstream evaluation and statistics.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Failures emit one JSON line on stderr. Every command writes a manifest with
-the resolved config and content hashes of its inputs and outputs, so a rerun
-with the same config and seed reproduces every file bit for bit.
+Failures emit one JSON line on stderr. A command that writes files writes a
+manifest of the resolved config and content hashes of its inputs and outputs,
+so a rerun with the same config and seed reproduces every file bit for bit.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ def _parse_set(values):
 
 
 def _load_cfg(args) -> dict:
-    overrides = _parse_set(getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
+    """The run configuration of the flags config_flags adds."""
+    overrides = _parse_set(args.set)
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    return fileio.load_config(getattr(args, "config", None), overrides)
+    return fileio.load_config(args.config, overrides)
 
 
 def _model_from_checkpoint(path, build, what: str):
@@ -91,13 +92,18 @@ def _split_view_id(rid: str):
     return rid, 0
 
 
-def _paired_dataset(emb, emb_ids, covers: CoverMatrix, locations):
-    loc_ids, loc_pts = locations
-    loc_of = {i: p for i, p in zip(loc_ids, loc_pts)}
-    missing = [p for p in covers.plot_ids if p not in loc_of]
+def _locations_of(path, plot_ids) -> np.ndarray:
+    """The points of the locations file at path, one per plot of plot_ids
+    in that order, matched by id; rows of other plots are ignored."""
+    ids, pts = fileio.read_locations(path)
+    row_of = {i: k for k, i in enumerate(ids)}
+    missing = [p for p in plot_ids if p not in row_of]
     if missing:
         raise DataError(f"no location for plot {missing[0]}")
-    pts = np.array([loc_of[p] for p in covers.plot_ids])
+    return pts[[row_of[p] for p in plot_ids]]
+
+
+def _paired_dataset(emb, emb_ids, covers: CoverMatrix, pts):
     pair_of = {p: i for i, p in enumerate(covers.plot_ids)}
     if emb_ids is None:
         if emb.shape[0] != len(covers.plot_ids):
@@ -154,6 +160,14 @@ def _assignment_from_split_file(path) -> tuple[FoldAssignment, list[str]]:
                           fold_of_cell, folds), ids
 
 
+def _save_model(out, name, model, log) -> list[Path]:
+    """Write model to out/name and log to out/train_log.csv; their paths."""
+    paths = [out / name, out / "train_log.csv"]
+    fileio.save_checkpoint(paths[0], training.model_state(model))
+    log.to_csv(paths[1])
+    return paths
+
+
 def _train_cfg(cfg, section) -> TrainConfig:
     """The section's training settings, each count checked to be at least 1
     before anything is read or written."""
@@ -172,8 +186,9 @@ def _train_cfg(cfg, section) -> TrainConfig:
 
 
 # --- subcommands -----------------------------------------------------------------
+# each returns its manifest's (config, inputs, outputs), or None if it wrote none
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     out = _outdir(args)
     data = synth.generate_synthetic(
         pairs=args.pairs, latent_dim=args.latent_dim, img_dim=args.img_dim,
@@ -197,19 +212,18 @@ def cmd_synth(args) -> int:
     outputs = [out / n for n in ("images.emb", "covers.csv", "locations.csv",
                                  "classes.csv", "latents.csv",
                                  "eval_species.csv")]
-    fileio.write_manifest(out / "manifest_synth.json", "synth", cfg, [],
-                          outputs)
     print(f"wrote {len(outputs)} files to {out}")
-    return 0
+    return cfg, [], outputs
 
 
-def cmd_prep(args) -> int:
+def cmd_prep(args):
     out = _outdir(args)
     releves = fileio.read_releves(args.releves)
+    inputs = [args.releves]
     if args.species_index:
-        species = [ln.strip() for ln in
-                   Path(args.species_index).read_text().splitlines()
-                   if ln.strip()]
+        inputs.append(args.species_index)
+        text = Path(args.species_index).read_text(encoding="utf-8")
+        species = [ln.strip() for ln in text.splitlines() if ln.strip()]
     else:
         species = sorted({sp for rel in releves
                           for sp, _ in rel.species_covers})
@@ -220,16 +234,13 @@ def cmd_prep(args) -> int:
     fileio.write_labels(out / "labels.csv", matrix.plot_ids, labels)
     fileio.write_locations(out / "locations.csv", matrix.plot_ids,
                            [(r.x, r.y) for r in releves])
-    outputs = [out / n for n in ("cover_matrix.csv", "labels.csv",
-                                 "locations.csv")]
-    fileio.write_manifest(out / "manifest_prep.json", "prep",
-                          {"species_index": args.species_index or "derived"},
-                          [args.releves], outputs)
     print(f"{len(releves)} plots x {len(species)} species -> {out}")
-    return 0
+    return ({"species_index": args.species_index or "derived"}, inputs,
+            [out / n for n in ("cover_matrix.csv", "labels.csv",
+                               "locations.csv")])
 
 
-def cmd_split(args) -> int:
+def cmd_split(args):
     ids, pts = fileio.read_locations(args.locations)
     fa = FoldAssignment.build(pts, args.folds,
                               Rng(args.seed).substream("folds"),
@@ -238,25 +249,23 @@ def cmd_split(args) -> int:
     fileio.write_split_manifest(args.out, ids, fa.cells, fa.fold_ids, roles)
     cfg = {"cell_size": args.cell_size, "folds": args.folds,
            "fold": args.fold, "seed": args.seed}
-    fileio.write_manifest(str(args.out) + ".manifest.json", "split", cfg,
-                          [args.locations], [args.out])
     n_val = int(np.sum(roles == "validation"))
     n_buf = int(np.sum(roles == "buffer-excluded"))
     print(f"{len(ids)} samples: {len(ids) - n_val - n_buf} train, "
           f"{n_val} validation, {n_buf} buffer-excluded")
-    return 0
+    return cfg, [args.locations], [args.out]
 
 
-def cmd_train_botania(args) -> int:
+def cmd_train_botania(args):
     cfg = _load_cfg(args)
     tcfg = _train_cfg(cfg, "botania_train")
     out = _outdir(args)
-    covers, plot_ids, _ = fileio.read_matrix_csv(cfg["data"]["covers"])
-    label_ids, labels = fileio.read_labels(cfg["data"]["labels"])
+    data = cfg["data"]
+    covers, plot_ids, _ = fileio.read_matrix_csv(data["covers"])
+    label_ids, labels = fileio.read_labels(data["labels"])
     if label_ids != plot_ids:
         raise DataError("labels and covers disagree on plot order")
-    _, pts = fileio.read_locations(cfg["data"]["locations"])
-    fa = _assignment_from_cfg(pts, cfg)
+    fa = _assignment_from_cfg(_locations_of(data["locations"], plot_ids), cfg)
     train_idx, val_idx, _ = buffered_split(fa, cfg["fold"])
     model, log = training.train_botania(
         covers, labels, train_idx, val_idx, tcfg,
@@ -265,86 +274,72 @@ def cmd_train_botania(args) -> int:
         n_classes=cfg["model"]["botania_classes"],
         dropout_rate=cfg["model"]["botania_dropout"],
         lr=cfg["botania_train"]["lr"])
-    fileio.save_checkpoint(out / "botania.ckpt", training.model_state(model))
-    log.to_csv(out / "train_log.csv")
-    inputs = [cfg["data"]["covers"], cfg["data"]["labels"],
-              cfg["data"]["locations"]]
-    fileio.write_manifest(out / "manifest_train_botania.json",
-                          "train-botania", cfg, inputs,
-                          [out / "botania.ckpt", out / "train_log.csv"])
+    outputs = _save_model(out, "botania.ckpt", model, log)
     acc = training.botania_accuracy(model, covers[val_idx], labels[val_idx])
     print(f"best epoch {log.best_epoch}, val top-1 accuracy {acc:.3f}")
-    return 0
+    return cfg, [data["covers"], data["labels"], data["locations"]], outputs
 
 
-def cmd_train_botaclip(args) -> int:
+def cmd_train_botaclip(args):
     cfg = _load_cfg(args)
     tcfg = _train_cfg(cfg, "train")
+    data = cfg["data"]
+    if data["botania_checkpoint"] and cfg["variant"] != "botania-linear":
+        raise UsageError("data.botania_checkpoint seeds only the "
+                         f"botania-linear variant, not {cfg['variant']!r}")
     out = _outdir(args)
-    emb, emb_ids = fileio.load_embeddings(cfg["data"]["embeddings"],
+    emb, emb_ids = fileio.load_embeddings(data["embeddings"],
                                           normalize=cfg["normalize_on_load"])
-    covers_vals, plot_ids, species = fileio.read_matrix_csv(
-        cfg["data"]["covers"])
-    covers = CoverMatrix(covers_vals, plot_ids, species)
-    locations = fileio.read_locations(cfg["data"]["locations"])
-    pairs = _paired_dataset(emb, emb_ids, covers, locations)
+    covers = CoverMatrix(*fileio.read_matrix_csv(data["covers"]))
+    pairs = _paired_dataset(emb, emb_ids, covers,
+                            _locations_of(data["locations"], covers.plot_ids))
     fa = _assignment_from_cfg(pairs.locations, cfg)
 
     m = cfg["model"]
+    inputs = [data["embeddings"], data["covers"], data["locations"]]
     botania = None
-    if cfg["data"]["botania_checkpoint"]:
+    if data["botania_checkpoint"]:
+        inputs.append(data["botania_checkpoint"])
         botania = _model_from_checkpoint(
-            cfg["data"]["botania_checkpoint"],
+            data["botania_checkpoint"],
             lambda state: training.botania_from_state(
                 state, dropout_rate=m["botania_dropout"]),
             "a BotaNIA")
-    if cfg["variant"] != "botania-linear":
-        proj = m["projection_dim"]
-    else:
-        proj = emb.shape[1]
+    linear = cfg["variant"] == "botania-linear"
     model, log = training.train_botaclip(
         pairs, fa, tcfg, variant=cfg["variant"], fold=cfg["fold"],
         lr=cfg["optimizer"]["lr"],
-        weight_decay=cfg["optimizer"]["weight_decay"], proj_dim=proj,
+        weight_decay=cfg["optimizer"]["weight_decay"],
+        proj_dim=emb.shape[1] if linear else m["projection_dim"],
         botania=botania, botania_hidden=m["botania_hidden"],
         botania_classes=m["botania_classes"],
         botania_dropout=m["botania_dropout"],
         adapter_noise_variance=m["adapter_noise_variance"],
         mlp_img_hidden=m["mlp_img_hidden"], mlp_tab_hidden=m["mlp_tab_hidden"],
         attn_model_dim=m["attention_model_dim"])
-    fileio.save_checkpoint(out / "model.ckpt", training.model_state(model))
-    log.to_csv(out / "train_log.csv")
-    roles = roles_for_fold(fa, cfg["fold"])
-    fileio.write_split_manifest(out / "split.csv", pairs.plot_ids, fa.cells,
-                                fa.fold_ids, roles)
-    inputs = [cfg["data"]["embeddings"], cfg["data"]["covers"],
-              cfg["data"]["locations"]]
-    if cfg["data"]["botania_checkpoint"]:
-        inputs.append(cfg["data"]["botania_checkpoint"])
-    fileio.write_manifest(out / "manifest_train_botaclip.json",
-                          "train-botaclip", cfg, inputs,
-                          [out / "model.ckpt", out / "train_log.csv",
-                           out / "split.csv"])
+    outputs = _save_model(out, "model.ckpt", model, log) + [out / "split.csv"]
+    fileio.write_split_manifest(outputs[-1], pairs.plot_ids, fa.cells,
+                                fa.fold_ids, roles_for_fold(fa, cfg["fold"]))
     print(f"variant {cfg['variant']}, best epoch {log.best_epoch}, "
           f"val loss {min(log.val_loss):.5f}")
-    return 0
+    return cfg, inputs, outputs
 
 
-def cmd_train_botasp(args) -> int:
+def cmd_train_botasp(args):
     cfg = _load_cfg(args)
     tcfg = _train_cfg(cfg, "botasp_train")
     out = _outdir(args)
-    emb, emb_ids = fileio.load_embeddings(cfg["data"]["embeddings"],
+    data = cfg["data"]
+    emb, emb_ids = fileio.load_embeddings(data["embeddings"],
                                           normalize=cfg["normalize_on_load"])
-    covers_vals, plot_ids, _ = fileio.read_matrix_csv(cfg["data"]["covers"])
+    covers_vals, plot_ids, _ = fileio.read_matrix_csv(data["covers"])
     X = _view0_matrix(emb, emb_ids, plot_ids)
     binary = binarize_presence(covers_vals)
     kept = filter_by_support(binary, cfg["metrics"]["min_presences"],
                              cfg["metrics"]["max_presences"] or None)
     if kept.size == 0:
         raise DataError("no species pass the support filter")
-    _, pts = fileio.read_locations(cfg["data"]["locations"])
-    fa = _assignment_from_cfg(pts, cfg)
+    fa = _assignment_from_cfg(_locations_of(data["locations"], plot_ids), cfg)
     train_idx, val_idx, _ = buffered_split(fa, cfg["fold"])
     model, log = training.train_botasp(
         X, binary[:, kept], train_idx, val_idx, tcfg,
@@ -352,18 +347,12 @@ def cmd_train_botasp(args) -> int:
         dropout_rate=cfg["model"]["botasp_dropout"],
         lr=cfg["botasp_train"]["lr"],
         weight_decay=cfg["botasp_train"]["weight_decay"])
-    fileio.save_checkpoint(out / "botasp.ckpt", training.model_state(model))
-    log.to_csv(out / "train_log.csv")
-    inputs = [cfg["data"]["embeddings"], cfg["data"]["covers"],
-              cfg["data"]["locations"]]
-    fileio.write_manifest(out / "manifest_train_botasp.json", "train-botasp",
-                          cfg, inputs,
-                          [out / "botasp.ckpt", out / "train_log.csv"])
+    outputs = _save_model(out, "botasp.ckpt", model, log)
     print(f"{kept.size} species, best epoch {log.best_epoch}")
-    return 0
+    return cfg, [data["embeddings"], data["covers"], data["locations"]], outputs
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args):
     model = _model_from_checkpoint(args.checkpoint,
                                    training.alignment_model_from_state,
                                    "an alignment model")
@@ -371,14 +360,12 @@ def cmd_embed(args) -> int:
                                       normalize=not args.raw_input)
     adapted = model.encode_images(emb)
     fileio.save_embeddings(args.out, adapted, ids=ids)
-    fileio.write_manifest(str(args.out) + ".manifest.json", "embed",
-                          {"raw_input": args.raw_input},
-                          [args.checkpoint, args.embeddings], [args.out])
     print(f"adapted {adapted.shape[0]} x {adapted.shape[1]} -> {args.out}")
-    return 0
+    return ({"raw_input": args.raw_input}, [args.checkpoint, args.embeddings],
+            [args.out])
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     cfg = _load_cfg(args)
     met = cfg["metrics"]
     if met["seeds"] < 1:
@@ -396,12 +383,11 @@ def cmd_eval(args) -> int:
     emb, emb_ids = fileio.load_embeddings(args.embeddings,
                                           normalize=cfg["normalize_on_load"])
     if args.task == "plant":
-        covers_vals, plot_ids, species = fileio.read_matrix_csv(args.covers)
-        covers = CoverMatrix(covers_vals, plot_ids, species)
+        covers = CoverMatrix(*fileio.read_matrix_csv(args.covers))
         fa, split_ids = _assignment_from_split_file(args.split)
-        if split_ids != plot_ids:
+        if split_ids != covers.plot_ids:
             raise DataError("split manifest and covers disagree on plots")
-        X = _view0_matrix(emb, emb_ids, plot_ids)
+        X = _view0_matrix(emb, emb_ids, covers.plot_ids)
         report = evaluate.eval_plant(
             X, covers, fa, cfg["fold"], n_trees=met["n_trees"],
             threshold=met["threshold"], min_presences=met["min_presences"],
@@ -414,39 +400,33 @@ def cmd_eval(args) -> int:
             cell_size=cfg["cell_size_m"], n_trees=met["n_trees"],
             threshold=met["threshold"], seeds=seeds)
         inputs = [args.embeddings, args.occurrences]
-    elif args.task == "soil":
+    else:  # soil, the last of the parser's choices
         table = fileio.read_soil(args.soil)
         report = evaluate.eval_soil(
             emb, table, n_folds=cfg["n_folds"], n_strata=met["n_strata"],
             n_trees=met["n_trees"], seeds=seeds)
         inputs = [args.embeddings, args.soil]
-    else:
-        raise UsageError(f"unknown task {args.task!r}")
     report.to_csv(args.out)
-    fileio.write_manifest(str(args.out) + ".manifest.json",
-                          f"eval-{args.task}", cfg, inputs, [args.out])
     print(report.pretty())
-    return 0
+    return cfg, inputs, [args.out]
 
 
-def cmd_cluster_metrics(args) -> int:
+def cmd_cluster_metrics(args):
     emb, emb_ids = fileio.load_embeddings(args.embeddings,
                                           normalize=not args.raw_input)
     label_ids, labels = fileio.read_labels(args.labels)
     out = cluster_indices(_view0_matrix(emb, emb_ids, label_ids), labels)
     print(f"davies_bouldin={out['davies_bouldin']!r} "
           f"calinski_harabasz={out['calinski_harabasz']!r}")
-    if args.out:
-        fileio.write_csv(args.out, ["metric", "value"],
-                         [["davies_bouldin", out["davies_bouldin"]],
-                          ["calinski_harabasz", out["calinski_harabasz"]]])
-        fileio.write_manifest(str(args.out) + ".manifest.json",
-                              "cluster-metrics", {},
-                              [args.embeddings, args.labels], [args.out])
-    return 0
+    if not args.out:
+        return None
+    fileio.write_csv(args.out, ["metric", "value"],
+                     [["davies_bouldin", out["davies_bouldin"]],
+                      ["calinski_harabasz", out["calinski_harabasz"]]])
+    return {}, [args.embeddings, args.labels], [args.out]
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     if len(args.reports) < 2:
         raise UsageError("need at least two reports")
     names = args.names or [Path(p).stem for p in args.reports]
@@ -470,18 +450,6 @@ def cmd_stats(args) -> int:
               for name, m in zip(names, score_maps)}
     result = ablation_report(scores, higher_is_better=not args.lower_is_better,
                              alpha=args.alpha)
-    rows = [["friedman", result.friedman.statistic, result.friedman.p_value,
-             float("nan"), float("nan"), float("nan")]]
-    for c in result.comparisons:
-        rows.append([c.comparison, c.statistic, c.p_value, c.p_adjusted,
-                     c.median_diff, c.pct_change])
-    header = ["comparison", "statistic", "p_value", "p_adjusted",
-              "median_diff", "pct_change"]
-    if args.out:
-        fileio.write_csv(args.out, header, rows)
-        fileio.write_manifest(str(args.out) + ".manifest.json", "stats",
-                              {"metric": args.metric, "alpha": args.alpha},
-                              list(args.reports), [args.out])
     print(f"friedman chi2={result.friedman.statistic:.4f} "
           f"p={result.friedman.p_value:.3e} over {len(common)} units")
     if result.best_model is None:
@@ -492,7 +460,17 @@ def cmd_stats(args) -> int:
             print(f"  {c.comparison}: W={c.statistic:g} p={c.p_value:.3e} "
                   f"p_adj={c.p_adjusted:.3e} median_diff={c.median_diff:+.4f} "
                   f"change={c.pct_change:+.1f}%")
-    return 0
+    if not args.out:
+        return None
+    rows = [["friedman", result.friedman.statistic, result.friedman.p_value,
+             float("nan"), float("nan"), float("nan")]]
+    for c in result.comparisons:
+        rows.append([c.comparison, c.statistic, c.p_value, c.p_adjusted,
+                     c.median_diff, c.pct_change])
+    fileio.write_csv(args.out, ["comparison", "statistic", "p_value",
+                                "p_adjusted", "median_diff", "pct_change"], rows)
+    return ({"metric": args.metric, "alpha": args.alpha}, list(args.reports),
+            [args.out])
 
 
 # --- parser ----------------------------------------------------------------------
@@ -503,12 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def training_flags(p):
+    def config_flags(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a (dotted) config key")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic paired dataset")
     p.add_argument("--out-dir", required=True)
@@ -540,17 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=cfg["seed"])
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train-botania", help="pretrain the cover classifier")
-    training_flags(p)
-    p.set_defaults(func=cmd_train_botania)
-
-    p = sub.add_parser("train-botaclip", help="contrastive alignment")
-    training_flags(p)
-    p.set_defaults(func=cmd_train_botaclip)
-
-    p = sub.add_parser("train-botasp", help="supervised baseline")
-    training_flags(p)
-    p.set_defaults(func=cmd_train_botasp)
+    for name, func, text in (
+            ("train-botania", cmd_train_botania, "pretrain the cover classifier"),
+            ("train-botaclip", cmd_train_botaclip, "contrastive alignment"),
+            ("train-botasp", cmd_train_botasp, "supervised baseline")):
+        p = sub.add_parser(name, help=text)
+        config_flags(p)
+        p.add_argument("--out-dir", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("embed", help="apply a trained image adapter")
     p.add_argument("--checkpoint", required=True)
@@ -569,9 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--occurrences")
     p.add_argument("--soil")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int)
+    config_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cluster-metrics", help="cluster quality indices")
@@ -623,7 +595,16 @@ def main(argv=None) -> int:
         # a non-finite intermediate is reported by the explicit finite
         # checks, as one JSON line, not by numpy warnings on stderr
         with np.errstate(all="ignore"):
-            return int(args.func(args) or 0)
+            record = args.func(args)
+        if record is not None:
+            if hasattr(args, "out_dir"):
+                name = args.command.replace("-", "_")
+                path = Path(args.out_dir) / f"manifest_{name}.json"
+            else:
+                path = f"{args.out}.manifest.json"
+            task = f"-{args.task}" if args.command == "eval" else ""
+            fileio.write_manifest(path, args.command + task, *record)
+        return 0
     except UsageError as exc:
         return _emit_error(exc, 1)
     except (DataError, OSError, UnicodeDecodeError) as exc:

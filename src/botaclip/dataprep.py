@@ -20,7 +20,7 @@ from .errors import (
 )
 
 # Interval midpoints of the cover-abundance scale; "r" encodes rare,
-# negligible cover. Overridable per call.
+# negligible cover.
 BRAUN_BLANQUET_PERCENT = {
     "r": 0.1,
     "+": 0.5,
@@ -77,10 +77,6 @@ class PairedDataset:
     locations: np.ndarray    # (n_pairs, 2), planar meters
     plot_ids: list[str]
 
-    @property
-    def n_pairs(self) -> int:
-        return self.covers.shape[0]
-
     def view_rows_for_pairs(self, pairs: np.ndarray,
                             first_view_only: bool = False) -> np.ndarray:
         mask = np.isin(self.pair_index, pairs)
@@ -89,23 +85,25 @@ class PairedDataset:
         return np.flatnonzero(mask)
 
 
-def braun_blanquet_to_percent(bb_class: str, table: dict | None = None) -> float:
-    table = BRAUN_BLANQUET_PERCENT if table is None else table
+def braun_blanquet_to_percent(bb_class: str) -> float:
     try:
-        return table[str(bb_class)]
+        return BRAUN_BLANQUET_PERCENT[str(bb_class)]
     except KeyError:
         raise UnknownClass(f"unknown cover-abundance class {bb_class!r}") from None
 
 
-def build_cover_matrix(releves: list[Releve], species_index: list[str],
-                       bb_table: dict | None = None):
+def build_cover_matrix(releves: list[Releve], species_index: list[str]):
     """Assemble the percent-cover matrix; returns (CoverMatrix, labels).
 
     Species order follows species_index, row order follows the input.
     Absent species are zero. Raises UnknownSpecies for ids outside the
-    index and DuplicateEntry for a species recorded twice in one plot.
+    index and DuplicateEntry for a species listed twice in the index or
+    recorded twice in one plot.
     """
     col = {s: j for j, s in enumerate(species_index)}
+    if len(col) != len(species_index):
+        repeated = next(s for j, s in enumerate(species_index) if col[s] != j)
+        raise DuplicateEntry(f"species {repeated!r} listed twice in the index")
     values = np.zeros((len(releves), len(species_index)))
     labels = np.empty(len(releves), dtype=np.int64)
     for i, rel in enumerate(releves):
@@ -118,8 +116,7 @@ def build_cover_matrix(releves: list[Releve], species_index: list[str],
                 raise DuplicateEntry(
                     f"plot {rel.plot_id}: species {species!r} recorded twice")
             seen.add(species)
-            values[i, col[species]] = braun_blanquet_to_percent(bb_class,
-                                                                bb_table)
+            values[i, col[species]] = braun_blanquet_to_percent(bb_class)
         labels[i] = rel.prodrome_class
     matrix = CoverMatrix(values, [r.plot_id for r in releves],
                          list(species_index))

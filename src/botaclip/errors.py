@@ -67,7 +67,7 @@ class UnknownSpecies(DataError):
 
 
 class DuplicateEntry(DataError):
-    """The same (plot, species) pair was recorded twice."""
+    """The same (plot, species) pair, or an index species, recorded twice."""
 
 
 class EmptySample(DataError):

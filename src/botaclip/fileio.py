@@ -241,7 +241,7 @@ def typed_columns(path, header, rows, cols, dtype=np.float64,
 
 
 def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
-                     col_ids: list[str], id_column: str = "plot_id") -> None:
+                     col_ids: list[str]) -> None:
     """A wide id+numeric-columns CSV, one row of values per row id. Each
     row's tolist() is formatted with repr(), which for a Python float, int
     or bool is the text fmt_cell gives the numpy cell; ids go through
@@ -252,7 +252,7 @@ def write_matrix_csv(path, values: np.ndarray, row_ids: list[str],
     if values.dtype.kind == "f":  # float(v) of each cell, as in fmt_cell
         values = values.astype(np.float64, copy=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(fmt_cell, [id_column, *col_ids])) + "\n")
+        fh.write(",".join(map(fmt_cell, ["plot_id", *col_ids])) + "\n")
         for rid, row in zip(row_ids, values):
             fh.write(",".join([fmt_cell(rid), *map(repr, row.tolist())]) + "\n")
 
@@ -304,11 +304,17 @@ def read_matrix_csv(path):
         plain = (typed_columns(path, header, rows, slice(1, None)),
                  [r[0] for r in rows], header)
     values, row_ids, header = plain
+    _check_unique(path, row_ids)
+    return values, row_ids, header[1:]
+
+
+def _check_unique(path, ids) -> None:
+    """Raise row_error for the first data row whose id repeats an earlier
+    row's."""
     first: dict[str, int] = {}
-    for k, rid in enumerate(row_ids):
+    for k, rid in enumerate(ids):
         if first.setdefault(rid, k) != k:
             raise row_error(path, k, f"row id {rid!r} repeats an earlier row")
-    return values, row_ids, header[1:]
 
 
 # --- domain schemas -----------------------------------------------------------
@@ -339,15 +345,19 @@ def read_releves(path):
 
 
 def read_locations(path):
+    """(ids, points) of a locations file; an id that repeats an earlier
+    row's raises row_error."""
     header, rows = read_csv(path)
     if header[:3] not in (["plot_id", "x_m", "y_m"],
                           ["sample_id", "x_m", "y_m"]):
         raise DataError(f"{path}: expected id, x_m, y_m columns")
-    return [r[0] for r in rows], typed_columns(path, header, rows, slice(1, 3))
+    ids = [r[0] for r in rows]
+    _check_unique(path, ids)
+    return ids, typed_columns(path, header, rows, slice(1, 3))
 
 
-def write_locations(path, ids, points, id_column="plot_id"):
-    write_csv(path, [id_column, "x_m", "y_m"],
+def write_locations(path, ids, points):
+    write_csv(path, ["plot_id", "x_m", "y_m"],
               ([i, p[0], p[1]] for i, p in zip(ids, points)))
 
 

@@ -18,6 +18,9 @@ import numpy as np
 from .dataprep import PairedDataset
 from .numerics import Rng, l2_normalize_rows, softplus
 
+PAIRS_PER_CELL = 4.0  # mean pairs per grid cell
+LATENT_JITTER = 0.5  # scale of a pair's latent around its cell's base latent
+
 
 @dataclass
 class SyntheticData:
@@ -32,8 +35,7 @@ class SyntheticData:
 def generate_synthetic(pairs: int, latent_dim: int, *, img_dim: int,
                        n_species: int, views_per_pair: int, noise: float,
                        seed: int, cell_size: float, n_classes: int,
-                       n_eval_species: int, pairs_per_cell: float = 4.0,
-                       latent_jitter: float = 0.5) -> SyntheticData:
+                       n_eval_species: int) -> SyntheticData:
     """Build a fully specified synthetic paired dataset.
 
     noise is the per-dimension noise scale relative to a unit-scale signal;
@@ -46,13 +48,13 @@ def generate_synthetic(pairs: int, latent_dim: int, *, img_dim: int,
     rng = Rng(seed)
 
     # spatial layout: square cell grid, shared cell latent plus jitter
-    n_cells = max(1, int(math.ceil(pairs / pairs_per_cell)))
+    n_cells = max(1, int(math.ceil(pairs / PAIRS_PER_CELL)))
     side = int(math.ceil(math.sqrt(n_cells)))
     gen_cells = rng.substream("cells")
     cell_of_pair = gen_cells.integers(0, side * side, size=pairs)
     base_latents = gen_cells.normal(size=(side * side, latent_dim))
     latents = (base_latents[cell_of_pair]
-               + latent_jitter * rng.substream("jitter").normal(
+               + LATENT_JITTER * rng.substream("jitter").normal(
                    size=(pairs, latent_dim)))
 
     gen_loc = rng.substream("locations")

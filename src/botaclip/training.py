@@ -22,8 +22,8 @@ from .encoders import (
     BotaSPModel,
     GradientTape,
 )
-from .errors import DataError, EmptySplit, NotNormalized
-from .fileio import read_csv, typed_columns, write_csv
+from .errors import EmptySplit, NotNormalized
+from .fileio import write_csv
 from .losses import (
     ScalarsTauB,
     botasp_loss,
@@ -73,17 +73,6 @@ class TrainLog:
         write_csv(path, TRAIN_LOG_HEADER,
                   zip(self.epochs, self.train_loss, self.val_loss, self.scl,
                       self.reg, self.tau, self.b))
-
-    @classmethod
-    def from_csv(cls, path):
-        header, rows = read_csv(path)
-        if header != TRAIN_LOG_HEADER:
-            raise DataError(f"{path}: bad train log header")
-        # one list per column; a trainer without tau and b logs them as NaN
-        return cls(*(typed_columns(path, header, rows, j,
-                                   np.int64 if j == 0 else np.float64,
-                                   nan_ok=name in ("tau", "b")).tolist()
-                     for j, name in enumerate(header)))
 
 
 def _batches(rows: np.ndarray, batch_size: int):
@@ -188,10 +177,11 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
                 step, validate)
 
 
-def botania_accuracy(model: BotaniaMLP, covers, labels, top_k: int = 1) -> float:
+def botania_accuracy(model: BotaniaMLP, covers, labels) -> float:
+    """Top-1 accuracy; of tied logits the last class is the prediction."""
     logits = model.forward(covers)
-    top = np.argsort(logits, axis=1, kind="stable")[:, ::-1][:, :top_k]
-    return float(np.mean([labels[i] in top[i] for i in range(len(labels))]))
+    top = np.argsort(logits, axis=1, kind="stable")[:, -1]
+    return float(np.mean(top == labels))
 
 
 # --- contrastive alignment ----------------------------------------------------

@@ -1,16 +1,24 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botaclip import fileio
+import botaclip
+from botaclip import fileio, training
 from botaclip.cli import main
+from botaclip.encoders import BotaniaMLP
 from botaclip.evaluate import MetricReport
+from botaclip.numerics import Rng
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +135,100 @@ def test_repeated_plot_id_exit_2(tmp_path, capsys, eol):
                               "an earlier row")
 
 
+# a two-epoch run of each trainer on the synth_dir data, and the file its
+# model is saved to
+TRAINERS = {
+    "train-botania": ("botania.ckpt", {
+        "data": {"labels": "classes.csv"},
+        "model": {"botania_hidden": 8, "botania_embed": 6,
+                  "botania_classes": 8},
+        "botania_train": {"max_epochs": 2}}),
+    "train-botaclip": ("model.ckpt", {
+        "data": {"embeddings": "images.emb"},
+        "model": {"botania_hidden": 8, "botania_classes": 8},
+        "train": {"max_epochs": 2}}),
+    "train-botasp": ("botasp.ckpt", {
+        "data": {"embeddings": "images.emb"},
+        "model": {"botasp_hidden": 8},
+        "botasp_train": {"max_epochs": 2}}),
+}
+
+
+def _train_on_locations(synth_dir, run, command, lines):
+    """Run command on the synth_dir covers with a locations file of lines;
+    (exit code, the locations file, the saved model or None)."""
+    ckpt, cfg = TRAINERS[command]
+    run.mkdir()
+    locations = run / "locations.csv"
+    locations.write_text("\n".join(lines) + "\n")
+    data = {k: str(synth_dir / v) for k, v in cfg["data"].items()}
+    data.update(covers=str(synth_dir / "covers.csv"),
+                locations=str(locations))
+    (run / "cfg.json").write_text(json.dumps({**cfg, "data": data}))
+    rc = main([command, "--config", str(run / "cfg.json"),
+               "--out-dir", str(run / "out")])
+    model = run / "out" / ckpt
+    return rc, locations, model.read_bytes() if model.exists() else None
+
+
+@pytest.mark.parametrize("command", TRAINERS)
+def test_trainers_match_locations_by_plot_id(synth_dir, tmp_path, command):
+    header, *rows = (synth_dir / "locations.csv").read_text().splitlines()
+    rc, _, ordered = _train_on_locations(synth_dir, tmp_path / "ordered",
+                                         command, [header, *rows])
+    assert rc == 0 and ordered is not None
+    for name, changed in (("reversed", rows[::-1]),
+                          ("extra_row", [*rows, "q00000,1.0,2.0"])):
+        rc, _, model = _train_on_locations(synth_dir, tmp_path / name,
+                                           command, [header, *changed])
+        assert (rc, model) == (0, ordered), name
+
+
+@pytest.mark.parametrize("command", TRAINERS)
+def test_trainers_reject_missing_or_repeated_location(synth_dir, tmp_path,
+                                                      capsys, command):
+    header, *rows = (synth_dir / "locations.csv").read_text().splitlines()
+    missing = rows[5].split(",")[0]
+    rc, _, model = _train_on_locations(synth_dir, tmp_path / "missing",
+                                       command, [header, *rows[:5],
+                                                 *rows[6:]])
+    assert (rc, model) == (2, None)
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "DataError" and doc["exit"] == 2
+    assert doc["message"] == f"no location for plot {missing}"
+
+    rc, locations, model = _train_on_locations(
+        synth_dir, tmp_path / "repeated", command,
+        [header, *rows[:3], rows[0], *rows[3:]])
+    assert (rc, model) == (2, None)
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "DataError" and doc["exit"] == 2
+    assert doc["message"] == (f"{locations}, line 5: row id 'p00000' "
+                              "repeats an earlier row")
+
+
+@pytest.mark.parametrize("variant", ["mlp", "attention"])
+def test_botania_checkpoint_with_other_variant_exit_1(synth_dir, tmp_path,
+                                                      capsys, variant):
+    # a checkpoint the variant would load, hash as an input and not use
+    ckpt = tmp_path / "botania.ckpt"
+    botania = BotaniaMLP(16, 8, 6, 8, 0.4, gen=Rng(0).substream("b"))
+    fileio.save_checkpoint(ckpt, training.model_state(botania))
+    out = tmp_path / "out"
+    rc = main(["train-botaclip", "--out-dir", str(out),
+               "--set", f"data.embeddings={synth_dir / 'images.emb'}",
+               "--set", f"data.covers={synth_dir / 'covers.csv'}",
+               "--set", f"data.locations={synth_dir / 'locations.csv'}",
+               "--set", f"data.botania_checkpoint={ckpt}",
+               "--set", f"variant={variant}", "--set", "train.max_epochs=1"])
+    assert rc == 1
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "UsageError" and doc["exit"] == 1
+    assert doc["message"] == ("data.botania_checkpoint seeds only the "
+                              f"botania-linear variant, not '{variant}'")
+    assert not out.exists()
+
+
 _SURVEY = "plot_id,x_m,y_m,prodrome_class,species_id,bb_class\n"
 
 
@@ -160,6 +262,57 @@ class TestPrepCommand:
         doc = json.loads(err)
         assert doc["error"] == "DuplicateEntry"
         assert doc["exit"] == 2
+
+    def test_species_index_is_an_input(self, tmp_path):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(_SURVEY + "p1,0.0,0.0,1,spB,5\n")
+        index = tmp_path / "species.txt"
+        index.write_text("spA\nspB\n")
+        out = tmp_path / "prep"
+        assert main(["prep", "--releves", str(survey), "--out-dir", str(out),
+                     "--species-index", str(index)]) == 0
+        doc = json.loads((out / "manifest_prep.json").read_text())
+        assert doc["config"] == {"species_index": str(index)}
+        assert doc["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (survey, index)}
+
+    def test_species_index_is_read_as_utf8(self, tmp_path):
+        # an ASCII locale, where a text file opened without an encoding
+        # cannot hold the index's non-ASCII species
+        survey = tmp_path / "survey.csv"
+        survey.write_text(_SURVEY + "p1,0.0,0.0,1,sp\u00c4,5\n",
+                          encoding="utf-8")
+        index = tmp_path / "species.txt"
+        index.write_text("spA\nsp\u00c4\n", encoding="utf-8")
+        src = str(Path(botaclip.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0")
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c",
+             "import sys; from botaclip.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "prep", "--releves",
+             str(survey), "--out-dir", str(tmp_path / "prep"),
+             "--species-index", str(index)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        values, _, species = fileio.read_matrix_csv(
+            tmp_path / "prep" / "cover_matrix.csv")
+        assert species == ["spA", "sp\u00c4"]
+        np.testing.assert_array_equal(values, [[0.0, 87.5]])
+
+    def test_species_listed_twice_exit_2(self, tmp_path, capsys):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(_SURVEY + "p1,0.0,0.0,1,a,5\n")
+        index = tmp_path / "species.txt"
+        index.write_text("a\na\nb\n")
+        rc = main(["prep", "--releves", str(survey), "--out-dir",
+                   str(tmp_path / "prep"), "--species-index", str(index)])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DuplicateEntry" and doc["exit"] == 2
+        assert doc["message"] == "species 'a' listed twice in the index"
+        assert not (tmp_path / "prep" / "cover_matrix.csv").exists()
 
     def test_short_row_exit_2(self, tmp_path, capsys):
         releves = tmp_path / "releves.csv"
@@ -373,6 +526,8 @@ class TestTrainAndEmbed:
             report.to_csv(paths[-1])
         rc = main(["stats", "--reports", *map(str, paths), "--metric", "tss"])
         assert rc == 0
+        # without --out no file is written, a manifest neither
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
         out = capsys.readouterr().out
         assert "full: 1 of 5 units left out" in out
         assert "short: 0 of 4 units left out" in out
@@ -622,6 +777,11 @@ class TestClusterMetricsCommand:
         values = {r[0]: float(r[1]) for r in rows}
         assert abs(values["davies_bouldin"] - 0.1) < 1e-9
         assert abs(values["calinski_harabasz"] - 200.0) < 1e-9
+        # without --out no file is written, a manifest neither
+        files = sorted(tmp_path.iterdir())
+        assert main(["cluster-metrics", "--embeddings", str(emb),
+                     "--labels", str(labels), "--raw-input"]) == 0
+        assert sorted(tmp_path.iterdir()) == files
 
 
 class TestErrorPaths:

@@ -85,11 +85,25 @@ def _outdir(args) -> Path:
 
 # --- dataset assembly helpers ---------------------------------------------------
 
-def _split_view_id(rid: str):
-    if "#" in rid:
-        plot, view = rid.rsplit("#", 1)
-        return plot, int(view)
-    return rid, 0
+def _view_keys(emb_ids) -> list:
+    """(plot, view) of each embedding row id, "plot#view" or "plot" for
+    view 0. A view that is not an integer in [0, 2**63), or a (plot, view)
+    that two rows share, raises DataError."""
+    id_of = {}  # (plot, view) -> row id, in row order
+    for rid in emb_ids:
+        plot, sep, view = rid.rpartition("#")
+        try:
+            key = (plot, int(view)) if sep else (rid, 0)
+            if not 0 <= key[1] < 2 ** 63:  # an int64 view index
+                raise ValueError
+        except ValueError:
+            raise DataError(f"embedding row id {rid!r}: view {view!r} is not "
+                            "a non-negative integer") from None
+        if key in id_of:
+            raise DataError(f"embedding rows {id_of[key]!r} and {rid!r} "
+                            f"are both view {key[1]} of plot {key[0]!r}")
+        id_of[key] = rid
+    return list(id_of)
 
 
 def _locations_of(path, plot_ids) -> np.ndarray:
@@ -114,10 +128,10 @@ def _paired_dataset(emb, emb_ids, covers: CoverMatrix, pts):
     else:
         pair_index = np.empty(emb.shape[0], dtype=np.int64)
         view_index = np.empty(emb.shape[0], dtype=np.int64)
-        for r, rid in enumerate(emb_ids):
-            plot, view = _split_view_id(rid)
+        for r, (plot, view) in enumerate(_view_keys(emb_ids)):
             if plot not in pair_of:
-                raise DataError(f"embedding row {rid!r} has no cover plot")
+                raise DataError(
+                    f"embedding row {emb_ids[r]!r} has no cover plot")
             pair_index[r] = pair_of[plot]
             view_index[r] = view
     return PairedDataset(emb, pair_index, view_index, covers.values, pts,
@@ -130,11 +144,8 @@ def _view0_matrix(emb, emb_ids, plot_ids):
         if emb.shape[0] != len(plot_ids):
             raise DataError("embedding rows must match plots 1:1")
         return emb
-    row_of = {}
-    for r, rid in enumerate(emb_ids):
-        plot, view = _split_view_id(rid)
-        if view == 0:
-            row_of[plot] = r
+    row_of = {plot: r for r, (plot, view) in enumerate(_view_keys(emb_ids))
+              if view == 0}
     missing = [p for p in plot_ids if p not in row_of]
     if missing:
         raise DataError(f"no view-0 embedding for plot {missing[0]}")
@@ -266,7 +277,7 @@ def cmd_train_botania(args):
     if label_ids != plot_ids:
         raise DataError("labels and covers disagree on plot order")
     fa = _assignment_from_cfg(_locations_of(data["locations"], plot_ids), cfg)
-    train_idx, val_idx, _ = buffered_split(fa, cfg["fold"])
+    train_idx, val_idx = buffered_split(fa, cfg["fold"])
     model, log = training.train_botania(
         covers, labels, train_idx, val_idx, tcfg,
         hidden=cfg["model"]["botania_hidden"],
@@ -340,7 +351,7 @@ def cmd_train_botasp(args):
     if kept.size == 0:
         raise DataError("no species pass the support filter")
     fa = _assignment_from_cfg(_locations_of(data["locations"], plot_ids), cfg)
-    train_idx, val_idx, _ = buffered_split(fa, cfg["fold"])
+    train_idx, val_idx = buffered_split(fa, cfg["fold"])
     model, log = training.train_botasp(
         X, binary[:, kept], train_idx, val_idx, tcfg,
         proj_dim=X.shape[1], hidden=cfg["model"]["botasp_hidden"],

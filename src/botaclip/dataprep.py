@@ -143,15 +143,15 @@ def filter_by_support(binary: np.ndarray, min_presences: int,
 
 
 def balance_downsample(presences: np.ndarray, absences: np.ndarray,
-                       gen: np.random.Generator):
-    """Downsample absences without replacement to match the presence count."""
+                       gen: np.random.Generator) -> np.ndarray:
+    """The absences downsampled without replacement to the presence count,
+    sorted."""
     presences = np.asarray(presences)
     absences = np.asarray(absences)
     if absences.size < presences.size:
         raise InsufficientAbsences(
             f"{absences.size} absences for {presences.size} presences")
-    picked = gen.choice(absences, size=presences.size, replace=False)
-    return presences, np.sort(picked)
+    return np.sort(gen.choice(absences, size=presences.size, replace=False))
 
 
 def make_pseudo_absences(occ: OccurrenceSet, gen: np.random.Generator):
@@ -168,8 +168,8 @@ def make_pseudo_absences(occ: OccurrenceSet, gen: np.random.Generator):
     pres_keys = {(x, y) for x, y in pres}
     keep_idx = np.array([i for i, (x, y) in enumerate(cand)
                          if (x, y) not in pres_keys], dtype=np.int64)
-    _, local = balance_downsample(np.arange(len(pres)),
-                                  np.arange(keep_idx.size), gen)
+    local = balance_downsample(np.arange(len(pres)),
+                               np.arange(keep_idx.size), gen)
     picked = keep_idx[local]
     coords = np.vstack([pres, cand[picked]])
     labels = np.concatenate([np.ones(len(pres), dtype=np.int64),
@@ -201,22 +201,20 @@ def normalize_soil(raw: TrophicTable) -> TrophicTable:
                         raw.locations)
 
 
-def stratify_by_elevation(elevations: np.ndarray, n_strata: int):
-    """Equal-count strata along the sorted elevations.
+def stratify_by_elevation(elevations: np.ndarray,
+                          n_strata: int) -> np.ndarray:
+    """Per-sample ids of equal-count strata along the sorted elevations.
 
-    Ties are broken by stable sort order. Returns (stratum_ids, degenerate):
-    when every elevation is identical all samples land in stratum 0 and the
-    degenerate flag is set.
+    Ties are broken by stable sort order. When every elevation is
+    identical all samples land in stratum 0.
     """
     if n_strata < 2:
         raise ValueError("n_strata must be >= 2")
     elevations = np.asarray(elevations, dtype=np.float64)
     n = elevations.size
-    strata = np.zeros(n, dtype=np.int64)
     if np.all(elevations == elevations[0]):
-        return strata, True
+        return np.zeros(n, dtype=np.int64)
     order = np.argsort(elevations, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
-    strata = (ranks * n_strata) // n
-    return strata, False
+    return (ranks * n_strata) // n

@@ -310,17 +310,15 @@ class LinearAdapter(Sequential):
 
 
 def init_identity_adapter(dim: int, noise_variance: float,
-                          rng: Rng | np.random.Generator | None = None,
+                          gen: np.random.Generator,
                           name: str = "adapter") -> LinearAdapter:
-    """Adapter starting at (a perturbation of) the identity, with zero bias."""
+    """Adapter starting at (a perturbation of) the identity, with zero bias;
+    gen draws the perturbation, nothing at zero variance."""
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     adapter = LinearAdapter(dim, dim, name=name)
     w = np.eye(dim)
     if noise_variance > 0:
-        if rng is None:
-            raise ValueError("a noise source is required when noise_variance > 0")
-        gen = rng.generator() if isinstance(rng, Rng) else rng
         w = w + gen.normal(0.0, math.sqrt(noise_variance), size=(dim, dim))
     adapter.linear.weight.value = w
     adapter.linear.bias.value = np.zeros(dim)
@@ -350,16 +348,15 @@ class BotaniaMLP(Sequential):
     """
 
     def __init__(self, in_dim: int, hidden: int, embed: int, n_classes: int,
-                 dropout_rate: float, gen: np.random.Generator | None = None,
-                 name: str = "botania"):
+                 dropout_rate: float, gen: np.random.Generator | None = None):
         self.in_dim = in_dim
         self.embed_dim = embed
         self.trunk = Sequential(
-            CoverRange(), Linear(f"{name}.lin1", in_dim, hidden, gen), Gelu(),
-            Dropout(dropout_rate), Linear(f"{name}.lin2", hidden, embed, gen),
+            CoverRange(), Linear("botania.lin1", in_dim, hidden, gen), Gelu(),
+            Dropout(dropout_rate), Linear("botania.lin2", hidden, embed, gen),
             Gelu())
         super().__init__(self.trunk, Dropout(dropout_rate),
-                         Linear(f"{name}.head", embed, n_classes, gen))
+                         Linear("botania.head", embed, n_classes, gen))
         self.embedding = BotaniaEmbedding(self)
 
 
@@ -384,11 +381,10 @@ class TwoLayerEncoder(Sequential):
     """
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int,
-                 gen: np.random.Generator, name: str = "mlp",
-                 dropout_rate: float = 0.1):
+                 gen: np.random.Generator, name: str = "mlp"):
         super().__init__(
             Linear(f"{name}.lin1", in_dim, hidden, gen), Relu(),
-            Dropout(dropout_rate), Linear(f"{name}.lin2", hidden, out_dim, gen),
+            Dropout(0.1), Linear(f"{name}.lin2", hidden, out_dim, gen),
             RowNormalize())
 
 
@@ -401,13 +397,13 @@ class AttentionEncoder(Sequential):
 
     def __init__(self, in_dim: int, out_dim: int,
                  gen: np.random.Generator, model_dim: int,
-                 name: str = "attn", dropout_rate: float = 0.1):
+                 name: str = "attn"):
         reduce = Linear(f"{name}.reduce", in_dim, model_dim, gen)
         self.mha = SingleTokenAttention(f"{name}.mha", model_dim, gen)
         super().__init__(
             reduce,
             Residual(Sequential(LayerNorm(f"{name}.ln1", model_dim), self.mha)),
-            LayerNorm(f"{name}.ln2", model_dim), Relu(), Dropout(dropout_rate),
+            LayerNorm(f"{name}.ln2", model_dim), Relu(), Dropout(0.1),
             Linear(f"{name}.project", model_dim, out_dim, gen), RowNormalize())
 
 
@@ -420,13 +416,13 @@ class BotaSPModel:
 
     def __init__(self, in_dim: int, n_species: int, proj_dim: int,
                  hidden: int, dropout_rate: float,
-                 gen: np.random.Generator | None = None, name: str = "botasp"):
-        self.project = Sequential(Linear(f"{name}.proj", in_dim, proj_dim, gen),
+                 gen: np.random.Generator | None = None):
+        self.project = Sequential(Linear("botasp.proj", in_dim, proj_dim, gen),
                                   RowNormalize())
         self.features = Sequential(
-            Linear(f"{name}.hidden", proj_dim, hidden, gen), Gelu())
+            Linear("botasp.hidden", proj_dim, hidden, gen), Gelu())
         self.head = Sequential(Dropout(dropout_rate),
-                               Linear(f"{name}.head", hidden, n_species, gen))
+                               Linear("botasp.head", hidden, n_species, gen))
 
     def forward(self, x, train: bool = False,
                 gen: np.random.Generator | None = None):
@@ -466,8 +462,7 @@ class AlignmentModel:
                  adapter_noise_variance: float | None = None,
                  mlp_img_hidden: int | None = None,
                  mlp_tab_hidden: int | None = None,
-                 attn_model_dim: int | None = None,
-                 tau_init: float = math.log(10.0), bias_init: float = -10.0):
+                 attn_model_dim: int | None = None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
@@ -495,8 +490,10 @@ class AlignmentModel:
                                 name="tab_encoder") if variant == "mlp" else
                 AttentionEncoder(d_tab, proj_dim, tab_gen,
                                  model_dim=attn_model_dim, name="tab_encoder"))
-        self.tau = Param("scalars.tau", np.float64(tau_init), decay=False)
-        self.bias = Param("scalars.bias", np.float64(bias_init), decay=False)
+        # the sigmoid loss starts at temperature exp(tau) = 10 and bias -10
+        self.tau = Param("scalars.tau", np.float64(math.log(10.0)),
+                         decay=False)
+        self.bias = Param("scalars.bias", np.float64(-10.0), decay=False)
 
     def encode_images(self, x, train=False, gen=None):
         return self.img_branch.forward(x, train, gen)

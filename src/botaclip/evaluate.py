@@ -24,7 +24,7 @@ from .dataprep import (
 )
 from .errors import DataError, Degenerate, ZeroVariance
 from .fileio import read_csv, row_error, typed_columns, write_csv
-from .forest import ForestConfig, fit_classifier, fit_regressor, predict, predict_proba
+from .forest import ForestConfig, fit_classifier, fit_regressor, predict
 from .metrics import boyce_index, classification_metrics, confusion_counts, mae, spearman_rho
 from .numerics import Rng
 from .spatial import FoldAssignment, buffered_split, stratified_kfold
@@ -87,9 +87,9 @@ def _balanced(y, idx, gen):
     if pres.size == 0 or absn.size == 0:
         return None
     if absn.size >= pres.size:
-        _, absn = balance_downsample(pres, absn, gen)
+        absn = balance_downsample(pres, absn, gen)
     else:
-        _, pres = balance_downsample(absn, pres, gen)
+        pres = balance_downsample(absn, pres, gen)
     return np.concatenate([pres, absn])
 
 
@@ -101,7 +101,7 @@ def _classify_fold(X, y, train_idx, val_idx, n_trees, threshold, tree_seed,
         return None
     forest = fit_classifier(X[train], y[train],
                             ForestConfig(n_trees=n_trees, seed=tree_seed))
-    proba = predict_proba(forest, X[val])
+    proba = predict(forest, X[val])
     pred = (proba >= threshold).astype(np.int64)
     out = classification_metrics(confusion_counts(y[val], pred))
     out["_proba"] = proba
@@ -123,7 +123,7 @@ def eval_plant(embeddings: np.ndarray, covers: CoverMatrix,
         raise DataError("embedding rows must match cover-matrix plots")
     binary = binarize_presence(covers.values)
     kept = filter_by_support(binary, min_presences, max_presences)
-    train_idx, val_idx, _ = buffered_split(assignment, fold)
+    train_idx, val_idx = buffered_split(assignment, fold)
     report = MetricReport("plant")
     for seed in map(int, seeds):
         for j in map(int, kept):
@@ -167,7 +167,7 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
                 continue
             for fold in range(n_folds):
                 try:
-                    train_idx, val_idx, _ = buffered_split(fa, fold)
+                    train_idx, val_idx = buffered_split(fa, fold)
                     res = _classify_fold(
                         X, labels, train_idx, val_idx, n_trees, threshold,
                         seed * 100003 + fold,
@@ -195,7 +195,7 @@ def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *, n_folds: int,
     if embeddings.shape[0] != soil.values.shape[0]:
         raise DataError("embedding rows must match soil samples")
     table = normalize_soil(soil)
-    strata, _ = stratify_by_elevation(table.elevations, n_strata)
+    strata = stratify_by_elevation(table.elevations, n_strata)
     report = MetricReport("soil")
     groups = table.group_ids or [f"g{j + 1}" for j in range(table.values.shape[1])]
 

@@ -362,10 +362,14 @@ def write_locations(path, ids, points):
 
 
 def read_labels(path):
+    """(ids, class ids) of a labels file; an id that repeats an earlier
+    row's raises row_error."""
     header, rows = read_csv(path)
     if header != ["plot_id", "class_id"]:
         raise DataError(f"{path}: expected plot_id, class_id")
-    return [r[0] for r in rows], typed_columns(path, header, rows, 1, np.int64)
+    ids = [r[0] for r in rows]
+    _check_unique(path, ids)
+    return ids, typed_columns(path, header, rows, 1, np.int64)
 
 
 def write_labels(path, ids, labels):

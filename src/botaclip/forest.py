@@ -2,10 +2,11 @@
 
 Behavioral mirror of the usual library defaults (100 trees, gini with
 sqrt(d) features per node for classification, variance reduction with all
-features for regression, unlimited depth, midpoint thresholds). The search
-is exact: stable sorts, cumulative sums and impurities for every candidate
-feature and boundary at once. Ties between equally good splits go to the
-lowest feature index, then lowest threshold.
+features for regression, every tree on a bootstrap sample and grown until
+each leaf is pure or has no boundary to split at, midpoint thresholds).
+The search is exact: stable sorts, cumulative sums and impurities for every
+candidate feature and boundary at once. Ties between equally good splits go
+to the lowest feature index, then lowest threshold.
 
 The trees of a forest grow in lockstep. Each tree draws from its own
 substream and walks its nodes in depth-first preorder, left child first, so
@@ -32,10 +33,7 @@ class ForestConfig:
     n_trees: int
     seed: int
     criterion: str = "gini"          # "gini" | "mse"
-    max_features: str | int = "auto"  # sqrt(d) for gini, d for mse
-    bootstrap: bool = True
-    min_samples_split: int = 2
-    max_depth: int | None = None
+    max_features: str | int = "auto"  # sqrt(d) for gini, d for mse; or a count
 
 
 @dataclass
@@ -55,7 +53,6 @@ class TreeNode:
 class Forest:
     trees: list = field(default_factory=list)
     n_features: int = 0
-    kind: str = "classifier"
 
 
 def _n_candidate_features(cfg: ForestConfig, d: int) -> int:
@@ -63,10 +60,6 @@ def _n_candidate_features(cfg: ForestConfig, d: int) -> int:
         return max(1, min(cfg.max_features, d))
     if cfg.max_features == "auto":
         return math.ceil(math.sqrt(d)) if cfg.criterion == "gini" else d
-    if cfg.max_features == "sqrt":
-        return math.ceil(math.sqrt(d))
-    if cfg.max_features == "all":
-        return d
     raise ValueError(f"bad max_features {cfg.max_features!r}")
 
 
@@ -190,15 +183,14 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     gini = cfg.criterion == "gini"
     d = X.shape[1]
     m = _n_candidate_features(cfg, d)
-    max_depth = math.inf if cfg.max_depth is None else cfg.max_depth
     trees = [TreeNode() for _ in roots]
-    # pending nodes per tree, next on top: (node, rows, depth)
-    stacks = [[(node, idx, 0)] for node, idx in zip(trees, roots)]
+    # pending nodes per tree, next on top: (node, rows)
+    stacks = [[(node, idx)] for node, idx in zip(trees, roots)]
     while True:
-        step = []  # (tree, node, rows, depth, candidates)
+        step = []  # (tree, node, rows, candidates)
         for t, stack in enumerate(stacks):
             while stack:
-                node, idx, depth = stack.pop()
+                node, idx = stack.pop()
                 yy = y[idx]
                 if gini:
                     # one sum gives value and purity; with 0/1 labels the
@@ -209,27 +201,26 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
                 else:
                     node.value = float(np.mean(yy))
                     pure = yy.min() == yy.max()
-                if (pure or idx.size < cfg.min_samples_split
-                        or depth >= max_depth):
+                if pure:  # a one-row node is pure
                     continue
                 cand = np.sort(gens[t].choice(d, size=m, replace=False))
-                step.append((t, node, idx, depth, cand))
+                step.append((t, node, idx, cand))
                 break
         if not step:
             return trees
         found = _best_splits(X, y, [s[2] for s in step],
-                             [s[4] for s in step], gini)
-        for (t, node, idx, depth, cand), f in zip(step, found):
+                             [s[3] for s in step], gini)
+        for (t, node, idx, cand), f in zip(step, found):
             if f is None:
                 continue
             node.feature, node.threshold = int(cand[f[0]]), f[1]
             mask = X[idx, node.feature] <= node.threshold
             node.left, node.right = TreeNode(), TreeNode()
-            stacks[t].append((node.right, idx[~mask], depth + 1))
-            stacks[t].append((node.left, idx[mask], depth + 1))
+            stacks[t].append((node.right, idx[~mask]))
+            stacks[t].append((node.left, idx[mask]))
 
 
-def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, kind: str) -> Forest:
+def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if cfg.n_trees < 1:
@@ -246,9 +237,8 @@ def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, kind: str) -> Forest:
     for t in range(cfg.n_trees):
         gen = rng.substream("tree", t)
         gens.append(gen)
-        roots.append(np.asarray(gen.integers(0, n, size=n)) if cfg.bootstrap
-                     else np.arange(n))
-    return Forest(_grow(X, y, cfg, gens, roots), X.shape[1], kind)
+        roots.append(np.asarray(gen.integers(0, n, size=n)))
+    return Forest(_grow(X, y, cfg, gens, roots), X.shape[1])
 
 
 def fit_classifier(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
@@ -258,13 +248,13 @@ def fit_classifier(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     y = np.asarray(y)
     if y.size and not np.all(np.isin(y, (0, 1))):
         raise ValueError("labels must be binary 0/1")
-    return _fit(X, y, cfg, "classifier")
+    return _fit(X, y, cfg)
 
 
 def fit_regressor(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     if cfg.criterion != "mse":
         raise ValueError("regressor requires the mse criterion")
-    return _fit(X, y, cfg, "regressor")
+    return _fit(X, y, cfg)
 
 
 def _predict_tree(node: TreeNode, X: np.ndarray, idx: np.ndarray,
@@ -277,7 +267,9 @@ def _predict_tree(node: TreeNode, X: np.ndarray, idx: np.ndarray,
     _predict_tree(node.right, X, idx[~mask], out)
 
 
-def _tree_values(forest: Forest, X: np.ndarray) -> np.ndarray:
+def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Mean over trees of the leaf values: the class-1 fraction of a
+    classifier, the mean target of a regressor."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != forest.n_features:
         raise ShapeMismatch(
@@ -286,14 +278,4 @@ def _tree_values(forest: Forest, X: np.ndarray) -> np.ndarray:
     idx = np.arange(X.shape[0])
     for t, tree in enumerate(forest.trees):
         _predict_tree(tree, X, idx, votes[t])
-    return votes
-
-
-def predict_proba(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Mean over trees of the leaf class-1 fraction."""
-    return _tree_values(forest, X).mean(axis=0)
-
-
-def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Mean over trees of the leaf mean target."""
-    return _tree_values(forest, X).mean(axis=0)
+    return votes.mean(axis=0)

@@ -24,8 +24,8 @@ UNIT_NORM_TOL = 1e-6
 @dataclass
 class ScalarsTauB:
     """Learnable temperature and bias of the pairwise logits."""
-    tau: float = np.log(10.0)
-    b: float = -10.0
+    tau: float
+    b: float
 
     def temperature(self) -> float:
         return float(np.exp(np.clip(self.tau, -TAU_CLAMP, TAU_CLAMP)))

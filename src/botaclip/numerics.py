@@ -35,9 +35,6 @@ class Rng:
         key = np.frombuffer(digest[:16], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def generator(self) -> np.random.Generator:
-        return self.substream("root")
-
 
 def as_matrix(x) -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""

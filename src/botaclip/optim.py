@@ -16,6 +16,7 @@ class AdamW:
     before the Adam delta, so weight_decay=0 is plain Adam. Scalar
     parameters flagged decay=False (temperature, bias) are never decayed.
     A parameter no gradient reached takes a zero gradient, so it decays.
+    The betas and eps are fixed at PyTorch's defaults.
 
     step() updates values and moments in place, CHUNK elements at a time
     through two scratch buffers that stay in cache. Each element goes
@@ -23,19 +24,18 @@ class AdamW:
     the result is bit-identical to evaluating them on whole arrays."""
 
     CHUNK = 32768
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
     def __init__(self, params: list[Param], *, lr: float,
-                 weight_decay: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {p.name: np.zeros_like(p.value) for p in self.params}
         self._v = {p.name: np.zeros_like(p.value) for p in self.params}
@@ -44,9 +44,9 @@ class AdamW:
     def step(self, tape: GradientTape) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = self.BETA1, self.BETA2, self.lr, self.EPS
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
         shrink = 1.0 - lr * self.weight_decay
         for p in self.params:
             g = tape.get(p)

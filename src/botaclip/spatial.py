@@ -58,12 +58,13 @@ class FoldAssignment:
         return cls(cell_size, k, cells, fold_of_cell, fold_ids)
 
 
-def buffered_split(assignment: FoldAssignment, fold_id: int):
-    """Partition samples into (train, validation, excluded) index arrays.
+def roles_for_fold(assignment: FoldAssignment, fold_id: int) -> np.ndarray:
+    """Per-sample role strings for the chosen validation fold.
 
     Validation samples sit in cells of the requested fold; samples in any of
-    the 8 cells adjacent to a validation cell are excluded; everything else
-    trains. Membership in a validation cell wins over adjacency.
+    the 8 cells adjacent to a validation cell are buffer-excluded;
+    everything else trains. Membership in a validation cell wins over
+    adjacency. Raises EmptySplit when no sample trains or validates.
     """
     if not 0 <= fold_id < assignment.n_folds:
         raise ValueError(f"fold_id {fold_id} outside [0, {assignment.n_folds})")
@@ -86,23 +87,20 @@ def buffered_split(assignment: FoldAssignment, fold_id: int):
             roles[i] = ROLE_BUFFER
         else:
             roles[i] = ROLE_TRAIN
-    train = np.flatnonzero(roles == ROLE_TRAIN)
-    val = np.flatnonzero(roles == ROLE_VALIDATION)
-    excluded = np.flatnonzero(roles == ROLE_BUFFER)
-    if train.size == 0 or val.size == 0:
+    n_train = np.count_nonzero(roles == ROLE_TRAIN)
+    n_val = np.count_nonzero(roles == ROLE_VALIDATION)
+    if n_train == 0 or n_val == 0:
         raise EmptySplit(
-            f"fold {fold_id}: {train.size} train / {val.size} validation samples")
-    return train, val, excluded
-
-
-def roles_for_fold(assignment: FoldAssignment, fold_id: int) -> np.ndarray:
-    """Per-sample role strings for the chosen validation fold."""
-    train, val, excluded = buffered_split(assignment, fold_id)
-    roles = np.empty(len(assignment.cells), dtype=object)
-    roles[train] = ROLE_TRAIN
-    roles[val] = ROLE_VALIDATION
-    roles[excluded] = ROLE_BUFFER
+            f"fold {fold_id}: {n_train} train / {n_val} validation samples")
     return roles
+
+
+def buffered_split(assignment: FoldAssignment, fold_id: int):
+    """(train, validation) index arrays of the roles_for_fold split; the
+    buffer-excluded samples are in neither."""
+    roles = roles_for_fold(assignment, fold_id)
+    return (np.flatnonzero(roles == ROLE_TRAIN),
+            np.flatnonzero(roles == ROLE_VALIDATION))
 
 
 def check_no_leakage(assignment: FoldAssignment, train_idx, val_idx) -> None:

@@ -212,7 +212,7 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
     if lam < 0:
         raise ValueError("lam must be >= 0")
     rng = Rng(cfg.seed)
-    train_p, val_p, _ = buffered_split(assignment, fold)
+    train_p, val_p = buffered_split(assignment, fold)
     check_no_leakage(assignment, train_p, val_p)
 
     d_img = pairs.images.shape[1]

@@ -94,7 +94,8 @@ class TestCriterion1Gradients:
             variant, d_img=d_img, d_tab=d_tab, rng=Rng(seed + 1),
             proj_dim=d_img if variant == "botania-linear" else 4,
             botania=botania, adapter_noise_variance=1e-4, mlp_img_hidden=6,
-            mlp_tab_hidden=5, attn_model_dim=8, tau_init=0.4, bias_init=-0.6)
+            mlp_tab_hidden=5, attn_model_dim=8)
+        model.tau.value, model.bias.value = 0.4, -0.6
         img = l2_normalize_rows(rng.substream("img").normal(size=(n, d_img)))
         covers = rng.substream("cov").uniform(0, 100, size=(n, d_tab))
         lam = float(rng.substream("lam").uniform(0.2, 2.0))
@@ -289,7 +290,7 @@ class TestCriterion5SpatialLeakage:
         violations = 0
         min_dist = np.inf
         for fold in range(5):
-            train_idx, val_idx, _ = buffered_split(fa, fold)
+            train_idx, val_idx = buffered_split(fa, fold)
             train_cells = {tuple(c) for c in fa.cells[train_idx]}
             val_cells = {tuple(c) for c in fa.cells[val_idx]}
             for vx, vy in val_cells:

@@ -784,6 +784,58 @@ class TestClusterMetricsCommand:
         assert sorted(tmp_path.iterdir()) == files
 
 
+def test_cluster_metrics_rejects_repeated_label_id(synth_dir, tmp_path,
+                                                  capsys):
+    header, *rows = (synth_dir / "classes.csv").read_text().splitlines()
+    labels = tmp_path / "classes.csv"
+    labels.write_text("\n".join([header, *rows, rows[0]]) + "\n")
+    rc = main(["cluster-metrics", "--embeddings",
+               str(synth_dir / "images.emb"), "--labels", str(labels)])
+    assert rc == 2
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "DataError" and doc["exit"] == 2
+    plot = rows[0].split(",")[0]
+    assert doc["message"] == (f"{labels}, line {len(rows) + 2}: row id "
+                              f"{plot!r} repeats an earlier row")
+
+
+def _embed_command(command, synth_dir, emb):
+    if command == "cluster-metrics":
+        return ["cluster-metrics", "--embeddings", str(emb), "--labels",
+                str(synth_dir / "classes.csv")]
+    return ["train-botaclip", "--out-dir", str(emb.parent / "out"),
+            "--set", f"data.embeddings={emb}",
+            "--set", f"data.covers={synth_dir / 'covers.csv'}",
+            "--set", f"data.locations={synth_dir / 'locations.csv'}",
+            "--set", "train.max_epochs=1"]
+
+
+@pytest.mark.parametrize("command", ["cluster-metrics", "train-botaclip"])
+@pytest.mark.parametrize("bad_id, message", [
+    ("p00000#x", "embedding row id 'p00000#x': view 'x' is not a "
+                 "non-negative integer"),
+    ("p00000#-1", "embedding row id 'p00000#-1': view '-1' is not a "
+                  "non-negative integer"),
+    ("p00000#" + "9" * 20, f"embedding row id 'p00000#{'9' * 20}': view "
+                           f"'{'9' * 20}' is not a non-negative integer"),
+    ("p00000", "embedding rows 'p00000#0' and 'p00000' are both view 0 of "
+               "plot 'p00000'"),
+], ids=["malformed_view", "negative_view", "huge_view", "repeated_view"])
+def test_bad_embedding_view_id_exit_2(synth_dir, tmp_path, capsys, command,
+                                      bad_id, message):
+    values, ids = fileio.load_embeddings(synth_dir / "images.emb",
+                                         normalize=False)
+    assert ids[:2] == ["p00000#0", "p00000#1"]
+    emb = tmp_path / "images.emb"
+    fileio.save_embeddings(emb, values, ids=[ids[0], bad_id, *ids[2:]])
+    rc = main(_embed_command(command, synth_dir, emb))
+    assert rc == 2
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "DataError" and doc["exit"] == 2
+    assert doc["message"] == message
+    assert not list((tmp_path / "out").glob("*"))
+
+
 class TestErrorPaths:
     def test_usage_error_exit_1(self, capsys):
         rc = main(["eval", "--task", "plant", "--embeddings", "x.emb",

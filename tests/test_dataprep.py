@@ -114,7 +114,7 @@ class TestBalanceDownsample:
     def test_count_contract(self):
         pres = np.arange(10)
         absn = np.arange(100, 200)
-        _, picked = balance_downsample(pres, absn, Rng(1).substream("d"))
+        picked = balance_downsample(pres, absn, Rng(1).substream("d"))
         assert picked.size == 10
         assert np.all(np.isin(picked, absn))
         assert np.unique(picked).size == 10
@@ -122,14 +122,14 @@ class TestBalanceDownsample:
     def test_equal_sizes_returns_same_set(self):
         pres = np.arange(5)
         absn = np.arange(10, 15)
-        _, picked = balance_downsample(pres, absn, Rng(2).substream("d"))
+        picked = balance_downsample(pres, absn, Rng(2).substream("d"))
         np.testing.assert_array_equal(np.sort(picked), absn)
 
     def test_deterministic_per_seed(self):
         pres = np.arange(7)
         absn = np.arange(50)
-        a = balance_downsample(pres, absn, Rng(3).substream("d"))[1]
-        b = balance_downsample(pres, absn, Rng(3).substream("d"))[1]
+        a = balance_downsample(pres, absn, Rng(3).substream("d"))
+        b = balance_downsample(pres, absn, Rng(3).substream("d"))
         np.testing.assert_array_equal(a, b)
 
     def test_insufficient(self):
@@ -199,23 +199,21 @@ class TestNormalizeSoil:
 
 class TestStratify:
     def test_even_split(self):
-        strata, degenerate = stratify_by_elevation(np.arange(1.0, 11.0), 5)
-        assert not degenerate
+        strata = stratify_by_elevation(np.arange(1.0, 11.0), 5)
         assert [int(np.sum(strata == s)) for s in range(5)] == [2, 2, 2, 2, 2]
 
     def test_all_equal_single_stratum(self):
-        strata, degenerate = stratify_by_elevation(np.full(6, 42.0), 3)
-        assert degenerate
+        strata = stratify_by_elevation(np.full(6, 42.0), 3)
         assert np.all(strata == 0)
 
     def test_deterministic(self):
         elev = Rng(9).substream("e").uniform(0, 3000, size=31)
-        a, _ = stratify_by_elevation(elev, 4)
-        b, _ = stratify_by_elevation(elev, 4)
+        a = stratify_by_elevation(elev, 4)
+        b = stratify_by_elevation(elev, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_sizes_differ_by_at_most_one(self):
         elev = Rng(10).substream("e").uniform(0, 3000, size=33)
-        strata, _ = stratify_by_elevation(elev, 5)
+        strata = stratify_by_elevation(elev, 5)
         sizes = [int(np.sum(strata == s)) for s in range(5)]
         assert max(sizes) - min(sizes) <= 1

@@ -32,24 +32,28 @@ from botaclip.numerics import Rng, l2_normalize_rows, normal_cdf, softmax
 
 class TestIdentityAdapterInit:
     def test_zero_noise_is_exact_identity(self):
-        a = init_identity_adapter(6, noise_variance=0.0)
+        a = init_identity_adapter(6, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         x = Rng(1).substream("x").normal(size=(4, 6))
         np.testing.assert_array_equal(a.linear.forward(x), x)
 
     def test_bias_is_zero(self):
-        a = init_identity_adapter(16, noise_variance=1e-4, rng=Rng(0))
+        a = init_identity_adapter(16, noise_variance=1e-4,
+                                  gen=Rng(0).substream("root"))
         np.testing.assert_array_equal(a.linear.bias.value, np.zeros(16))
 
     def test_mean_abs_perturbation(self):
         # E|N(0, 1e-4)| = 0.01 * sqrt(2/pi) ~= 0.0079788
-        a = init_identity_adapter(768, noise_variance=1e-4, rng=Rng(3))
+        a = init_identity_adapter(768, noise_variance=1e-4,
+                                  gen=Rng(3).substream("root"))
         dev = np.mean(np.abs(a.linear.weight.value - np.eye(768)))
         assert abs(dev - 0.0079788) / 0.0079788 < 0.10
 
     def test_relative_output_change_small_dim(self):
         # ||A(x) - x|| / ||x|| concentrates near sqrt(dim * variance)
         gen = Rng(9).substream("draws")
-        a = init_identity_adapter(8, noise_variance=1e-4, rng=Rng(9))
+        a = init_identity_adapter(8, noise_variance=1e-4,
+                                  gen=Rng(9).substream("root"))
         for _ in range(100):
             x = l2_normalize_rows(gen.normal(size=(1, 8)))
             assert np.linalg.norm(a.forward(x) - x) < 0.05
@@ -57,7 +61,8 @@ class TestIdentityAdapterInit:
     def test_relative_output_change_full_dim(self):
         # at dim 768 the expected relative change is sqrt(768e-4) ~= 0.277
         gen = Rng(10).substream("draws")
-        a = init_identity_adapter(768, noise_variance=1e-4, rng=Rng(10))
+        a = init_identity_adapter(768, noise_variance=1e-4,
+                                  gen=Rng(10).substream("root"))
         ratios = []
         for _ in range(100):
             x = l2_normalize_rows(gen.normal(size=(1, 768)))
@@ -67,29 +72,34 @@ class TestIdentityAdapterInit:
 
 class TestAdapterForward:
     def test_identity_on_unit_rows(self):
-        a = init_identity_adapter(5, noise_variance=0.0)
+        a = init_identity_adapter(5, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         x = l2_normalize_rows(Rng(2).substream("x").normal(size=(3, 5)))
         np.testing.assert_allclose(a.forward(x), x, atol=1e-12)
 
     def test_scaling_cancels_under_normalization(self):
-        a = init_identity_adapter(5, noise_variance=0.0)
+        a = init_identity_adapter(5, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         a.linear.weight.value = 2.0 * np.eye(5)
         x = l2_normalize_rows(Rng(2).substream("y").normal(size=(3, 5)))
         np.testing.assert_allclose(a.forward(x), x, atol=1e-12)
 
     def test_zero_map_raises(self):
-        a = init_identity_adapter(5, noise_variance=0.0)
+        a = init_identity_adapter(5, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         a.linear.weight.value = np.zeros((5, 5))
         with pytest.raises(ZeroRow):
             a.forward(np.ones((2, 5)))
 
     def test_shape_mismatch(self):
-        a = init_identity_adapter(5, noise_variance=0.0)
+        a = init_identity_adapter(5, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         with pytest.raises(ShapeMismatch):
             a.forward(np.ones((2, 4)))
 
     def test_backward_without_forward(self):
-        a = init_identity_adapter(3, noise_variance=0.0)
+        a = init_identity_adapter(3, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         with pytest.raises(MissingForwardCache):
             a.backward(np.ones((2, 3)), GradientTape())
 
@@ -104,7 +114,8 @@ class TestBackwardBasics:
         assert np.all(tape.get(a.linear.bias) == 0)
 
     def test_bias_gradient_is_column_sums(self):
-        a = init_identity_adapter(4, noise_variance=0.0)
+        a = init_identity_adapter(4, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         x = Rng(6).substream("x").normal(size=(3, 4))
         a.linear.forward(x)
         g = Rng(6).substream("g").normal(size=(3, 4))
@@ -114,7 +125,8 @@ class TestBackwardBasics:
                                    atol=1e-12)
 
     def test_tape_rejects_bad_shape(self):
-        a = init_identity_adapter(3, noise_variance=0.0)
+        a = init_identity_adapter(3, noise_variance=0.0,
+                                  gen=Rng(0).substream("init"))
         tape = GradientTape()
         with pytest.raises(ShapeMismatch):
             tape.add(a.linear.weight, np.zeros(2))
@@ -736,11 +748,9 @@ _CASES = {
     "single_token_attention": _layer_case(
         lambda ns, gen: ns.SingleTokenAttention("m", 8, gen), 8, 8),
     "two_layer": _layer_case(
-        lambda ns, gen: ns.TwoLayerEncoder(7, 6, 4, gen, dropout_rate=0.5),
-        7, 4),
+        lambda ns, gen: ns.TwoLayerEncoder(7, 6, 4, gen), 7, 4),
     "attention": _layer_case(
-        lambda ns, gen: ns.AttentionEncoder(6, 4, gen, model_dim=8,
-                                            dropout_rate=0.5), 6, 4),
+        lambda ns, gen: ns.AttentionEncoder(6, 4, gen, model_dim=8), 6, 4),
     # the classifier and its embedding: the frozen model's head-only and
     # penult-only outputs
     "botania_head_only": _botania_case(logits=True),

@@ -12,11 +12,11 @@ from botaclip.forest import (
     Forest,
     ForestConfig,
     TreeNode,
+    _best_splits,
     _n_candidate_features,
     fit_classifier,
     fit_regressor,
     predict,
-    predict_proba,
 )
 from botaclip.numerics import Rng
 
@@ -32,14 +32,14 @@ class TestClassifier:
     def test_separable_training_accuracy(self):
         x, y = _separable_1d()
         forest = fit_classifier(x, y, ForestConfig(n_trees=20, seed=1))
-        pred = (predict_proba(forest, x) >= 0.5).astype(np.int64)
+        pred = (predict(forest, x) >= 0.5).astype(np.int64)
         assert np.mean(pred == y) == 1.0
 
     def test_constant_labels(self):
         x, _ = _separable_1d(seed=2)
         y = np.ones(len(x), dtype=np.int64)
         forest = fit_classifier(x, y, ForestConfig(n_trees=5, seed=3))
-        np.testing.assert_array_equal(predict_proba(forest, x), np.ones(len(x)))
+        np.testing.assert_array_equal(predict(forest, x), np.ones(len(x)))
 
     def test_same_seed_same_forest(self):
         gen = Rng(4).substream("x")
@@ -62,7 +62,7 @@ class TestClassifier:
         x = gen.normal(size=(80, 4))
         y = (gen.random(80) < 0.5).astype(np.int64)
         forest = fit_classifier(x, y, ForestConfig(n_trees=10, seed=6))
-        p = predict_proba(forest, gen.normal(size=(40, 4)))
+        p = predict(forest, gen.normal(size=(40, 4)))
         assert p.min() >= 0.0 and p.max() <= 1.0
 
     def test_rejects_nonbinary(self):
@@ -79,12 +79,12 @@ class TestClassifier:
         x, y = _separable_1d(seed=7)
         forest = fit_classifier(x, y, ForestConfig(n_trees=2, seed=0))
         with pytest.raises(ShapeMismatch):
-            predict_proba(forest, np.ones((3, 2)))
+            predict(forest, np.ones((3, 2)))
 
     def test_two_tree_vote_averaging(self):
         forest = Forest(trees=[TreeNode(value=1.0), TreeNode(value=0.0)],
-                        n_features=1, kind="classifier")
-        np.testing.assert_array_equal(predict_proba(forest, np.ones((2, 1))),
+                        n_features=1)
+        np.testing.assert_array_equal(predict(forest, np.ones((2, 1))),
                                       [0.5, 0.5])
 
     def test_duplicated_rows_keep_pure_regions(self):
@@ -93,7 +93,7 @@ class TestClassifier:
         y2 = np.concatenate([y, np.ones(20, dtype=np.int64)])
         forest = fit_classifier(x2, y2, ForestConfig(n_trees=15, seed=2))
         probe = np.array([[3.0], [-3.0]])
-        p = predict_proba(forest, probe)
+        p = predict(forest, probe)
         assert p[0] > 0.9 and p[1] < 0.1
 
 
@@ -129,11 +129,10 @@ class TestSplitQuality:
             check(node.left, li)
             check(node.right, ri)
 
-        # audit applies to non-bootstrap trees where idx is the full set
-        forest_nb = fit_classifier(
-            x, y, ForestConfig(n_trees=3, seed=5, bootstrap=False))
-        for tree in forest_nb.trees:
-            check(tree, np.arange(50))
+        # each tree's root holds the bootstrap rows its substream drew first
+        forest_b = fit_classifier(x, y, ForestConfig(n_trees=3, seed=5))
+        for t, tree in enumerate(forest_b.trees):
+            check(tree, Rng(5).substream("tree", t).integers(0, 50, size=50))
 
 
 class TestRegressor:
@@ -223,14 +222,13 @@ def _ref_split_mse(x, y):
     return thr, float(weighted[k])
 
 
-def _ref_build_tree(X, y, idx, cfg, gen, depth):
+def _ref_build_tree(X, y, idx, cfg, gen):
     node = TreeNode()
     yy = y[idx]
     node.value = float(np.mean(yy))
     pure = (yy.min() == yy.max() if cfg.criterion == "gini"
             else np.all(yy == yy[0]))
-    if (pure or idx.size < cfg.min_samples_split
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)):
+    if pure or idx.size < 2:
         return node
     d = X.shape[1]
     m = _n_candidate_features(cfg, d)
@@ -248,19 +246,19 @@ def _ref_build_tree(X, y, idx, cfg, gen, depth):
         return node
     _, node.feature, node.threshold = best
     mask = X[idx, node.feature] <= node.threshold
-    node.left = _ref_build_tree(X, y, idx[mask], cfg, gen, depth + 1)
-    node.right = _ref_build_tree(X, y, idx[~mask], cfg, gen, depth + 1)
+    node.left = _ref_build_tree(X, y, idx[mask], cfg, gen)
+    node.right = _ref_build_tree(X, y, idx[~mask], cfg, gen)
     return node
 
 
-def _ref_fit(X, y, cfg, kind):
+def _ref_fit(X, y, cfg):
     rng = Rng(cfg.seed)
-    forest = Forest(n_features=X.shape[1], kind=kind)
+    forest = Forest(n_features=X.shape[1])
     n = X.shape[0]
     for t in range(cfg.n_trees):
         gen = rng.substream("tree", t)
-        idx = gen.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        forest.trees.append(_ref_build_tree(X, y, idx, cfg, gen, 0))
+        idx = gen.integers(0, n, size=n)
+        forest.trees.append(_ref_build_tree(X, y, idx, cfg, gen))
     return forest
 
 
@@ -293,9 +291,6 @@ def _forest_cases(draw):
     cfg = ForestConfig(
         n_trees=draw(st.integers(1, 9)), criterion=criterion,
         max_features=draw(st.one_of(st.just("auto"), st.integers(1, d + 1))),
-        bootstrap=draw(st.booleans()),
-        min_samples_split=draw(st.integers(1, 6)),
-        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
         seed=draw(st.integers(0, 2 ** 16)))
     probe = draw(hnp.arrays(np.float64, (5, d), elements=values))
     return X, y, cfg, probe
@@ -306,11 +301,9 @@ class TestVectorizedSplitMatchesReference:
     @given(_forest_cases())
     def test_trees_and_predictions_bit_identical(self, case):
         X, y, cfg, probe = case
-        if cfg.criterion == "gini":
-            forest, kind = fit_classifier(X, y, cfg), "classifier"
-        else:
-            forest, kind = fit_regressor(X, y, cfg), "regressor"
-        ref = _ref_fit(X, y, cfg, kind)
+        fit = fit_classifier if cfg.criterion == "gini" else fit_regressor
+        forest = fit(X, y, cfg)
+        ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         for data in (X, probe):
             assert predict(forest, data).tobytes() == \
@@ -324,10 +317,9 @@ class TestVectorizedSplitMatchesReference:
         y = (X[:, 3] + 0.5 * gen.normal(size=130) > 0).astype(np.float64)
         cfg = ForestConfig(n_trees=25, seed=7)
         forest = fit_classifier(X, y, cfg)
-        ref = _ref_fit(X, y, cfg, "classifier")
+        ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
-        assert predict_proba(forest, X).tobytes() == \
-            predict_proba(ref, X).tobytes()
+        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
 
     def test_desk_shaped_regressor_bit_identical(self):
         # a soil-like unit: 410 float32-valued rows over 64 features, past
@@ -339,7 +331,7 @@ class TestVectorizedSplitMatchesReference:
         y = 40.0 * X[:, 5] + gen.gamma(2.0, 3.0, size=410)
         cfg = ForestConfig(n_trees=5, criterion="mse", seed=7)
         forest = fit_regressor(X, y, cfg)
-        ref = _ref_fit(X, y, cfg, "regressor")
+        ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
 
@@ -352,19 +344,24 @@ class TestVectorizedSplitMatchesReference:
         y = (X[:, 2] + 0.7 * gen.normal(size=90) > 0).astype(np.float64)
         cfg = ForestConfig(n_trees=12, seed=3)
         forest = fit_classifier(X, y, cfg)
-        ref = _ref_fit(X, y, cfg, "classifier")
+        ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
 
 
 def test_search_memory_does_not_grow_with_trees():
-    # the root step holds 100 trees x 8 candidates x 3000 rows; searched in
-    # one block that is about 110 MB, in budgeted chunks about 14 MB
+    # the root step of 100 trees holds 100 nodes x 8 candidates x 3000 rows;
+    # searched in one block that is about 110 MB, in budgeted chunks about
+    # 14 MB
     gen = Rng(5).substream("x")
     X = gen.normal(size=(3000, 64))
     y = (X[:, 0] + gen.normal(size=3000) > 0).astype(np.float64)
+    rng = Rng(1)
+    gens = [rng.substream("tree", t) for t in range(100)]
+    rows = [g.integers(0, 3000, size=3000) for g in gens]
+    cands = [np.sort(g.choice(64, size=8, replace=False)) for g in gens]
     tracemalloc.start()
     try:
-        fit_classifier(X, y, ForestConfig(n_trees=100, max_depth=1, seed=1))
+        _best_splits(X, y, rows, cands, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

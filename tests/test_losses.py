@@ -104,9 +104,9 @@ class TestSigmoidContrastiveLoss:
 
     def test_rejects_rectangular(self):
         with pytest.raises(ShapeMismatch):
-            _scl(np.zeros((2, 4)), np.zeros((3, 4)), ScalarsTauB())
+            _scl(np.zeros((2, 4)), np.zeros((3, 4)), ScalarsTauB(0.0, 0.0))
         with pytest.raises(ShapeMismatch):
-            _scl(np.zeros((2, 4)), np.zeros((2, 3)), ScalarsTauB())
+            _scl(np.zeros((2, 4)), np.zeros((2, 3)), ScalarsTauB(0.0, 0.0))
 
     def test_permutation_invariance(self):
         gen = Rng(3).substream("p")
@@ -443,7 +443,8 @@ class TestFullChainGradients:
                                rng=Rng(seed + 1), proj_dim=proj,
                                botania=botania, adapter_noise_variance=1e-4,
                                mlp_img_hidden=5, mlp_tab_hidden=5,
-                               attn_model_dim=8, tau_init=0.3, bias_init=-0.5)
+                               attn_model_dim=8)
+        model.tau.value, model.bias.value = 0.3, -0.5
         img = l2_normalize_rows(rng.substream("img").normal(size=(n, d_img)))
         covers = rng.substream("cov").uniform(0, 100, size=(n, d_tab))
         lam = 0.8

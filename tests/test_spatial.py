@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from botaclip.errors import EmptySplit, LeakageDetected, TooFewCells
 from botaclip.numerics import Rng
 from botaclip.spatial import (
+    ROLE_BUFFER,
     FoldAssignment,
     assign_cells,
     buffered_split,
@@ -63,6 +64,10 @@ def _assignment(seed=3, n=400, k=5, cell=5000.0, extent=1e5):
                                      cell_size=cell)
 
 
+def _excluded(fa, fold):
+    return np.flatnonzero(roles_for_fold(fa, fold) == ROLE_BUFFER)
+
+
 class TestBufferedSplit:
     def test_diagonal_neighbor_excluded(self):
         pts = np.array([[100.0, 100.0], [5100.0, 5100.0], [10100.0, 100.0],
@@ -71,9 +76,9 @@ class TestBufferedSplit:
         fa.fold_of_cell = {(0, 0): 0, (1, 1): 1, (2, 0): 1, (4, 4): 1,
                            (6, 0): 1}
         fa.fold_ids = np.array([0, 1, 1, 1, 1])
-        train, val, excluded = buffered_split(fa, 0)
+        train, val = buffered_split(fa, 0)
         assert 0 in val            # sample in a validation cell
-        assert 1 in excluded       # diagonal neighbor (1, 1)
+        assert 1 in _excluded(fa, 0)  # diagonal neighbor (1, 1)
 
     def test_chebyshev_two_trains(self):
         pts = np.array([[100.0, 100.0], [10100.0, 100.0], [30100.0, 30100.0],
@@ -81,15 +86,15 @@ class TestBufferedSplit:
         fa = FoldAssignment.build(pts, 2, Rng(5).substream("folds"), 5000.0)
         fa.fold_of_cell = {(0, 0): 0, (2, 0): 1, (6, 6): 1, (9, 0): 1}
         fa.fold_ids = np.array([0, 1, 1, 1])
-        train, val, excluded = buffered_split(fa, 0)
+        train, val = buffered_split(fa, 0)
         assert 0 in val
         assert 1 in train          # cell (2, 0) is two cells away
 
     def test_partition_is_disjoint_and_complete(self):
         _, fa = _assignment()
         for fold in range(5):
-            train, val, excluded = buffered_split(fa, fold)
-            combined = np.concatenate([train, val, excluded])
+            train, val = buffered_split(fa, fold)
+            combined = np.concatenate([train, val, _excluded(fa, fold)])
             assert combined.size == len(fa.cells)
             assert np.unique(combined).size == combined.size
 
@@ -100,25 +105,25 @@ class TestBufferedSplit:
         fa = FoldAssignment.build(pts, 2, Rng(11).substream("folds"), 5000.0)
         fa.fold_of_cell = {(0, 0): 0, (1, 0): 0, (6, 0): 1, (10, 0): 1}
         fa.fold_ids = np.array([0, 0, 1, 1])
-        _, val, _ = buffered_split(fa, 0)
+        _, val = buffered_split(fa, 0)
         assert 0 in val and 1 in val
 
     def test_no_leakage_audit(self):
         _, fa = _assignment(seed=6)
         for fold in range(5):
-            train, val, _ = buffered_split(fa, fold)
+            train, val = buffered_split(fa, fold)
             check_no_leakage(fa, train, val)
 
     def test_leakage_detected_on_tampered_split(self):
         _, fa = _assignment(seed=6)
-        train, val, excluded = buffered_split(fa, 0)
-        tampered = np.concatenate([train, excluded[:1]])  # buffer sample
+        train, val = buffered_split(fa, 0)
+        tampered = np.concatenate([train, _excluded(fa, 0)[:1]])  # buffer
         with pytest.raises(LeakageDetected):
             check_no_leakage(fa, tampered, val)
 
     def test_min_planar_distance_at_least_cell_size(self):
         pts, fa = _assignment(seed=7, n=600)
-        train, val, _ = buffered_split(fa, 0)
+        train, val = buffered_split(fa, 0)
         diff = pts[train][:, None, :] - pts[val][None, :, :]
         dmin = np.sqrt((diff ** 2).sum(axis=2)).min()
         assert dmin >= 5000.0
@@ -199,7 +204,7 @@ class TestBufferedSplitSeparation:
         try:
             fa = FoldAssignment.build(pts, k, Rng(seed).substream("folds"),
                                       cell_size=cell_size)
-            train, val, _ = buffered_split(fa, fold % k)
+            train, val = buffered_split(fa, fold % k)
         except (TooFewCells, EmptySplit):
             return
         # cells recomputed from the coordinates, not read from the split

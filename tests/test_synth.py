@@ -1,6 +1,6 @@
 import numpy as np
 
-from botaclip.forest import ForestConfig, fit_classifier, predict_proba
+from botaclip.forest import ForestConfig, fit_classifier, predict
 from botaclip.metrics import classification_metrics, confusion_counts
 from botaclip.numerics import Rng
 from botaclip.spatial import FoldAssignment, buffered_split
@@ -93,7 +93,7 @@ def _mean_tss(X, presence, tr, va, seed):
             continue
         forest = fit_classifier(X[tr], y[tr],
                                 ForestConfig(n_trees=15, seed=seed * 31 + s))
-        pred = (predict_proba(forest, X[va]) >= 0.5).astype(int)
+        pred = (predict(forest, X[va]) >= 0.5).astype(int)
         out.append(classification_metrics(confusion_counts(y[va], pred))["tss"])
     return float(np.mean(out))
 
@@ -110,7 +110,7 @@ def test_random_split_overestimates_vs_buffered():
         ds = data.dataset
         fa = FoldAssignment.build(ds.locations, 5,
                                   Rng(seed).substream("f"), 5000.0)
-        tr_b, va_b, _ = buffered_split(fa, 1)
+        tr_b, va_b = buffered_split(fa, 1)
         perm = Rng(seed).substream("rand").permutation(300)
         va_r = perm[:len(va_b)]
         tr_r = perm[len(va_b):len(va_b) + len(tr_b)]

@@ -180,7 +180,7 @@ def _ref_train_botaclip(pairs, assignment, cfg, variant="botania-linear",
 
     lam = cfg.lam if regularized else 0.0
     rng = Rng(cfg.seed)
-    train_p, val_p, _ = buffered_split(assignment, fold)
+    train_p, val_p = buffered_split(assignment, fold)
     check_no_leakage(assignment, train_p, val_p)
     d_img = pairs.images.shape[1]
     d_tab = pairs.covers.shape[1]

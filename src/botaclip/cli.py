@@ -98,7 +98,7 @@ def _view_keys(emb_ids) -> list:
                 raise ValueError
         except ValueError:
             raise DataError(f"embedding row id {rid!r}: view {view!r} is not "
-                            "a non-negative integer") from None
+                            "an integer in [0, 2**63)") from None
         if key in id_of:
             raise DataError(f"embedding rows {id_of[key]!r} and {rid!r} "
                             f"are both view {key[1]} of plot {key[0]!r}")

@@ -32,8 +32,10 @@ from .numerics import Rng
 class ForestConfig:
     n_trees: int
     seed: int
-    criterion: str = "gini"          # "gini" | "mse"
-    max_features: str | int = "auto"  # sqrt(d) for gini, d for mse; or a count
+    criterion: str = "gini"  # "gini" | "mse"
+    # candidates per split search: ceil(sqrt(d)) for gini, all d for mse;
+    # a class constant, not a field, that the benchmark tracer reads
+    max_features = "auto"
 
 
 @dataclass
@@ -53,14 +55,6 @@ class TreeNode:
 class Forest:
     trees: list = field(default_factory=list)
     n_features: int = 0
-
-
-def _n_candidate_features(cfg: ForestConfig, d: int) -> int:
-    if isinstance(cfg.max_features, int):
-        return max(1, min(cfg.max_features, d))
-    if cfg.max_features == "auto":
-        return math.ceil(math.sqrt(d)) if cfg.criterion == "gini" else d
-    raise ValueError(f"bad max_features {cfg.max_features!r}")
 
 
 # (node, candidate, row) cells per batched gini search: a step whose nodes
@@ -182,7 +176,7 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     """
     gini = cfg.criterion == "gini"
     d = X.shape[1]
-    m = _n_candidate_features(cfg, d)
+    m = math.ceil(math.sqrt(d)) if gini else d
     trees = [TreeNode() for _ in roots]
     # pending nodes per tree, next on top: (node, rows)
     stacks = [[(node, idx)] for node, idx in zip(trees, roots)]

@@ -812,12 +812,12 @@ def _embed_command(command, synth_dir, emb):
 
 @pytest.mark.parametrize("command", ["cluster-metrics", "train-botaclip"])
 @pytest.mark.parametrize("bad_id, message", [
-    ("p00000#x", "embedding row id 'p00000#x': view 'x' is not a "
-                 "non-negative integer"),
-    ("p00000#-1", "embedding row id 'p00000#-1': view '-1' is not a "
-                  "non-negative integer"),
+    ("p00000#x", "embedding row id 'p00000#x': view 'x' is not an "
+                 "integer in [0, 2**63)"),
+    ("p00000#-1", "embedding row id 'p00000#-1': view '-1' is not an "
+                  "integer in [0, 2**63)"),
     ("p00000#" + "9" * 20, f"embedding row id 'p00000#{'9' * 20}': view "
-                           f"'{'9' * 20}' is not a non-negative integer"),
+                           f"'{'9' * 20}' is not an integer in [0, 2**63)"),
     ("p00000", "embedding rows 'p00000#0' and 'p00000' are both view 0 of "
                "plot 'p00000'"),
 ], ids=["malformed_view", "negative_view", "huge_view", "repeated_view"])

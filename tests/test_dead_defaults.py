@@ -6,17 +6,20 @@ reason.
 The scan covers module-level functions, methods (a class's __init__ is
 called by the class's name) and dataclass fields. A call overrides a
 default when it names the parameter, passes it by position or passes
-*args or **kwargs; calls match by the callee's name alone, so two
-functions of one name share their callers. A dataclass field that code
-assigns as an attribute is set too, and a field(default_factory=...) is a
-container the code fills, not a setting, so it is not scanned."""
+*args or **kwargs. A dataclass field that code assigns as an attribute is
+set too, and a field(default_factory=...) is a container the code fills,
+not a setting, so it is not scanned.
+
+Calls match by the callee's literal name alone. Two functions of one name
+therefore share their callers, so the scan can miss a dead default; and a
+call it cannot name (cls(...) in a classmethod, type(self)(...), a
+function passed on as a callback, dataclasses.replace) goes unseen, so it
+can flag a default that is in use. Such a default needs an ALLOWED entry
+that says where it is set."""
 
 import ast
-from pathlib import Path
 
-import botaclip
-
-SRC = Path(botaclip.__file__).parent
+from test_dead_helpers import _trees
 
 # "module.function(param)", "module.Class.method(param)" or
 # "module.Class.field" -> why its default stays although no caller in src/
@@ -26,15 +29,7 @@ ALLOWED = {
                       "no arguments, so it reads sys.argv",
     "metrics.knn_overlap(k)": "called from tests only until `embed` reports "
                               "the k-NN overlap (ROADMAP open item 1)",
-    "forest.ForestConfig.max_features": "the benchmark tracer reads it to "
-                                        "count the candidates of a split "
-                                        "search",
 }
-
-
-def _trees():
-    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(SRC.glob("*.py"))}
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from botaclip.forest import (
     ForestConfig,
     TreeNode,
     _best_splits,
-    _n_candidate_features,
     fit_classifier,
     fit_regressor,
     predict,
@@ -231,7 +231,7 @@ def _ref_build_tree(X, y, idx, cfg, gen):
     if pure or idx.size < 2:
         return node
     d = X.shape[1]
-    m = _n_candidate_features(cfg, d)
+    m = math.ceil(math.sqrt(d)) if cfg.criterion == "gini" else d
     candidates = np.sort(gen.choice(d, size=m, replace=False))
     split_fn = _ref_split_gini if cfg.criterion == "gini" else _ref_split_mse
     best = None
@@ -290,7 +290,6 @@ def _forest_cases(draw):
     # several trees of different shapes make ragged lockstep steps
     cfg = ForestConfig(
         n_trees=draw(st.integers(1, 9)), criterion=criterion,
-        max_features=draw(st.one_of(st.just("auto"), st.integers(1, d + 1))),
         seed=draw(st.integers(0, 2 ** 16)))
     probe = draw(hnp.arrays(np.float64, (5, d), elements=values))
     return X, y, cfg, probe

@@ -228,7 +228,6 @@ def cmd_synth(args):
 
 
 def cmd_prep(args):
-    out = _outdir(args)
     releves = fileio.read_releves(args.releves)
     inputs = [args.releves]
     if args.species_index:
@@ -240,6 +239,7 @@ def cmd_prep(args):
                           for sp, _ in rel.species_covers})
     from .dataprep import build_cover_matrix
     matrix, labels = build_cover_matrix(releves, species)
+    out = _outdir(args)
     fileio.write_matrix_csv(out / "cover_matrix.csv", matrix.values,
                             matrix.plot_ids, matrix.species_ids)
     fileio.write_labels(out / "labels.csv", matrix.plot_ids, labels)
@@ -270,7 +270,6 @@ def cmd_split(args):
 def cmd_train_botania(args):
     cfg = _load_cfg(args)
     tcfg = _train_cfg(cfg, "botania_train")
-    out = _outdir(args)
     data = cfg["data"]
     covers, plot_ids, _ = fileio.read_matrix_csv(data["covers"])
     label_ids, labels = fileio.read_labels(data["labels"])
@@ -285,6 +284,7 @@ def cmd_train_botania(args):
         n_classes=cfg["model"]["botania_classes"],
         dropout_rate=cfg["model"]["botania_dropout"],
         lr=cfg["botania_train"]["lr"])
+    out = _outdir(args)
     outputs = _save_model(out, "botania.ckpt", model, log)
     acc = training.botania_accuracy(model, covers[val_idx], labels[val_idx])
     print(f"best epoch {log.best_epoch}, val top-1 accuracy {acc:.3f}")
@@ -298,7 +298,6 @@ def cmd_train_botaclip(args):
     if data["botania_checkpoint"] and cfg["variant"] != "botania-linear":
         raise UsageError("data.botania_checkpoint seeds only the "
                          f"botania-linear variant, not {cfg['variant']!r}")
-    out = _outdir(args)
     emb, emb_ids = fileio.load_embeddings(data["embeddings"],
                                           normalize=cfg["normalize_on_load"])
     covers = CoverMatrix(*fileio.read_matrix_csv(data["covers"]))
@@ -328,6 +327,7 @@ def cmd_train_botaclip(args):
         adapter_noise_variance=m["adapter_noise_variance"],
         mlp_img_hidden=m["mlp_img_hidden"], mlp_tab_hidden=m["mlp_tab_hidden"],
         attn_model_dim=m["attention_model_dim"])
+    out = _outdir(args)
     outputs = _save_model(out, "model.ckpt", model, log) + [out / "split.csv"]
     fileio.write_split_manifest(outputs[-1], pairs.plot_ids, fa.cells,
                                 fa.fold_ids, roles_for_fold(fa, cfg["fold"]))
@@ -339,7 +339,6 @@ def cmd_train_botaclip(args):
 def cmd_train_botasp(args):
     cfg = _load_cfg(args)
     tcfg = _train_cfg(cfg, "botasp_train")
-    out = _outdir(args)
     data = cfg["data"]
     emb, emb_ids = fileio.load_embeddings(data["embeddings"],
                                           normalize=cfg["normalize_on_load"])
@@ -358,6 +357,7 @@ def cmd_train_botasp(args):
         dropout_rate=cfg["model"]["botasp_dropout"],
         lr=cfg["botasp_train"]["lr"],
         weight_decay=cfg["botasp_train"]["weight_decay"])
+    out = _outdir(args)
     outputs = _save_model(out, "botasp.ckpt", model, log)
     print(f"{kept.size} species, best epoch {log.best_epoch}")
     return cfg, [data["embeddings"], data["covers"], data["locations"]], outputs

@@ -103,6 +103,9 @@ class Layer:
 class Linear(Layer):
     def __init__(self, name: str, in_dim: int, out_dim: int,
                  gen: np.random.Generator | None = None):
+        if in_dim < 1 or out_dim < 1:
+            raise ValueError(f"{name}: widths must be at least 1, got "
+                             f"{in_dim} -> {out_dim}")
         if gen is None:
             w = np.zeros((out_dim, in_dim))
             b = np.zeros(out_dim)
@@ -170,6 +173,8 @@ class Dropout(Layer):
     """Inverted dropout: train-time scaling by 1/(1-p), identity in eval."""
 
     def __init__(self, rate: float):
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
         self._mask = None
 

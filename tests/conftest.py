@@ -1,6 +1,31 @@
 import numpy as np
+from hypothesis import settings
 
 from gradcheck import finite_diff_grad
+
+# Each property keeps its own example count. The default profile draws the
+# same examples on every run of one tree, so a failure replays; `pytest
+# --hypothesis-profile=explore` draws fresh examples, ten times as many, to
+# hunt for new failures.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(items):
+    # a test's own @settings override any profile's max_examples, so the
+    # explore profile scales each hypothesis test's settings here, once
+    if settings.get_current_profile_name() != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is None or test in scaled:
+            continue
+        scaled.add(test)
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=10 * own.max_examples)
 
 
 def flatten_params(params):

@@ -833,7 +833,7 @@ def test_bad_embedding_view_id_exit_2(synth_dir, tmp_path, capsys, command,
     doc = _one_error_line(capsys)
     assert doc["error"] == "DataError" and doc["exit"] == 2
     assert doc["message"] == message
-    assert not list((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 class TestErrorPaths:
@@ -974,6 +974,29 @@ class TestErrorPaths:
             assert key in doc["message"]
         assert not (tmp_path / "run" / "model.ckpt").exists()
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("model.botania_hidden=0",
+         "botania.lin1: widths must be at least 1, got 16 -> 0"),
+        ("model.botania_dropout=1.0",
+         "dropout rate must be in [0, 1), got 1.0"),
+    ], ids=["hidden_0", "dropout_1"])
+    def test_bad_layer_setting_exit_1(self, synth_dir, tmp_path, capsys,
+                                      setting, message):
+        _, cfg = TRAINERS["train-botania"]
+        data = {"covers": str(synth_dir / "covers.csv"),
+                "labels": str(synth_dir / "classes.csv"),
+                "locations": str(synth_dir / "locations.csv")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "data": data}))
+        capsys.readouterr()
+        rc = main(["train-botania", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "run"), "--set", setting])
+        assert rc == 1
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "ValueError" and doc["exit"] == 1
+        assert doc["message"] == message
+        assert not (tmp_path / "run").exists()
 
     def test_numeric_failure_writes_one_json_line(self, synth_dir, tmp_path,
                                                   capsys):

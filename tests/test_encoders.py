@@ -104,6 +104,15 @@ class TestAdapterForward:
             a.backward(np.ones((2, 3)), GradientTape())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Linear("lin", 0, 3), lambda: Linear("lin", 3, 0),
+    lambda: Dropout(1.0), lambda: Dropout(-0.1), lambda: Dropout(math.nan),
+], ids=["in_0", "out_0", "rate_1", "rate_negative", "rate_nan"])
+def test_layer_rejects_out_of_range_setting(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestBackwardBasics:
     def test_zero_upstream_gives_zero_grads(self):
         a = LinearAdapter(4, 4, gen=Rng(5).substream("init"))

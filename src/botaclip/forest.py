@@ -144,7 +144,9 @@ def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
     bit-identical, and ties keep the first minimum in (candidate, position)
     order. The threshold is the midpoint of the two values the boundary
     separates; when one of them is a zero its sign does not matter, since
-    0.5·(±0 + v) is one float.
+    0.5·(±0 + v) is one float. A midpoint that is not below the upper value
+    (adjacent floats) or not finite gives way to the lower value, as in
+    scikit-learn's splitter, so the split always parts the two sides.
     """
     B, L = len(idxs), max(idx.size for idx in idxs)
     m, width = cands.shape[1], keys.shape[1]
@@ -215,7 +217,12 @@ def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
     cand = best // L % m
     feat = cands[has, cand]
     rank = rank.ravel()
-    thr = 0.5 * (values[feat, rank[best]] + values[feat, rank[best + 1]])
+    low, high = values[feat, rank[best]], values[feat, rank[best + 1]]
+    thr = 0.5 * (low + high)
+    # a midpoint that rounds up onto the upper value, or overflows, would
+    # send both sides of the boundary one way and the node would split
+    # forever: split at the lower value instead
+    thr = np.where((thr < high) & (thr > -np.inf), thr, low)
     out = [None] * B
     for b, c, t in zip(has.tolist(), cand.tolist(), thr.tolist()):
         out[b] = (c, t)

@@ -181,6 +181,11 @@ class TestRegressor:
 
 # --- frozen reference: one exact search per candidate feature ----------------
 
+def _ref_threshold(lo, hi):
+    thr = 0.5 * (lo + hi)
+    return thr if -np.inf < thr < hi else lo
+
+
 def _ref_split_gini(x, y):
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
@@ -198,7 +203,7 @@ def _ref_split_gini(x, y):
     gini_r = 2.0 * pr * (1.0 - pr)
     weighted = (left_n * gini_l + right_n * gini_r) / n
     k = int(np.argmin(weighted))
-    thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
+    thr = _ref_threshold(xs[boundary[k]], xs[boundary[k] + 1])
     return thr, float(weighted[k])
 
 
@@ -219,7 +224,7 @@ def _ref_split_mse(x, y):
     right_sse = (csum2[-1] - csum2[boundary]) - right_sum ** 2 / right_n
     weighted = (left_sse + right_sse) / n
     k = int(np.argmin(weighted))
-    thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
+    thr = _ref_threshold(xs[boundary[k]], xs[boundary[k] + 1])
     return thr, float(weighted[k])
 
 
@@ -382,6 +387,25 @@ class TestVectorizedSplitMatchesReference:
             forest = fit_regressor(X, y, cfg)
             ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+
+    @pytest.mark.parametrize("criterion", ["gini", "mse"])
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),  # the midpoint rounds up to hi
+        (1.7e308, 1.75e308), (-1.75e308, -1.7e308),  # the sum overflows
+    ], ids=["adjacent", "overflow_up", "overflow_down"])
+    def test_midpoint_off_the_boundary_bit_identical(self, criterion, lo, hi):
+        # a threshold at hi or at ±inf sends every row of the node one way,
+        # and the node would split forever
+        X = np.array([[lo], [hi]] * 5)
+        y = np.array([0.0, 1.0] * 5)
+        cfg = ForestConfig(n_trees=3, criterion=criterion, seed=2)
+        fit = fit_classifier if criterion == "gini" else fit_regressor
+        with np.errstate(over="ignore"):
+            forest = fit(X, y, cfg)
+            ref = _ref_fit(X, y, cfg)
+        assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
+        assert all(t.threshold == lo for t in forest.trees if not t.is_leaf)
 
     def test_wide_keys_bit_identical(self):
         # past 16,383 rows the keys 2·rank + label no longer fit in int16

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, evaluate, fileio, synth, training
 from .dataprep import CoverMatrix, PairedDataset, binarize_presence, filter_by_support
+from .encoders import AlignmentModel, BotaniaMLP, BotaSPModel
 from .errors import DataError, NumericError, UsageError
 from .metrics import cluster_indices
 from .numerics import Rng
@@ -66,15 +67,20 @@ def _load_cfg(args) -> dict:
     return fileio.load_config(args.config, overrides)
 
 
-def _model_from_checkpoint(path, build, what: str):
-    """build(state) over the checkpoint at path; a checkpoint that lacks a
-    parameter the model needs, such as another trainer's, is a DataError."""
+def _model_from_checkpoint(path, kinds, *, dropout_rate):
+    """The model of one of the classes kinds that the checkpoint at path
+    holds; a checkpoint of another model, or one that lacks a parameter its
+    model needs, is a DataError."""
     state = fileio.load_checkpoint(path)
     try:
-        return build(state)
+        model = training.model_from_state(state, dropout_rate=dropout_rate)
     except KeyError as exc:
-        raise DataError(f"{path}: not {what} checkpoint (no parameter "
+        raise DataError(f"{path}: not a model checkpoint (no parameter "
                         f"{exc})") from None
+    if not isinstance(model, kinds):
+        raise DataError(f"{path}: a checkpoint of {type(model).__name__}, "
+                        "not of " + " or ".join(k.__name__ for k in kinds))
+    return model
 
 
 def _outdir(args) -> Path:
@@ -310,11 +316,9 @@ def cmd_train_botaclip(args):
     botania = None
     if data["botania_checkpoint"]:
         inputs.append(data["botania_checkpoint"])
-        botania = _model_from_checkpoint(
-            data["botania_checkpoint"],
-            lambda state: training.botania_from_state(
-                state, dropout_rate=m["botania_dropout"]),
-            "a BotaNIA")
+        botania = _model_from_checkpoint(data["botania_checkpoint"],
+                                         (BotaniaMLP,),
+                                         dropout_rate=m["botania_dropout"])
     linear = cfg["variant"] == "botania-linear"
     model, log = training.train_botaclip(
         pairs, fa, tcfg, variant=cfg["variant"], fold=cfg["fold"],
@@ -365,13 +369,13 @@ def cmd_train_botasp(args):
 
 def cmd_embed(args):
     model = _model_from_checkpoint(args.checkpoint,
-                                   training.alignment_model_from_state,
-                                   "an alignment model")
+                                   (AlignmentModel, BotaSPModel),
+                                   dropout_rate=0.0)
     emb, ids = fileio.load_embeddings(args.embeddings,
                                       normalize=not args.raw_input)
-    adapted = model.encode_images(emb)
-    fileio.save_embeddings(args.out, adapted, ids=ids)
-    print(f"adapted {adapted.shape[0]} x {adapted.shape[1]} -> {args.out}")
+    rows = model.encode_images(emb)
+    fileio.save_embeddings(args.out, rows, ids=ids)
+    print(f"embedded {rows.shape[0]} x {rows.shape[1]} -> {args.out}")
     return ({"raw_input": args.raw_input}, [args.checkpoint, args.embeddings],
             [args.out])
 
@@ -537,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", required=True)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("embed", help="apply a trained image adapter")
+    p = sub.add_parser("embed", help="apply a trained image encoder")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)

@@ -416,8 +416,8 @@ class BotaSPModel:
     """Supervised baseline: projection -> unit sphere -> hidden(GELU,
     Dropout 0.4) -> per-species head.
 
-    Downstream features are the post-GELU, pre-dropout hidden activations
-    (width 1536 at canonical size)."""
+    Downstream features, encode_images, are the post-GELU, pre-dropout
+    hidden activations (width 1536 at canonical size)."""
 
     def __init__(self, in_dim: int, n_species: int, proj_dim: int,
                  hidden: int, dropout_rate: float,
@@ -435,6 +435,9 @@ class BotaSPModel:
         z = self.project.forward(x, train, gen)
         feat = self.features.forward(z, train, gen)
         return self.head.forward(feat, train, gen), z, feat
+
+    def encode_images(self, x):
+        return self.features.forward(self.project.forward(x))
 
     def backward(self, tape: GradientTape, g_logits, g_z=None,
                  input_grad: bool = True):

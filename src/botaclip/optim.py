@@ -34,6 +34,11 @@ class AdamW:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
+        if not 0 < lr < np.inf:  # NaN fails both bounds
+            raise ValueError(f"lr must be in (0, inf), got {lr}")
+        if not 0 <= weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be in [0, inf), got "
+                             f"{weight_decay}")
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
@@ -76,11 +81,6 @@ class AdamW:
                 pc -= a
             if p.name == "scalars.tau":
                 np.clip(p.value, -TAU_CLAMP, TAU_CLAMP, out=p.value)
-
-
-def adam(params: list[Param], lr: float) -> AdamW:
-    """Plain Adam (no weight decay)."""
-    return AdamW(params, lr=lr, weight_decay=0.0)
 
 
 class EarlyStopper:

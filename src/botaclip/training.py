@@ -32,7 +32,7 @@ from .losses import (
     similarity_regularizer,
 )
 from .numerics import Rng, row_norms
-from .optim import AdamW, EarlyStopper, adam
+from .optim import AdamW, EarlyStopper
 from .spatial import FoldAssignment, buffered_split, check_no_leakage
 
 UNIT_CHECK_TOL = 1e-9
@@ -173,8 +173,8 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
             for batch in _batches(val_idx, cfg.batch_size)]))
         return val_loss, val_loss, 0.0, math.nan, math.nan
 
-    return _fit(model, adam(model.params(), lr=lr), rng, cfg, train_idx,
-                step, validate)
+    opt = AdamW(model.params(), lr=lr, weight_decay=0.0)
+    return _fit(model, opt, rng, cfg, train_idx, step, validate)
 
 
 def botania_accuracy(model: BotaniaMLP, covers, labels) -> float:
@@ -209,8 +209,8 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
     the drift is logged but not optimized.
     """
     lam = cfg.lam
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not lam >= 0:  # NaN fails >= too
+        raise ValueError(f"lam must be >= 0, got {lam}")
     rng = Rng(cfg.seed)
     train_p, val_p = buffered_split(assignment, fold)
     check_no_leakage(assignment, train_p, val_p)
@@ -302,12 +302,6 @@ def train_botasp(embeddings: np.ndarray, presence: np.ndarray,
     return _fit(model, opt, rng, cfg, train_idx, step, validate)
 
 
-def botasp_features(model: BotaSPModel, embeddings: np.ndarray) -> np.ndarray:
-    """Post-GELU, pre-dropout hidden activations used downstream."""
-    _, _, feat = model.forward(np.asarray(embeddings, dtype=np.float64))
-    return feat
-
-
 # --- checkpoint round trip -------------------------------------------------------
 
 def model_state(model) -> dict[str, np.ndarray]:
@@ -321,52 +315,45 @@ def _load_params(model, state: dict[str, np.ndarray]):
     return model
 
 
-def alignment_model_from_state(state: dict[str, np.ndarray]) -> AlignmentModel:
-    """Rebuild an alignment model for inference from named checkpoint
-    arrays; the variant and every dimension are inferred from parameter
-    names and shapes, and dropout, which inference skips, is 0."""
+def model_from_state(state: dict[str, np.ndarray], *, dropout_rate: float):
+    """Rebuild the model a checkpoint holds from its named arrays.
+
+    The parameter names pick the model: `botasp.` a BotaSPModel,
+    `img_adapter.` the botania-linear alignment model, `tab_encoder.reduce.`
+    the attention and `tab_encoder.lin1.` the mlp variant, and `botania.`
+    names alone a BotaniaMLP. Every width is read from the array shapes.
+    dropout_rate is the rate of the `botania.` and `botasp.` dropout layers,
+    which a checkpoint does not record and inference skips. A parameter the
+    model needs and state lacks raises KeyError."""
+    def shape(name):
+        return state[name].shape
+
     rng = Rng(0)
-    if "img_adapter.weight" in state:
-        botania = botania_from_state(state, dropout_rate=0.0)
-        d_img = state["img_adapter.weight"].shape[1]
-        model = AlignmentModel("botania-linear", d_img=d_img,
-                               d_tab=botania.in_dim, rng=rng, proj_dim=d_img,
-                               botania=botania, adapter_noise_variance=0.0)
+    if "botasp.proj.weight" in state:
+        proj_dim, in_dim = shape("botasp.proj.weight")
+        model = BotaSPModel(in_dim, shape("botasp.head.weight")[0], proj_dim,
+                            shape("botasp.hidden.weight")[0], dropout_rate)
     elif "tab_encoder.reduce.weight" in state:
-        d_img = state["img_encoder.lin1.weight"].shape[1]
-        d_tab = state["tab_encoder.reduce.weight"].shape[1]
-        model_dim = state["tab_encoder.reduce.weight"].shape[0]
-        proj = state["tab_encoder.project.weight"].shape[0]
+        img_hidden, d_img = shape("img_encoder.lin1.weight")
+        model_dim, d_tab = shape("tab_encoder.reduce.weight")
         model = AlignmentModel(
-            "attention", d_img=d_img, d_tab=d_tab, rng=rng, proj_dim=proj,
-            mlp_img_hidden=state["img_encoder.lin1.weight"].shape[0],
-            attn_model_dim=model_dim)
+            "attention", d_img=d_img, d_tab=d_tab, rng=rng,
+            proj_dim=shape("tab_encoder.project.weight")[0],
+            mlp_img_hidden=img_hidden, attn_model_dim=model_dim)
+    elif "tab_encoder.lin1.weight" in state:
+        img_hidden, d_img = shape("img_encoder.lin1.weight")
+        tab_hidden, d_tab = shape("tab_encoder.lin1.weight")
+        model = AlignmentModel(
+            "mlp", d_img=d_img, d_tab=d_tab, rng=rng,
+            proj_dim=shape("tab_encoder.lin2.weight")[0],
+            mlp_img_hidden=img_hidden, mlp_tab_hidden=tab_hidden)
     else:
-        d_img = state["img_encoder.lin1.weight"].shape[1]
-        d_tab = state["tab_encoder.lin1.weight"].shape[1]
-        proj = state["tab_encoder.lin2.weight"].shape[0]
-        model = AlignmentModel(
-            "mlp", d_img=d_img, d_tab=d_tab, rng=rng, proj_dim=proj,
-            mlp_img_hidden=state["img_encoder.lin1.weight"].shape[0],
-            mlp_tab_hidden=state["tab_encoder.lin1.weight"].shape[0])
+        hidden, in_dim = shape("botania.lin1.weight")
+        model = BotaniaMLP(in_dim, hidden, shape("botania.lin2.weight")[0],
+                           shape("botania.head.weight")[0], dropout_rate)
+        if "img_adapter.weight" in state:
+            d_img = shape("img_adapter.weight")[1]
+            model = AlignmentModel(
+                "botania-linear", d_img=d_img, d_tab=in_dim, rng=rng,
+                proj_dim=d_img, botania=model, adapter_noise_variance=0.0)
     return _load_params(model, state)
-
-
-def botania_from_state(state: dict[str, np.ndarray], *,
-                       dropout_rate: float) -> BotaniaMLP:
-    """The checkpoint's BotaniaMLP; a checkpoint records no dropout rate."""
-    in_dim, hidden = state["botania.lin1.weight"].shape[::-1]
-    embed = state["botania.lin2.weight"].shape[0]
-    n_classes = state["botania.head.weight"].shape[0]
-    return _load_params(BotaniaMLP(in_dim, hidden, embed, n_classes,
-                                   dropout_rate, gen=None), state)
-
-
-def botasp_from_state(state: dict[str, np.ndarray]) -> BotaSPModel:
-    """The checkpoint's BotaSPModel for inference, which skips dropout."""
-    in_dim = state["botasp.proj.weight"].shape[1]
-    proj_dim = state["botasp.proj.weight"].shape[0]
-    hidden = state["botasp.hidden.weight"].shape[0]
-    n_species = state["botasp.head.weight"].shape[0]
-    return _load_params(BotaSPModel(in_dim, n_species, proj_dim, hidden, 0.0,
-                                    gen=None), state)

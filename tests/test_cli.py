@@ -229,6 +229,29 @@ def test_botania_checkpoint_with_other_variant_exit_1(synth_dir, tmp_path,
     assert not out.exists()
 
 
+def test_alignment_checkpoint_as_botania_seed_exit_2(synth_dir, trained_dir,
+                                                     tmp_path, capsys):
+    # a botania-linear model.ckpt holds botania.* arrays, but it is not a
+    # train-botania checkpoint
+    ckpt = trained_dir / "model.ckpt"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["train-botaclip", "--out-dir", str(out),
+               "--set", f"data.embeddings={synth_dir / 'images.emb'}",
+               "--set", f"data.covers={synth_dir / 'covers.csv'}",
+               "--set", f"data.locations={synth_dir / 'locations.csv'}",
+               "--set", f"data.botania_checkpoint={ckpt}",
+               "--set", "model.botania_hidden=24",
+               "--set", "model.botania_classes=8",
+               "--set", "train.max_epochs=1"])
+    assert rc == 2
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "DataError" and doc["exit"] == 2
+    assert doc["message"] == (f"{ckpt}: a checkpoint of AlignmentModel, not "
+                              "of BotaniaMLP")
+    assert not out.exists()
+
+
 _SURVEY = "plot_id,x_m,y_m,prodrome_class,species_id,bb_class\n"
 
 
@@ -441,7 +464,7 @@ class TestTrainAndEmbed:
         # projections hold four more arrays; loading ignores them
         from botaclip.encoders import AlignmentModel
         from botaclip.numerics import Rng
-        from botaclip.training import alignment_model_from_state, model_state
+        from botaclip.training import model_from_state, model_state
 
         model = AlignmentModel("attention", d_img=16, d_tab=16, rng=Rng(0),
                                proj_dim=8, mlp_img_hidden=12,
@@ -468,8 +491,8 @@ class TestTrainAndEmbed:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         covers, _, _ = fileio.read_matrix_csv(synth_dir / "covers.csv")
-        rebuilt = alignment_model_from_state(
-            fileio.load_checkpoint(tmp_path / "old.ckpt"))
+        rebuilt = model_from_state(
+            fileio.load_checkpoint(tmp_path / "old.ckpt"), dropout_rate=0.0)
         assert model_state(rebuilt).keys() == state.keys()
         np.testing.assert_array_equal(rebuilt.encode_tables(covers),
                                       model.encode_tables(covers))
@@ -652,18 +675,62 @@ class TestOtherTrainers:
         state = fileio.load_checkpoint(botasp_dir / "botasp.ckpt")
         assert state["botasp.hidden.weight"].shape[0] == 20
 
-    def test_embed_rejects_botasp_checkpoint(self, synth_dir, botasp_dir,
-                                             tmp_path, capsys):
-        ckpt = botasp_dir / "botasp.ckpt"
+    def test_botasp_embed_eval_and_stats(self, synth_dir, trained_dir,
+                                         botasp_dir, tmp_path):
+        # the supervised baseline scored beside the adapted and raw rows
+        images = synth_dir / "images.emb"
+        embedded = {"raw": images}
+        for name, ckpt in (("adapted", trained_dir / "model.ckpt"),
+                           ("supervised", botasp_dir / "botasp.ckpt")):
+            embedded[name] = tmp_path / f"{name}.emb"
+            assert main(["embed", "--checkpoint", str(ckpt), "--embeddings",
+                         str(images), "--out", str(embedded[name])]) == 0
+        # BotaSP's hidden features of every view, stored as float32
+        model = training.model_from_state(
+            fileio.load_checkpoint(botasp_dir / "botasp.ckpt"),
+            dropout_rate=0.0)
+        x, ids = fileio.load_embeddings(images, normalize=True)
+        got, got_ids = fileio.load_embeddings(embedded["supervised"],
+                                              normalize=False)
+        assert got_ids == ids and got.shape == (320, 20)
+        np.testing.assert_array_equal(
+            got, model.encode_images(x).astype(np.float32))
+        reports = []
+        for name, emb in embedded.items():
+            reports.append(tmp_path / f"report_{name}.csv")
+            assert main(["eval", "--task", "plant", "--embeddings", str(emb),
+                         "--covers", str(synth_dir / "eval_species.csv"),
+                         "--split", str(trained_dir / "split.csv"),
+                         "--out", str(reports[-1]),
+                         "--set", "metrics.n_trees=8"]) == 0
+        stats_out = tmp_path / "stats.csv"
+        assert main(["stats", "--reports", *map(str, reports),
+                     "--names", *embedded, "--metric", "tss",
+                     "--out", str(stats_out)]) == 0
+        _, rows = fileio.read_csv(stats_out)
+        assert rows[0][0] == "friedman"
+
+    @pytest.mark.parametrize("kind", ["botania", "unknown"])
+    def test_embed_rejects_checkpoint_without_image_encoder(
+            self, synth_dir, tmp_path, capsys, kind):
+        state = training.model_state(
+            BotaniaMLP(16, 8, 6, 8, 0.4, gen=Rng(0).substream("b")))
+        if kind == "unknown":
+            state = {f"other.{name}": value for name, value in state.items()}
+        ckpt = tmp_path / f"{kind}.ckpt"
+        fileio.save_checkpoint(ckpt, state)
+        out = tmp_path / "embedded.emb"
         capsys.readouterr()
-        rc = main(["embed", "--checkpoint", str(ckpt),
-                   "--embeddings", str(synth_dir / "images.emb"),
-                   "--out", str(tmp_path / "adapted.emb")])
-        assert rc == 2
+        assert main(["embed", "--checkpoint", str(ckpt), "--embeddings",
+                     str(synth_dir / "images.emb"), "--out", str(out)]) == 2
         doc = _one_error_line(capsys)
         assert doc["error"] == "DataError" and doc["exit"] == 2
-        assert str(ckpt) in doc["message"]
-        assert not (tmp_path / "adapted.emb").exists()
+        assert doc["message"] == {
+            "botania": f"{ckpt}: a checkpoint of BotaniaMLP, not of "
+                       "AlignmentModel or BotaSPModel",
+            "unknown": f"{ckpt}: not a model checkpoint (no parameter "
+                       "'botania.lin1.weight')"}[kind]
+        assert list(tmp_path.iterdir()) == [ckpt]
 
     def test_lambda_is_the_only_drift_switch(self, botasp_dir, tmp_path,
                                              capsys):
@@ -836,6 +903,26 @@ def test_bad_embedding_view_id_exit_2(synth_dir, tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def _trainer_exits_1(synth_dir, tmp_path, capsys, command, setting,
+                     message):
+    """command on the synth_dir inputs with setting exits 1 with one JSON
+    line carrying message, and makes no output directory."""
+    _, cfg = TRAINERS[command]
+    data = {k: str(synth_dir / v) for k, v in cfg["data"].items()}
+    data.update(covers=str(synth_dir / "covers.csv"),
+                locations=str(synth_dir / "locations.csv"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "data": data}))
+    capsys.readouterr()
+    rc = main([command, "--config", str(cfg_path),
+               "--out-dir", str(tmp_path / "run"), "--set", setting])
+    assert rc == 1
+    doc = _one_error_line(capsys)
+    assert doc["error"] == "ValueError" and doc["exit"] == 1
+    assert doc["message"] == message
+    assert not (tmp_path / "run").exists()
+
+
 class TestErrorPaths:
     def test_usage_error_exit_1(self, capsys):
         rc = main(["eval", "--task", "plant", "--embeddings", "x.emb",
@@ -975,28 +1062,38 @@ class TestErrorPaths:
         assert not (tmp_path / "run" / "model.ckpt").exists()
         assert not (tmp_path / "report.csv").exists()
 
-    @pytest.mark.parametrize("setting, message", [
-        ("model.botania_hidden=0",
+    @pytest.mark.parametrize("command, setting, message", [
+        ("train-botania", "model.botania_hidden=0",
          "botania.lin1: widths must be at least 1, got 16 -> 0"),
-        ("model.botania_dropout=1.0",
+        ("train-botania", "model.botania_dropout=1.0",
          "dropout rate must be in [0, 1), got 1.0"),
     ], ids=["hidden_0", "dropout_1"])
     def test_bad_layer_setting_exit_1(self, synth_dir, tmp_path, capsys,
-                                      setting, message):
-        _, cfg = TRAINERS["train-botania"]
-        data = {"covers": str(synth_dir / "covers.csv"),
-                "labels": str(synth_dir / "classes.csv"),
-                "locations": str(synth_dir / "locations.csv")}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**cfg, "data": data}))
-        capsys.readouterr()
-        rc = main(["train-botania", "--config", str(cfg_path),
-                   "--out-dir", str(tmp_path / "run"), "--set", setting])
-        assert rc == 1
-        doc = _one_error_line(capsys)
-        assert doc["error"] == "ValueError" and doc["exit"] == 1
-        assert doc["message"] == message
-        assert not (tmp_path / "run").exists()
+                                      command, setting, message):
+        _trainer_exits_1(synth_dir, tmp_path, capsys, command, setting,
+                         message)
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("train-botaclip", "optimizer.lr=-0.001",
+         "lr must be in (0, inf), got -0.001"),
+        ("train-botaclip", "optimizer.lr=0", "lr must be in (0, inf), got 0"),
+        ("train-botaclip", "optimizer.weight_decay=-5",
+         "weight_decay must be in [0, inf), got -5"),
+        ("train-botania", "botania_train.lr=-1",
+         "lr must be in (0, inf), got -1"),
+        ("train-botasp", "botasp_train.lr=-1",
+         "lr must be in (0, inf), got -1"),
+        ("train-botasp", "botasp_train.weight_decay=-1",
+         "weight_decay must be in [0, inf), got -1"),
+        ("train-botaclip", "lambda=NaN", "lam must be >= 0, got nan"),
+        ("train-botasp", "lambda=NaN", "lam must be >= 0, got nan"),
+    ], ids=["lr_negative", "lr_0", "weight_decay_negative",
+            "botania_lr_negative", "botasp_lr_negative",
+            "botasp_weight_decay_negative", "lambda_nan", "botasp_lambda_nan"])
+    def test_bad_optimizer_setting_exit_1(self, synth_dir, tmp_path, capsys,
+                                          command, setting, message):
+        _trainer_exits_1(synth_dir, tmp_path, capsys, command, setting,
+                         message)
 
     def test_numeric_failure_writes_one_json_line(self, synth_dir, tmp_path,
                                                   capsys):

@@ -8,9 +8,9 @@ import botaclip
 
 SRC = Path(botaclip.__file__).parent
 
-# called from tests only until `embed` scores the supervised baseline and
-# reports the k-NN overlap (ROADMAP open item 1)
-WAITING = {"knn_overlap", "botasp_features", "botasp_from_state"}
+# called from tests only until `embed` reports the k-NN overlap between
+# its input and its output (ROADMAP open item 1)
+WAITING = {"knn_overlap"}
 
 
 def _trees():

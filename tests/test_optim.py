@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from botaclip.encoders import GradientTape, Param
 from botaclip.errors import ShapeMismatch
 from botaclip.losses import TAU_CLAMP
 from botaclip.numerics import Rng
-from botaclip.optim import AdamW, EarlyStopper, adam
+from botaclip.optim import AdamW, EarlyStopper
 
 
 def _tape_with(param, grad):
@@ -66,10 +67,21 @@ class TestAdamW:
             after = float(np.sum((p.value - target) ** 2))
             assert after < before
 
-    def test_adam_helper(self):
+    def test_zero_decay_is_plain_adam(self):
+        # the first step moves by lr alone, up to eps; a decay of 0.5 would
+        # also shrink the value by lr * 0.5 = 0.15
         p = Param("w", np.array([1.0]))
-        opt = adam([p], lr=0.3)
-        assert opt.lr == 0.3 and opt.weight_decay == 0.0
+        opt = AdamW([p], lr=0.3, weight_decay=0.0)
+        opt.step(_tape_with(p, np.array([2.0])))
+        assert abs(p.value[0] - 0.7) < 1e-8
+
+    @pytest.mark.parametrize("lr, weight_decay", [
+        (0.0, 0.0), (-1e-3, 0.0), (np.inf, 0.0), (np.nan, 0.0),
+        (1e-3, -5.0), (1e-3, np.inf), (1e-3, np.nan)])
+    def test_rejects_lr_or_decay_out_of_range(self, lr, weight_decay):
+        with pytest.raises(ValueError, match="must be in"):
+            AdamW([Param("w", np.array([1.0]))], lr=lr,
+                  weight_decay=weight_decay)
 
 
 class TestEarlyStopper:

@@ -24,11 +24,8 @@ from botaclip.training import (
     TrainLog,
     _check_unit,
     _fit,
-    alignment_model_from_state,
     botania_accuracy,
-    botania_from_state,
-    botasp_features,
-    botasp_from_state,
+    model_from_state,
     model_state,
     train_botaclip,
     train_botania,
@@ -313,48 +310,56 @@ class TestTrainBotaSP:
         model, _ = train_botasp(emb, presence, np.arange(40),
                                 np.arange(40, 60), cfg, proj_dim=8, hidden=14,
                                 dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
-        feats = botasp_features(model, emb)
+        feats = model.encode_images(emb)
         assert feats.shape == (60, 14)
 
 
 class TestCheckpointRoundTrip:
-    def test_alignment_all_variants(self):
-        for variant in ("botania-linear", "mlp", "attention"):
+    @pytest.mark.parametrize("kind", ["botania-linear", "mlp", "attention",
+                                      "botania", "botasp"])
+    def test_model_from_state(self, kind):
+        """The rebuilt model has the trained model's class, variant and
+        parameter order, and maps inputs to the same bytes, in eval mode and,
+        at the trained model's dropout rate, in train mode."""
+        gen = Rng(12).substream("sp")
+        if kind == "botania":
+            model = BotaniaMLP(6, 5, 4, 3, 0.4, gen=Rng(11).substream("i"))
+            covers = gen.uniform(0, 100, size=(3, 6))
+            runs = [lambda m, **kw: m.forward(covers, **kw),
+                    lambda m, **kw: m.embedding.forward(covers, **kw)]
+        elif kind == "botasp":
+            emb = l2_normalize_rows(gen.normal(size=(30, 8)))
+            presence = (gen.random((30, 3)) < 0.5).astype(np.int64)
+            cfg = TrainConfig(batch_size=16, max_epochs=1, patience=2,
+                              lam=0.0, seed=12, shuffle=True)
+            model, _ = train_botasp(emb, presence, np.arange(20),
+                                    np.arange(20, 30), cfg, proj_dim=6,
+                                    hidden=9, dropout_rate=0.4, lr=1e-3,
+                                    weight_decay=1e-3)
+            runs = [lambda m, **kw: m.encode_images(emb),
+                    lambda m, **kw: m.forward(emb, **kw)[0]]
+        else:
             _, ds, fa, cfg = _alignment_setup(seed=10, max_epochs=2)
-            if variant == "botania-linear":
+            if kind == "botania-linear":
                 kwargs = dict(LINEAR, botania_hidden=24)
             else:
-                kwargs = dict(ALIGN, variant=variant, proj_dim=8,
+                kwargs = dict(ALIGN, variant=kind, proj_dim=8,
                               mlp_img_hidden=12, mlp_tab_hidden=12,
                               attn_model_dim=8)
             model, _ = train_botaclip(ds, fa, cfg, fold=1, **kwargs)
-            rebuilt = alignment_model_from_state(model_state(model))
-            assert rebuilt.variant == variant
-            x = ds.images[:7]
-            np.testing.assert_array_equal(rebuilt.encode_images(x),
-                                          model.encode_images(x))
-
-    def test_botania_state_round_trip(self):
-        model = BotaniaMLP(6, 5, 4, 3, 0.4, gen=Rng(11).substream("i"))
-        rebuilt = botania_from_state(model_state(model), dropout_rate=0.4)
-        covers = Rng(11).substream("c").uniform(0, 100, size=(3, 6))
-        np.testing.assert_array_equal(model.forward(covers),
-                                      rebuilt.forward(covers))
-        np.testing.assert_array_equal(model.embedding.forward(covers),
-                                      rebuilt.embedding.forward(covers))
-
-    def test_botasp_state_round_trip(self):
-        gen = Rng(12).substream("sp")
-        emb = l2_normalize_rows(gen.normal(size=(30, 8)))
-        presence = (gen.random((30, 3)) < 0.5).astype(np.int64)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=2, lam=0.0,
-                          seed=12, shuffle=True)
-        model, _ = train_botasp(emb, presence, np.arange(20),
-                                np.arange(20, 30), cfg, proj_dim=6, hidden=9,
-                                dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
-        rebuilt = botasp_from_state(model_state(model))
-        np.testing.assert_array_equal(botasp_features(rebuilt, emb),
-                                      botasp_features(model, emb))
+            x, covers = ds.images[:7], ds.covers[:7]
+            runs = [lambda m, **kw: m.encode_images(x, **kw),
+                    lambda m, **kw: m.encode_tables(covers, **kw)]
+        rebuilt = model_from_state(model_state(model), dropout_rate=0.4)
+        assert type(rebuilt) is type(model)
+        assert getattr(rebuilt, "variant", None) == getattr(model, "variant",
+                                                            None)
+        assert list(model_state(rebuilt)) == list(model_state(model))
+        for run in runs:
+            np.testing.assert_array_equal(run(rebuilt), run(model))
+            want, got = (run(m, train=True, gen=Rng(1).substream("drop"))
+                         for m in (model, rebuilt))
+            np.testing.assert_array_equal(got, want)
 
 
 def test_botania_accuracy_gives_a_tie_to_the_last_class():

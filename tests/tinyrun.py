@@ -5,10 +5,10 @@ write_inputs(root) writes the inputs under root/data: the `synth` files,
 plus butterfly occurrences and soil samples derived from them, each with an
 embedding file of their own. run_pipeline(root) then runs synth ->
 train-botania -> train-botaclip (the three variants) -> train-botasp ->
-embed -> eval (plant, butterfly, soil) -> stats -> cluster-metrics into
-root/run, and prep -> split on a long-format survey derived from the synth
-covers into root/run/prep. It returns the SHA-256 of every file under
-root/data and root/run, manifests left out.
+embed (the adapters and BotaSP) -> eval (plant, butterfly, soil) -> stats
+-> cluster-metrics into root/run, and prep -> split on a long-format survey
+derived from the synth covers into root/run/prep. It returns the SHA-256 of
+every file under root/data and root/run, manifests left out.
 
     python tests/tinyrun.py DIR > tests/pinned_digests.json
 
@@ -165,6 +165,9 @@ def run_pipeline(root) -> dict:
                  "--embeddings", "data/images.emb",
                  "--out", f"run/{variant}/adapted.emb"])
         run(["train-botasp", *cfg, "--out-dir", "run/botasp"])
+        run(["embed", "--checkpoint", "run/botasp/botasp.ckpt",
+             "--embeddings", "data/images.emb",
+             "--out", "run/botasp/features.emb"])
         for name in ("images", "occ_images", "soil_images"):
             run(["embed", "--checkpoint", "run/align/model.ckpt",
                  "--embeddings", f"data/{name}.emb",

@@ -77,6 +77,8 @@ def _model_from_checkpoint(path, kinds, *, dropout_rate):
     except KeyError as exc:
         raise DataError(f"{path}: not a model checkpoint (no parameter "
                         f"{exc})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not isinstance(model, kinds):
         raise DataError(f"{path}: a checkpoint of {type(model).__name__}, "
                         "not of " + " or ".join(k.__name__ for k in kinds))
@@ -197,7 +199,6 @@ def _train_cfg(cfg, section) -> TrainConfig:
     return TrainConfig(batch_size=cfg["train"]["batch_size"],
                        max_epochs=block["max_epochs"],
                        patience=block["patience"],
-                       lam=cfg["lambda"],
                        seed=cfg["seed"],
                        shuffle=cfg["train"]["shuffle"])
 
@@ -283,12 +284,12 @@ def cmd_train_botania(args):
         raise DataError("labels and covers disagree on plot order")
     fa = _assignment_from_cfg(_locations_of(data["locations"], plot_ids), cfg)
     train_idx, val_idx = buffered_split(fa, cfg["fold"])
+    m = cfg["model"]
+    model = BotaniaMLP(covers.shape[1], m["botania_hidden"], m["botania_embed"],
+                       m["botania_classes"], m["botania_dropout"],
+                       gen=Rng(cfg["seed"]).substream("init"))
     model, log = training.train_botania(
-        covers, labels, train_idx, val_idx, tcfg,
-        hidden=cfg["model"]["botania_hidden"],
-        embed=cfg["model"]["botania_embed"],
-        n_classes=cfg["model"]["botania_classes"],
-        dropout_rate=cfg["model"]["botania_dropout"],
+        model, covers, labels, train_idx, val_idx, tcfg,
         lr=cfg["botania_train"]["lr"])
     out = _outdir(args)
     outputs = _save_model(out, "botania.ckpt", model, log)
@@ -312,6 +313,8 @@ def cmd_train_botaclip(args):
     fa = _assignment_from_cfg(pairs.locations, cfg)
 
     m = cfg["model"]
+    rng = Rng(cfg["seed"])
+    linear = cfg["variant"] == "botania-linear"
     inputs = [data["embeddings"], data["covers"], data["locations"]]
     botania = None
     if data["botania_checkpoint"]:
@@ -319,18 +322,21 @@ def cmd_train_botaclip(args):
         botania = _model_from_checkpoint(data["botania_checkpoint"],
                                          (BotaniaMLP,),
                                          dropout_rate=m["botania_dropout"])
-    linear = cfg["variant"] == "botania-linear"
-    model, log = training.train_botaclip(
-        pairs, fa, tcfg, variant=cfg["variant"], fold=cfg["fold"],
-        lr=cfg["optimizer"]["lr"],
-        weight_decay=cfg["optimizer"]["weight_decay"],
-        proj_dim=emb.shape[1] if linear else m["projection_dim"],
-        botania=botania, botania_hidden=m["botania_hidden"],
-        botania_classes=m["botania_classes"],
-        botania_dropout=m["botania_dropout"],
-        adapter_noise_variance=m["adapter_noise_variance"],
+    elif linear:
+        botania = BotaniaMLP(covers.values.shape[1], m["botania_hidden"],
+                             emb.shape[1], m["botania_classes"],
+                             m["botania_dropout"],
+                             gen=rng.substream("init/botania"))
+    model = AlignmentModel(
+        cfg["variant"], d_img=emb.shape[1], d_tab=covers.values.shape[1],
+        rng=rng, proj_dim=emb.shape[1] if linear else m["projection_dim"],
+        botania=botania, adapter_noise_variance=m["adapter_noise_variance"],
         mlp_img_hidden=m["mlp_img_hidden"], mlp_tab_hidden=m["mlp_tab_hidden"],
         attn_model_dim=m["attention_model_dim"])
+    model, log = training.train_botaclip(
+        model, pairs, fa, tcfg, fold=cfg["fold"], lam=cfg["lambda"],
+        lr=cfg["optimizer"]["lr"],
+        weight_decay=cfg["optimizer"]["weight_decay"])
     out = _outdir(args)
     outputs = _save_model(out, "model.ckpt", model, log) + [out / "split.csv"]
     fileio.write_split_manifest(outputs[-1], pairs.plot_ids, fa.cells,
@@ -355,11 +361,13 @@ def cmd_train_botasp(args):
         raise DataError("no species pass the support filter")
     fa = _assignment_from_cfg(_locations_of(data["locations"], plot_ids), cfg)
     train_idx, val_idx = buffered_split(fa, cfg["fold"])
+    model = BotaSPModel(X.shape[1], kept.size, X.shape[1],
+                        cfg["model"]["botasp_hidden"],
+                        cfg["model"]["botasp_dropout"],
+                        gen=Rng(cfg["seed"]).substream("init"))
     model, log = training.train_botasp(
-        X, binary[:, kept], train_idx, val_idx, tcfg,
-        proj_dim=X.shape[1], hidden=cfg["model"]["botasp_hidden"],
-        dropout_rate=cfg["model"]["botasp_dropout"],
-        lr=cfg["botasp_train"]["lr"],
+        model, X, binary[:, kept], train_idx, val_idx, tcfg,
+        lam=cfg["lambda"], lr=cfg["botasp_train"]["lr"],
         weight_decay=cfg["botasp_train"]["weight_decay"])
     out = _outdir(args)
     outputs = _save_model(out, "botasp.ckpt", model, log)

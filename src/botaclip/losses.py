@@ -147,8 +147,8 @@ def botasp_loss(logits: np.ndarray, targets: np.ndarray, z_orig: np.ndarray,
     of the projection, both rows unit-norm; returns (loss, grads), grads
     (dlogits, dz_new) with dz_new None at lam=0, or None when grad is
     False."""
-    if not lam >= 0:  # NaN fails >= too
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:  # NaN fails both bounds
+        raise ValueError(f"lam must be in [0, inf), got {lam}")
     bce, dlogits = binary_cross_entropy_with_logits(logits, targets, grad)
     if lam == 0:
         return bce, (dlogits, None) if grad else None

@@ -2,10 +2,10 @@
 pretraining, contrastive alignment, supervised baseline), checkpoint
 helpers, and the epoch log.
 
-Training is deterministic for a fixed (seed, config, data): shuffling,
-dropout and initialization each draw from their own keyed substream, epoch
-metrics are logged, and early stopping restores the best validation
-checkpoint.
+Each trainer trains the built model it is given, deterministically for a
+fixed (model, seed, data): shuffling and dropout each draw from their own
+keyed substream, epoch metrics are logged, and early stopping restores the
+best validation checkpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .encoders import (
     BotaSPModel,
     GradientTape,
 )
-from .errors import EmptySplit, NotNormalized
+from .errors import DataError, EmptySplit, NotNormalized
 from .fileio import write_csv
 from .losses import (
     ScalarsTauB,
@@ -44,7 +44,6 @@ class TrainConfig:
     batch_size: int
     max_epochs: int
     patience: int
-    lam: float
     seed: int
     shuffle: bool
 
@@ -147,19 +146,15 @@ def _val_means(rows: np.ndarray, batch_size: int, terms):
 
 # --- cover-classifier pretraining -------------------------------------------
 
-def train_botania(covers: np.ndarray, labels: np.ndarray,
+def train_botania(model: BotaniaMLP, covers: np.ndarray, labels: np.ndarray,
                   train_idx: np.ndarray, val_idx: np.ndarray,
-                  cfg: TrainConfig, *, hidden: int, embed: int,
-                  n_classes: int, dropout_rate: float, lr: float):
-    """Plain-Adam classifier pretraining; early stopping on validation
-    cross-entropy; returns the best-epoch model and the log."""
+                  cfg: TrainConfig, *, lr: float):
+    """Plain-Adam classifier pretraining of model; early stopping on
+    validation cross-entropy; returns model at its best epoch and the log."""
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)
     if train_idx.size == 0 or val_idx.size == 0:
         raise EmptySplit("empty train or validation split")
-    rng = Rng(cfg.seed)
-    model = BotaniaMLP(covers.shape[1], hidden, embed, n_classes,
-                       dropout_rate, gen=rng.substream("init"))
 
     def step(batch, gen, tape):
         logits = model.forward(covers[batch], train=True, gen=gen)
@@ -174,7 +169,7 @@ def train_botania(covers: np.ndarray, labels: np.ndarray,
         return val_loss, val_loss, 0.0, math.nan, math.nan
 
     opt = AdamW(model.params(), lr=lr, weight_decay=0.0)
-    return _fit(model, opt, rng, cfg, train_idx, step, validate)
+    return _fit(model, opt, Rng(cfg.seed), cfg, train_idx, step, validate)
 
 
 def botania_accuracy(model: BotaniaMLP, covers, labels) -> float:
@@ -186,45 +181,21 @@ def botania_accuracy(model: BotaniaMLP, covers, labels) -> float:
 
 # --- contrastive alignment ----------------------------------------------------
 
-def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
-                   cfg: TrainConfig, *, variant: str, fold: int, lr: float,
-                   weight_decay: float, proj_dim: int,
-                   botania: BotaniaMLP | None = None,
-                   botania_hidden: int | None = None,
-                   botania_classes: int | None = None,
-                   botania_dropout: float | None = None,
-                   adapter_noise_variance: float | None = None,
-                   mlp_img_hidden: int | None = None,
-                   mlp_tab_hidden: int | None = None,
-                   attn_model_dim: int | None = None):
+def train_botaclip(model: AlignmentModel, pairs: PairedDataset,
+                   assignment: FoldAssignment, cfg: TrainConfig, *, fold: int,
+                   lam: float, lr: float, weight_decay: float):
     """Align image views with cover vectors; image embeddings stay frozen
-    inputs, adapters (and the trainable cover encoder) update.
-
-    botania-linear trains botania or, if it is None, a fresh BotaniaMLP of
-    the botania_* settings; settings the variant does not use may be None.
+    inputs, model's adapters (and its trainable cover encoder) update.
 
     Multi-view pairs expand into one (view, pair) sample each; validation
     uses only the first view of each pair. The model with the best
-    validation loss (contrastive + lambda * drift) is returned; at lambda 0
-    the drift is logged but not optimized.
+    validation loss (contrastive + lam * drift) is returned; at lam 0 the
+    drift is logged but not optimized.
     """
-    lam = cfg.lam
-    if not lam >= 0:  # NaN fails >= too
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    rng = Rng(cfg.seed)
+    if not 0 <= lam < np.inf:  # NaN fails both bounds
+        raise ValueError(f"lam must be in [0, inf), got {lam}")
     train_p, val_p = buffered_split(assignment, fold)
     check_no_leakage(assignment, train_p, val_p)
-
-    d_img = pairs.images.shape[1]
-    d_tab = pairs.covers.shape[1]
-    if variant == "botania-linear" and botania is None:
-        botania = BotaniaMLP(d_tab, botania_hidden, proj_dim, botania_classes,
-                             botania_dropout, gen=rng.substream("init/botania"))
-    model = AlignmentModel(
-        variant, d_img=d_img, d_tab=d_tab, rng=rng, proj_dim=proj_dim,
-        botania=botania, adapter_noise_variance=adapter_noise_variance,
-        mlp_img_hidden=mlp_img_hidden, mlp_tab_hidden=mlp_tab_hidden,
-        attn_model_dim=attn_model_dim)
     train_rows = pairs.view_rows_for_pairs(train_p)
     val_rows = pairs.view_rows_for_pairs(val_p, first_view_only=True)
     if train_rows.size == 0 or val_rows.size == 0:
@@ -260,30 +231,27 @@ def train_botaclip(pairs: PairedDataset, assignment: FoldAssignment,
         return scl + lam * reg, scl, reg, s.tau, s.b
 
     opt = AdamW(model.params(), lr=lr, weight_decay=weight_decay)
-    return _fit(model, opt, rng, cfg, train_rows, step, validate)
+    return _fit(model, opt, Rng(cfg.seed), cfg, train_rows, step, validate)
 
 
 # --- supervised baseline --------------------------------------------------------
 
-def train_botasp(embeddings: np.ndarray, presence: np.ndarray,
-                 train_idx: np.ndarray, val_idx: np.ndarray,
-                 cfg: TrainConfig, *, proj_dim: int, hidden: int,
-                 dropout_rate: float, lr: float, weight_decay: float):
-    """Presence/absence pretraining over unit-norm embeddings with the
-    similarity-drift penalty on the projection (lambda from cfg.lam)."""
+def train_botasp(model: BotaSPModel, embeddings: np.ndarray,
+                 presence: np.ndarray, train_idx: np.ndarray,
+                 val_idx: np.ndarray, cfg: TrainConfig, *, lam: float,
+                 lr: float, weight_decay: float):
+    """Presence/absence pretraining of model over unit-norm embeddings with
+    lam times the similarity-drift penalty on the projection."""
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)
     if train_idx.size == 0 or val_idx.size == 0:
         raise EmptySplit("empty train or validation split")
-    rng = Rng(cfg.seed)
-    model = BotaSPModel(embeddings.shape[1], presence.shape[1], proj_dim,
-                        hidden, dropout_rate, gen=rng.substream("init"))
     targets = np.asarray(presence, dtype=np.float64)
 
     def step(batch, gen, tape):
         logits, z, _ = model.forward(embeddings[batch], train=True, gen=gen)
         loss, (dlogits, dz) = botasp_loss(
-            logits, targets[batch], embeddings[batch], z, cfg.lam, grad=True)
+            logits, targets[batch], embeddings[batch], z, lam, grad=True)
         model.backward(tape, g_logits=dlogits, g_z=dz, input_grad=False)
         return loss
 
@@ -296,10 +264,10 @@ def train_botasp(embeddings: np.ndarray, presence: np.ndarray,
 
     def validate():
         bce, reg = _val_means(val_idx, cfg.batch_size, terms)
-        return bce + cfg.lam * reg, bce, reg, math.nan, math.nan
+        return bce + lam * reg, bce, reg, math.nan, math.nan
 
     opt = AdamW(model.params(), lr=lr, weight_decay=weight_decay)
-    return _fit(model, opt, rng, cfg, train_idx, step, validate)
+    return _fit(model, opt, Rng(cfg.seed), cfg, train_idx, step, validate)
 
 
 # --- checkpoint round trip -------------------------------------------------------
@@ -309,9 +277,14 @@ def model_state(model) -> dict[str, np.ndarray]:
 
 
 def _load_params(model, state: dict[str, np.ndarray]):
-    """Copies each array of state into the parameter of its name."""
+    """Copies each array of state into the parameter of its name; an array
+    of another shape than its parameter's raises DataError."""
     for p in model.params():
-        p.value = np.array(state[p.name], dtype=np.float64, order="C")
+        value = state[p.name]
+        if value.shape != p.value.shape:
+            raise DataError(f"parameter {p.name} has shape {value.shape}, "
+                            f"not {p.value.shape}")
+        p.value = np.array(value, dtype=np.float64, order="C")
     return model
 
 
@@ -324,8 +297,11 @@ def model_from_state(state: dict[str, np.ndarray], *, dropout_rate: float):
     names alone a BotaniaMLP. Every width is read from the array shapes.
     dropout_rate is the rate of the `botania.` and `botasp.` dropout layers,
     which a checkpoint does not record and inference skips. A parameter the
-    model needs and state lacks raises KeyError."""
+    model needs and state lacks raises KeyError, and a width-giving weight
+    that is not a non-empty matrix raises DataError."""
     def shape(name):
+        if state[name].ndim != 2 or state[name].size == 0:
+            raise DataError(f"parameter {name} is not a non-empty matrix")
         return state[name].shape
 
     rng = Rng(0)

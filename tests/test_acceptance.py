@@ -69,11 +69,16 @@ def _train_desk(seed: int, lam: float):
     fa = FoldAssignment.build(ds.locations, 5, Rng(seed).substream("folds"),
                               5000.0)
     cfg = TrainConfig(batch_size=256, max_epochs=DESK_EPOCHS, patience=10,
-                      lam=lam, seed=seed, shuffle=True)
-    model, log = train_botaclip(
-        ds, fa, cfg, variant="botania-linear", fold=1, lr=1e-3,
-        weight_decay=1e-3, proj_dim=DESK["img_dim"], botania_hidden=96,
-        botania_classes=8, botania_dropout=0.4, adapter_noise_variance=1e-4)
+                      seed=seed, shuffle=True)
+    rng = Rng(seed)
+    botania = BotaniaMLP(ds.covers.shape[1], 96, DESK["img_dim"], 8, 0.4,
+                         gen=rng.substream("init/botania"))
+    model = AlignmentModel(
+        "botania-linear", d_img=DESK["img_dim"], d_tab=ds.covers.shape[1],
+        rng=rng, proj_dim=DESK["img_dim"], botania=botania,
+        adapter_noise_variance=1e-4)
+    model, log = train_botaclip(model, ds, fa, cfg, fold=1, lam=lam, lr=1e-3,
+                                weight_decay=1e-3)
     return data, ds, fa, model, log
 
 

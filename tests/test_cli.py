@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import botaclip
 from botaclip import fileio, training
 from botaclip.cli import main
-from botaclip.encoders import BotaniaMLP
+from botaclip.encoders import AlignmentModel, BotaniaMLP
 from botaclip.evaluate import MetricReport
 from botaclip.numerics import Rng
 
@@ -437,7 +437,7 @@ class TestTrainAndEmbed:
     def test_embed_identity_adapter_reproduces_input(self, synth_dir,
                                                      tmp_path):
         from botaclip.encoders import init_identity_adapter
-        from botaclip.encoders import BotaniaMLP
+        from botaclip.encoders import AlignmentModel, BotaniaMLP
         from botaclip.training import model_state
         from botaclip.encoders import AlignmentModel
         from botaclip.numerics import Rng
@@ -730,6 +730,35 @@ class TestOtherTrainers:
                        "AlignmentModel or BotaSPModel",
             "unknown": f"{ckpt}: not a model checkpoint (no parameter "
                        "'botania.lin1.weight')"}[kind]
+        assert list(tmp_path.iterdir()) == [ckpt]
+
+    @pytest.mark.parametrize("damage, message", [
+        ("bias_7", "parameter img_encoder.lin1.bias has shape (7,), not (6,)"),
+        ("weight_1d", "parameter img_encoder.lin1.weight is not a non-empty "
+                      "matrix"),
+        ("weight_empty", "parameter img_encoder.lin1.weight is not a "
+                         "non-empty matrix"),
+    ], ids=["bias_7", "weight_1d", "weight_empty"])
+    def test_embed_rejects_misshapen_parameter(self, synth_dir, tmp_path,
+                                               capsys, damage, message):
+        state = training.model_state(AlignmentModel(
+            "mlp", d_img=16, d_tab=16, rng=Rng(0), proj_dim=4,
+            mlp_img_hidden=6, mlp_tab_hidden=5))
+        if damage == "bias_7":
+            state["img_encoder.lin1.bias"] = np.zeros(7)
+        elif damage == "weight_1d":
+            state["img_encoder.lin1.weight"] = np.zeros(96)
+        else:
+            state["img_encoder.lin1.weight"] = np.zeros((6, 0))
+        ckpt = tmp_path / "model.ckpt"
+        fileio.save_checkpoint(ckpt, state)
+        out = tmp_path / "embedded.emb"
+        capsys.readouterr()
+        assert main(["embed", "--checkpoint", str(ckpt), "--embeddings",
+                     str(synth_dir / "images.emb"), "--out", str(out)]) == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert doc["message"] == f"{ckpt}: {message}"
         assert list(tmp_path.iterdir()) == [ckpt]
 
     def test_lambda_is_the_only_drift_switch(self, botasp_dir, tmp_path,
@@ -1085,11 +1114,16 @@ class TestErrorPaths:
          "lr must be in (0, inf), got -1"),
         ("train-botasp", "botasp_train.weight_decay=-1",
          "weight_decay must be in [0, inf), got -1"),
-        ("train-botaclip", "lambda=NaN", "lam must be >= 0, got nan"),
-        ("train-botasp", "lambda=NaN", "lam must be >= 0, got nan"),
+        ("train-botaclip", "lambda=NaN", "lam must be in [0, inf), got nan"),
+        ("train-botasp", "lambda=NaN", "lam must be in [0, inf), got nan"),
+        ("train-botaclip", "lambda=Infinity",
+         "lam must be in [0, inf), got inf"),
+        ("train-botasp", "lambda=Infinity",
+         "lam must be in [0, inf), got inf"),
     ], ids=["lr_negative", "lr_0", "weight_decay_negative",
             "botania_lr_negative", "botasp_lr_negative",
-            "botasp_weight_decay_negative", "lambda_nan", "botasp_lambda_nan"])
+            "botasp_weight_decay_negative", "lambda_nan", "botasp_lambda_nan",
+            "lambda_inf", "botasp_lambda_inf"])
     def test_bad_optimizer_setting_exit_1(self, synth_dir, tmp_path, capsys,
                                           command, setting, message):
         _trainer_exits_1(synth_dir, tmp_path, capsys, command, setting,

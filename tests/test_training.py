@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from botaclip import training
-from botaclip.encoders import (AlignmentModel, BotaniaMLP, GradientTape,
-                               Linear, Param, Sequential)
+from botaclip.encoders import (AlignmentModel, BotaniaMLP, BotaSPModel,
+                               GradientTape, Linear, Param, Sequential)
 from botaclip.errors import EmptySplit, NotNormalized
 from botaclip.fileio import read_csv, typed_columns
 from botaclip.losses import (ScalarsTauB, sigmoid_contrastive_loss,
@@ -33,13 +33,8 @@ from botaclip.training import (
 )
 
 LN2 = math.log(2.0)
-# settings every train_botaclip call below passes: the optimizer's, and the
-# classes and dropout of the fresh cover classifier it starts from
-ALIGN = dict(lr=1e-3, weight_decay=1e-3, botania_classes=8,
-             botania_dropout=0.4)
-# the botania-linear variant over the 16-wide images of _alignment_setup
-LINEAR = dict(ALIGN, variant="botania-linear", proj_dim=16,
-              adapter_noise_variance=1e-4)
+# settings every train_botaclip call below passes but lambda
+ALIGN = dict(fold=1, lr=1e-3, weight_decay=1e-3)
 
 
 def _toy_separable_covers(n=240, seed=0):
@@ -52,42 +47,46 @@ def _toy_separable_covers(n=240, seed=0):
     return covers, labels
 
 
+def _botania(*, hidden, embed, seed):
+    """A fresh classifier of the 6-species, 2-class toy covers, from the
+    "init" substream of seed."""
+    return BotaniaMLP(6, hidden, embed, 2, 0.4,
+                      gen=Rng(seed).substream("init"))
+
+
 class TestTrainBotania:
     def test_separable_reaches_full_accuracy(self):
         covers, labels = _toy_separable_covers()
-        cfg = TrainConfig(batch_size=64, max_epochs=50, patience=20, lam=1.0,
-                          seed=1, shuffle=True)
-        model, log = train_botania(covers, labels, np.arange(180),
-                                   np.arange(180, 240), cfg, hidden=8,
-                                   embed=6, n_classes=2, dropout_rate=0.4,
-                                   lr=0.3)
+        cfg = TrainConfig(batch_size=64, max_epochs=50, patience=20, seed=1,
+                          shuffle=True)
+        model, log = train_botania(_botania(hidden=8, embed=6, seed=1),
+                                   covers, labels, np.arange(180),
+                                   np.arange(180, 240), cfg, lr=0.3)
         acc = botania_accuracy(model, covers[180:], labels[180:])
         assert acc == 1.0
         assert log.best_epoch <= 50
 
     def test_patience_exhaustion_stops_early(self):
         covers, labels = _toy_separable_covers(seed=2)
-        cfg = TrainConfig(batch_size=64, max_epochs=300, patience=3, lam=1.0,
-                          seed=2, shuffle=True)
-        model, log = train_botania(covers, labels, np.arange(180),
-                                   np.arange(180, 240), cfg, hidden=8,
-                                   embed=6, n_classes=2, dropout_rate=0.4,
-                                   lr=0.3)
+        cfg = TrainConfig(batch_size=64, max_epochs=300, patience=3, seed=2,
+                          shuffle=True)
+        model, log = train_botania(_botania(hidden=8, embed=6, seed=2),
+                                   covers, labels, np.arange(180),
+                                   np.arange(180, 240), cfg, lr=0.3)
         assert log.epochs[-1] < 300
         assert log.best_epoch < log.epochs[-1]
 
     def test_empty_split_rejected(self):
         covers, labels = _toy_separable_covers()
         with pytest.raises(EmptySplit):
-            train_botania(covers, labels, np.arange(0), np.arange(10),
+            train_botania(_botania(hidden=4, embed=4, seed=0), covers, labels,
+                          np.arange(0), np.arange(10),
                           TrainConfig(batch_size=256, max_epochs=1000,
-                                      patience=10, lam=1.0, seed=0,
-                                      shuffle=True),
-                          hidden=4, embed=4, n_classes=2, dropout_rate=0.4,
+                                      patience=10, seed=0, shuffle=True),
                           lr=0.3)
 
 
-def _alignment_setup(seed=0, pairs=160, lam=1.0, max_epochs=15, variant="botania-linear"):
+def _alignment_setup(seed=0, pairs=160, max_epochs=15):
     data = generate_synthetic(pairs=pairs, latent_dim=4, img_dim=16,
                               n_species=12, views_per_pair=2, noise=0.8,
                               seed=seed, cell_size=5000.0, n_classes=8,
@@ -96,8 +95,26 @@ def _alignment_setup(seed=0, pairs=160, lam=1.0, max_epochs=15, variant="botania
     fa = FoldAssignment.build(ds.locations, 5, Rng(seed).substream("folds"),
                               5000.0)
     cfg = TrainConfig(batch_size=64, max_epochs=max_epochs, patience=10,
-                      lam=lam, seed=seed, shuffle=True)
+                      seed=seed, shuffle=True)
     return data, ds, fa, cfg
+
+
+def _alignment_model(ds, seed, variant="botania-linear", *,
+                     botania_hidden=24, adapter_noise_variance=1e-4, **opts):
+    """A fresh alignment model over ds from the keyed substreams of seed:
+    for botania-linear a new 8-class cover classifier of botania_hidden
+    units and a projection as wide as the images, else an 8-wide
+    projection with the mlp_*/attn_* widths of opts."""
+    rng = Rng(seed)
+    d_img, d_tab = ds.images.shape[1], ds.covers.shape[1]
+    linear = variant == "botania-linear"
+    botania = (BotaniaMLP(d_tab, botania_hidden, d_img, 8, 0.4,
+                          gen=rng.substream("init/botania"))
+               if linear else None)
+    return AlignmentModel(variant, d_img=d_img, d_tab=d_tab, rng=rng,
+                          proj_dim=d_img if linear else 8, botania=botania,
+                          adapter_noise_variance=adapter_noise_variance,
+                          **opts)
 
 
 def test_unit_check_rejects_nan_row():
@@ -110,14 +127,14 @@ def test_unit_check_rejects_nan_row():
 class TestTrainBotaclip:
     def test_validation_loss_below_all_zero_baseline(self):
         _, ds, fa, cfg = _alignment_setup(seed=1, max_epochs=25)
-        model, log = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
-                                    **LINEAR)
+        model, log = train_botaclip(_alignment_model(ds, 1), ds, fa, cfg,
+                                    lam=1.0, **ALIGN)
         assert log.scl[log.best_epoch - 1] < LN2
 
     def test_lambda_zero_logs_drift_without_optimizing_it(self):
-        _, ds, fa, cfg = _alignment_setup(seed=2, lam=0.0, max_epochs=6)
-        model, log = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
-                                    **LINEAR)
+        _, ds, fa, cfg = _alignment_setup(seed=2, max_epochs=6)
+        model, log = train_botaclip(_alignment_model(ds, 2), ds, fa, cfg,
+                                    lam=0.0, **ALIGN)
         assert all(np.isfinite(log.reg))
         assert any(r > 0 for r in log.reg)
         for v, s, r in zip(log.val_loss, log.scl, log.reg):
@@ -126,15 +143,16 @@ class TestTrainBotaclip:
     def test_input_embeddings_bit_identical_after_training(self):
         _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=5)
         before = hashlib.sha256(ds.images.tobytes()).hexdigest()
-        train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24, **LINEAR)
+        train_botaclip(_alignment_model(ds, 4), ds, fa, cfg, lam=1.0,
+                       **ALIGN)
         assert hashlib.sha256(ds.images.tobytes()).hexdigest() == before
 
     def test_deterministic_for_fixed_seed(self):
         _, ds, fa, cfg = _alignment_setup(seed=5, max_epochs=5)
-        m1, log1 = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
-                                  **LINEAR)
-        m2, log2 = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
-                                  **LINEAR)
+        m1, log1 = train_botaclip(_alignment_model(ds, 5), ds, fa, cfg,
+                                  lam=1.0, **ALIGN)
+        m2, log2 = train_botaclip(_alignment_model(ds, 5), ds, fa, cfg,
+                                  lam=1.0, **ALIGN)
         assert log1.val_loss == log2.val_loss
         assert log1.tau == log2.tau
         for p1, p2 in zip(m1.params(), m2.params()):
@@ -142,8 +160,8 @@ class TestTrainBotaclip:
 
     def test_best_checkpoint_no_worse_than_logged_minimum(self):
         _, ds, fa, cfg = _alignment_setup(seed=6, max_epochs=12)
-        model, log = train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24,
-                                    **LINEAR)
+        model, log = train_botaclip(_alignment_model(ds, 6), ds, fa, cfg,
+                                    lam=1.0, **ALIGN)
         assert log.val_loss[log.best_epoch - 1] == min(log.val_loss)
 
     def test_mlp_and_attention_variants_train(self):
@@ -152,8 +170,9 @@ class TestTrainBotaclip:
                               ("attention", {"mlp_img_hidden": 12,
                                              "attn_model_dim": 8})):
             _, ds, fa, cfg = _alignment_setup(seed=7, max_epochs=4)
-            model, log = train_botaclip(ds, fa, cfg, fold=1, variant=variant,
-                                        proj_dim=8, **opts, **ALIGN)
+            model, log = train_botaclip(
+                _alignment_model(ds, 7, variant, **opts), ds, fa, cfg,
+                lam=1.0, **ALIGN)
             assert len(log.epochs) == 4
             z = model.encode_images(ds.images[:5])
             np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0,
@@ -267,14 +286,15 @@ def test_shared_loop_matches_frozen_reference(variant, lam, shuffle):
     # patience 2 over 6 epochs, so runs that stop early restore an older
     # snapshot
     _, ds, fa, _ = _alignment_setup(seed=13, pairs=96)
-    cfg = TrainConfig(batch_size=32, max_epochs=6, patience=2, lam=lam,
-                      seed=13, shuffle=shuffle)
+    cfg = TrainConfig(batch_size=32, max_epochs=6, patience=2, seed=13,
+                      shuffle=shuffle)
     kwargs = _VARIANTS[variant]
-    model, log = train_botaclip(ds, fa, cfg, variant=variant, fold=1,
-                                proj_dim=kwargs["proj_dim"],
-                                **kwargs["model_options"], **ALIGN)
-    ref_model, ref_log = _ref_train_botaclip(ds, fa, cfg, variant=variant,
-                                             **kwargs)
+    model = _alignment_model(ds, 13, variant, **kwargs["model_options"])
+    model, log = train_botaclip(model, ds, fa, cfg, lam=lam, **ALIGN)
+    # the reference reads lambda from its config, as the trainer once did
+    ref_model, ref_log = _ref_train_botaclip(
+        ds, fa, SimpleNamespace(**vars(cfg), lam=lam), variant=variant,
+        **kwargs)
     state, ref_state = model_state(model), model_state(ref_model)
     assert list(state) == list(ref_state)
     for name, value in state.items():
@@ -287,6 +307,16 @@ def test_shared_loop_matches_frozen_reference(variant, lam, shuffle):
         assert got.tobytes() == want.tobytes(), column
 
 
+# the optimizer settings every train_botasp call below passes
+SP = dict(lr=1e-3, weight_decay=1e-3)
+
+
+def _botasp(in_dim, n_species, *, proj_dim, hidden, seed):
+    """A fresh supervised baseline from the "init" substream of seed."""
+    return BotaSPModel(in_dim, n_species, proj_dim, hidden, 0.4,
+                       gen=Rng(seed).substream("init"))
+
+
 class TestTrainBotaSP:
     def test_validation_bce_decreases_initially(self):
         gen = Rng(8).substream("sp")
@@ -294,24 +324,48 @@ class TestTrainBotaSP:
         emb = l2_normalize_rows(gen.normal(size=(n, d)))
         w = gen.normal(size=(d, s))
         presence = (emb @ w > 0).astype(np.int64)
-        cfg = TrainConfig(batch_size=64, max_epochs=5, patience=10, lam=0.0,
-                          seed=8, shuffle=True)
-        _, log = train_botasp(emb, presence, np.arange(150),
-                              np.arange(150, 200), cfg, proj_dim=8, hidden=10,
-                              dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
+        cfg = TrainConfig(batch_size=64, max_epochs=5, patience=10, seed=8,
+                          shuffle=True)
+        _, log = train_botasp(_botasp(d, s, proj_dim=8, hidden=10, seed=8),
+                              emb, presence, np.arange(150),
+                              np.arange(150, 200), cfg, lam=0.0, **SP)
         assert all(np.diff(log.scl) < 0)  # scl column carries validation BCE
 
     def test_feature_export_width_is_hidden_width(self):
         gen = Rng(9).substream("sp")
         emb = l2_normalize_rows(gen.normal(size=(60, 8)))
         presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
-        cfg = TrainConfig(batch_size=32, max_epochs=2, patience=5, lam=100.0,
-                          seed=9, shuffle=True)
-        model, _ = train_botasp(emb, presence, np.arange(40),
-                                np.arange(40, 60), cfg, proj_dim=8, hidden=14,
-                                dropout_rate=0.4, lr=1e-3, weight_decay=1e-3)
+        cfg = TrainConfig(batch_size=32, max_epochs=2, patience=5, seed=9,
+                          shuffle=True)
+        model, _ = train_botasp(_botasp(8, 4, proj_dim=8, hidden=14, seed=9),
+                                emb, presence, np.arange(40),
+                                np.arange(40, 60), cfg, lam=100.0, **SP)
         feats = model.encode_images(emb)
         assert feats.shape == (60, 14)
+
+
+def test_trainers_train_the_model_they_are_given():
+    covers, labels = _toy_separable_covers()
+    _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=2)
+    gen = Rng(9).substream("sp")
+    emb = l2_normalize_rows(gen.normal(size=(60, 8)))
+    presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
+    runs = [
+        (_botania(hidden=8, embed=6, seed=4), lambda m: train_botania(
+            m, covers, labels, np.arange(180), np.arange(180, 240), cfg,
+            lr=0.3)),
+        (_alignment_model(ds, 4), lambda m: train_botaclip(
+            m, ds, fa, cfg, lam=1.0, **ALIGN)),
+        (_botasp(8, 4, proj_dim=8, hidden=14, seed=4), lambda m: train_botasp(
+            m, emb, presence, np.arange(40), np.arange(40, 60), cfg, lam=1.0,
+            **SP))]
+    for model, train in runs:
+        before = {k: v.copy() for k, v in model_state(model).items()}
+        trained, log = train(model)
+        assert trained is model and log.best_epoch >= 1
+        after = model_state(model)
+        assert list(after) == list(before)
+        assert any(not np.array_equal(after[k], v) for k, v in before.items())
 
 
 class TestCheckpointRoundTrip:
@@ -331,22 +385,18 @@ class TestCheckpointRoundTrip:
             emb = l2_normalize_rows(gen.normal(size=(30, 8)))
             presence = (gen.random((30, 3)) < 0.5).astype(np.int64)
             cfg = TrainConfig(batch_size=16, max_epochs=1, patience=2,
-                              lam=0.0, seed=12, shuffle=True)
-            model, _ = train_botasp(emb, presence, np.arange(20),
-                                    np.arange(20, 30), cfg, proj_dim=6,
-                                    hidden=9, dropout_rate=0.4, lr=1e-3,
-                                    weight_decay=1e-3)
+                              seed=12, shuffle=True)
+            model, _ = train_botasp(
+                _botasp(8, 3, proj_dim=6, hidden=9, seed=12), emb, presence,
+                np.arange(20), np.arange(20, 30), cfg, lam=0.0, **SP)
             runs = [lambda m, **kw: m.encode_images(emb),
                     lambda m, **kw: m.forward(emb, **kw)[0]]
         else:
             _, ds, fa, cfg = _alignment_setup(seed=10, max_epochs=2)
-            if kind == "botania-linear":
-                kwargs = dict(LINEAR, botania_hidden=24)
-            else:
-                kwargs = dict(ALIGN, variant=kind, proj_dim=8,
-                              mlp_img_hidden=12, mlp_tab_hidden=12,
-                              attn_model_dim=8)
-            model, _ = train_botaclip(ds, fa, cfg, fold=1, **kwargs)
+            opts = {} if kind == "botania-linear" else dict(
+                mlp_img_hidden=12, mlp_tab_hidden=12, attn_model_dim=8)
+            model, _ = train_botaclip(_alignment_model(ds, 10, kind, **opts),
+                                      ds, fa, cfg, lam=1.0, **ALIGN)
             x, covers = ds.images[:7], ds.covers[:7]
             runs = [lambda m, **kw: m.encode_images(x, **kw),
                     lambda m, **kw: m.encode_tables(covers, **kw)]
@@ -428,7 +478,7 @@ def _scripted_fit(val_losses, max_epochs, patience):
         return loss, loss, 0.0, math.nan, math.nan
 
     cfg = TrainConfig(batch_size=4, max_epochs=max_epochs, patience=patience,
-                      lam=1.0, seed=3, shuffle=True)
+                      seed=3, shuffle=True)
     _, log = _fit(model, AdamW(params, lr=0.1, weight_decay=1e-3), Rng(3),
                   cfg, np.arange(8), step, validate)
     return initial, copies, log, params, arrays
@@ -480,8 +530,8 @@ def _traced_peak_of_fit(epochs, shape=(256, 256)):
         loss = float(next(losses))
         return loss, loss, 0.0, math.nan, math.nan
 
-    cfg = TrainConfig(batch_size=4, max_epochs=epochs, patience=1, lam=1.0,
-                      seed=0, shuffle=True)
+    cfg = TrainConfig(batch_size=4, max_epochs=epochs, patience=1, seed=0,
+                      shuffle=True)
     tracemalloc.start()
     try:
         _fit(model, Halve(), Rng(0), cfg, np.arange(8),
@@ -518,22 +568,21 @@ def _count_input_gradients(monkeypatch):
 def test_trainers_compute_no_input_gradient(monkeypatch):
     computed = _count_input_gradients(monkeypatch)
     covers, labels = _toy_separable_covers()
-    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, lam=1.0,
-                      seed=1, shuffle=True)
-    train_botania(covers, labels, np.arange(180), np.arange(180, 240), cfg,
-                  hidden=8, embed=6, n_classes=2, dropout_rate=0.4, lr=0.3)
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=1,
+                      shuffle=True)
+    train_botania(_botania(hidden=8, embed=6, seed=1), covers, labels,
+                  np.arange(180), np.arange(180, 240), cfg, lr=0.3)
     _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=2)
-    train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24, **LINEAR)
+    train_botaclip(_alignment_model(ds, 4), ds, fa, cfg, lam=1.0, **ALIGN)
     for variant in ("mlp", "attention"):
-        train_botaclip(ds, fa, cfg, fold=1, variant=variant, proj_dim=8,
-                       mlp_img_hidden=12, mlp_tab_hidden=12, attn_model_dim=8,
-                       **ALIGN)
+        model = _alignment_model(ds, 4, variant, mlp_img_hidden=12,
+                                 mlp_tab_hidden=12, attn_model_dim=8)
+        train_botaclip(model, ds, fa, cfg, lam=1.0, **ALIGN)
     gen = Rng(9).substream("sp")
     emb = l2_normalize_rows(gen.normal(size=(60, 8)))
     presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
-    train_botasp(emb, presence, np.arange(40), np.arange(40, 60), cfg,
-                 proj_dim=8, hidden=14, dropout_rate=0.4, lr=1e-3,
-                 weight_decay=1e-3)
+    train_botasp(_botasp(8, 4, proj_dim=8, hidden=14, seed=4), emb, presence,
+                 np.arange(40), np.arange(40, 60), cfg, lam=1.0, **SP)
     first = ["botania.lin1.weight", "img_adapter.weight",
              "img_encoder.lin1.weight", "tab_encoder.lin1.weight",
              "tab_encoder.reduce.weight", "botasp.proj.weight"]
@@ -587,17 +636,16 @@ def test_validation_runs_without_the_last_step_gradients(monkeypatch):
     monkeypatch.setattr(training, "GradientTape", TrackedTape)
     monkeypatch.setattr(training, "_fit", checked_fit)
     covers, labels = _toy_separable_covers()
-    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, lam=1.0,
-                      seed=1, shuffle=True)
-    train_botania(covers, labels, np.arange(180), np.arange(180, 240), cfg,
-                  hidden=8, embed=6, n_classes=2, dropout_rate=0.4, lr=0.3)
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=1,
+                      shuffle=True)
+    train_botania(_botania(hidden=8, embed=6, seed=1), covers, labels,
+                  np.arange(180), np.arange(180, 240), cfg, lr=0.3)
     _, ds, fa, cfg = _alignment_setup(seed=4, max_epochs=2)
-    train_botaclip(ds, fa, cfg, fold=1, botania_hidden=24, **LINEAR)
+    train_botaclip(_alignment_model(ds, 4), ds, fa, cfg, lam=1.0, **ALIGN)
     gen = Rng(9).substream("sp")
     emb = l2_normalize_rows(gen.normal(size=(60, 8)))
     presence = (gen.random((60, 4)) < 0.5).astype(np.int64)
-    train_botasp(emb, presence, np.arange(40), np.arange(40, 60), cfg,
-                 proj_dim=8, hidden=14, dropout_rate=0.4, lr=1e-3,
-                 weight_decay=1e-3)
+    train_botasp(_botasp(8, 4, proj_dim=8, hidden=14, seed=4), emb, presence,
+                 np.arange(40), np.arange(40, 60), cfg, lam=1.0, **SP)
     assert len(recorded) > 6
     assert alive_at_validation == [0] * 6

@@ -207,12 +207,12 @@ def _train_cfg(cfg, section) -> TrainConfig:
 # each returns its manifest's (config, inputs, outputs), or None if it wrote none
 
 def cmd_synth(args):
-    out = _outdir(args)
     data = synth.generate_synthetic(
         pairs=args.pairs, latent_dim=args.latent_dim, img_dim=args.img_dim,
         n_species=args.n_species, views_per_pair=args.views,
         noise=args.noise, seed=args.seed, cell_size=args.cell_size,
         n_classes=args.n_classes, n_eval_species=args.n_eval_species)
+    out = _outdir(args)
     ds = data.dataset
     fileio.save_embeddings(out / "images.emb", ds.images,
                            ids=synth.view_ids(data))

@@ -20,11 +20,16 @@ it draws its candidate features at the same nodes and in the same order as
 a recursive build. Each step takes the next node that needs a search from
 every unfinished tree and searches them together in batched calls of a
 bounded number of cells. Growing level by level would reorder the draws and
-change the trees.
+change the trees. A tree draws the integers of Generator.choice for several
+nodes at once and replays its rule in Python (numpy's draw order, pinned by
+tests/test_forest.py); with all d features as candidates it draws nothing.
+A gini child's value and purity come from the counts of the parent's
+search, and predict walks each tree with an explicit stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -101,10 +106,11 @@ def _rank_keys(X: np.ndarray, y: np.ndarray, gini: bool) -> tuple:
 
 def _best_splits(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
                  idxs: list, cands: list, gini: bool) -> list:
-    """Best (candidate, threshold) or None for each node of one step.
+    """Best split, as _search_block gives it, or None for each node of one
+    step.
 
     keys and values come from _rank_keys; idxs holds each node's sample
-    rows, cands its (m,) candidate features. Gini nodes are searched in
+    rows, cands its m candidate features. Gini nodes are searched in
     chunks of at most _SEARCH_CELLS cells (a node larger than that alone);
     each node's search is independent of the others, so the chunking changes
     no result. An mse chunk holds one node: its right-hand totals are the
@@ -114,7 +120,7 @@ def _best_splits(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
     node per chunk, 2.08-2.44 s padded).
     """
     budget = _SEARCH_CELLS if gini else 0
-    out, m = [], cands[0].size
+    out, m = [], len(cands[0])
     lo = 0
     while lo < len(idxs):
         hi, width = lo + 1, idxs[lo].size
@@ -130,7 +136,8 @@ def _best_splits(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
 
 def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
                   idxs: list, cands: np.ndarray, gini: bool) -> list:
-    """Best (candidate, threshold) or None for each node of one chunk.
+    """Best split or None for each node of one chunk: (candidate,
+    threshold, rank of the boundary's lower value, ones on its left).
 
     Every node's (m, size) block of keys is padded with the sentinel to the
     chunk's largest node (only a gini chunk holds more than one node) and
@@ -223,10 +230,49 @@ def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
     # send both sides of the boundary one way and the node would split
     # forever: split at the lower value instead
     thr = np.where((thr < high) & (thr > -np.inf), thr, low)
+    # a gini boundary's count of ones on its left; mse nodes need none
+    ones = csum.ravel()[best] if gini else np.zeros_like(best)
     out = [None] * B
-    for b, c, t in zip(has.tolist(), cand.tolist(), thr.tolist()):
-        out[b] = (c, t)
+    for b, *split in zip(has.tolist(), cand.tolist(), thr.tolist(),
+                         rank[best].tolist(), ones.tolist()):
+        out[b] = tuple(split)
     return out
+
+
+def _candidates(gens: list, d: int, m: int) -> list:
+    """Each tree's feed of sorted candidate features, one list per search.
+
+    np.sort(gen.choice(d, m, replace=False)) draws Floyd's m bounded
+    integers (bounds d−m+1 … d), then shuffles them with m−1 more (bounds
+    m … 2). A feed draws the same integers for several nodes in one
+    gen.integers call, 4 nodes at first and up to 64, and replays Floyd's
+    rule in Python: a draw already taken gives way to its own bound − 1.
+    So a tree's draws and its generator's later state depend on numpy's
+    choice, which tests/test_forest.py pins. Draws left over when the tree
+    is done change nothing, since a tree's generator feeds only its own
+    bootstrap and candidates. With m == d every feature is a candidate and
+    nothing is drawn.
+    """
+    if m == d:
+        return [itertools.repeat(list(range(d)))] * len(gens)
+    per = 2 * m - 1
+    highs = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], 64)
+
+    def feed(gen):
+        nodes = 4
+        while True:
+            draws = gen.integers(0, highs[:nodes * per]).tolist()
+            for at in range(0, len(draws), per):
+                floyd = draws[at:at + m]
+                taken = set(floyd)
+                if len(taken) < m:  # a draw was already taken
+                    taken.clear()
+                    for j, v in enumerate(floyd, d - m):
+                        taken.add(j if v in taken else v)
+                yield sorted(taken)
+            nodes = min(2 * nodes, 64)
+
+    return [feed(gen) for gen in gens]
 
 
 def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
@@ -235,50 +281,54 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
 
     Each tree walks its nodes in depth-first preorder, left child first, and
     draws its candidate features from its own generator at exactly the nodes
-    a recursive build would, in the same order. A step pops nodes from every
-    unfinished tree until each reaches one that needs a split search (leaves
-    are settled on the way), searches those nodes together, and pushes the
-    children, right first.
+    a recursive build would, in the same order. A node gets its value when
+    it is made, and only a node that needs a search is pushed. A gini node's
+    value and purity come from its size and its count of ones, which the
+    parent's search gives. Each step pops the next node of every unfinished
+    tree, searches them together, and pushes the children, right first. A
+    child's rows are the parent's rows, in order, whose rank in the split
+    feature is at most the boundary's: those X[rows, feature] <= threshold
+    picks.
     """
     gini = cfg.criterion == "gini"
     d = X.shape[1]
     m = math.ceil(math.sqrt(d)) if gini else d
     keys, values = _rank_keys(X, y, gini)
+    feeds = _candidates(gens, d, m)
+
+    def settle(node, idx, ones):  # sets the value; True if it needs a search
+        if gini:  # with 0/1 labels ones / size is np.mean bit for bit
+            node.value = ones / idx.size
+            return 0 < ones < idx.size
+        yy = y[idx]
+        node.value = float(np.mean(yy))
+        return yy.min() != yy.max()  # a one-row node is pure
+
     trees = [TreeNode() for _ in roots]
-    # pending nodes per tree, next on top: (node, rows)
-    stacks = [[(node, idx)] for node, idx in zip(trees, roots)]
+    # nodes that need a search, per tree, next on top: (node, rows, ones)
+    stacks = [[] for _ in roots]
+    for node, idx, stack in zip(trees, roots, stacks):
+        ones = int(y[idx].sum()) if gini else 0
+        if settle(node, idx, ones):
+            stack.append((node, idx, ones))
     while True:
-        step = []  # (tree, node, rows, candidates)
-        for t, stack in enumerate(stacks):
-            while stack:
-                node, idx = stack.pop()
-                yy = y[idx]
-                if gini:
-                    # one sum gives value and purity; with 0/1 labels the
-                    # sum over the size equals np.mean bit for bit
-                    ones = yy.sum()
-                    node.value = float(ones / idx.size)
-                    pure = ones == 0.0 or ones == idx.size
-                else:
-                    node.value = float(np.mean(yy))
-                    pure = yy.min() == yy.max()
-                if pure:  # a one-row node is pure
-                    continue
-                cand = np.sort(gens[t].choice(d, size=m, replace=False))
-                step.append((t, node, idx, cand))
-                break
+        step = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
         if not step:
             return trees
-        found = _best_splits(keys, values, y, [s[2] for s in step],
-                             [s[3] for s in step], gini)
-        for (t, node, idx, cand), f in zip(step, found):
+        cands = [next(feeds[t]) for t, *_ in step]
+        found = _best_splits(keys, values, y, [s[2] for s in step], cands,
+                             gini)
+        for (t, node, idx, ones), cand, f in zip(step, cands, found):
             if f is None:
                 continue
-            node.feature, node.threshold = int(cand[f[0]]), f[1]
-            mask = X[idx, node.feature] <= node.threshold
+            c, node.threshold, rank, left_ones = f
+            node.feature = int(cand[c])
+            mask = keys[node.feature].take(idx) <= 2 * rank + 1
             node.left, node.right = TreeNode(), TreeNode()
-            stacks[t].append((node.right, idx[~mask]))
-            stacks[t].append((node.left, idx[mask]))
+            for child, rows, k in ((node.right, idx[~mask], ones - left_ones),
+                                   (node.left, idx[mask], left_ones)):
+                if settle(child, rows, k):
+                    stacks[t].append((child, rows, k))
 
 
 def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
@@ -318,25 +368,24 @@ def fit_regressor(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     return _fit(X, y, cfg)
 
 
-def _predict_tree(node: TreeNode, X: np.ndarray, idx: np.ndarray,
-                  out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.value
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _predict_tree(node.left, X, idx[mask], out)
-    _predict_tree(node.right, X, idx[~mask], out)
-
-
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Mean over trees of the leaf values: the class-1 fraction of a
-    classifier, the mean target of a regressor."""
+    classifier, the mean target of a regressor. Each tree is walked with a
+    stack of (node, rows) pairs, each split parting its rows by
+    X[rows, feature] <= threshold."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != forest.n_features:
         raise ShapeMismatch(
             f"{X.shape[1]} features, forest was fit on {forest.n_features}")
+    Xt = np.ascontiguousarray(X.T)
     votes = np.empty((len(forest.trees), X.shape[0]))
-    idx = np.arange(X.shape[0])
-    for t, tree in enumerate(forest.trees):
-        _predict_tree(tree, X, idx, votes[t])
+    for tree, out in zip(forest.trees, votes):
+        todo = [(tree, np.arange(X.shape[0]))]
+        while todo:
+            node, idx = todo.pop()
+            if node.is_leaf:
+                out[idx] = node.value
+                continue
+            mask = Xt[node.feature].take(idx) <= node.threshold
+            todo += ((node.right, idx[~mask]), (node.left, idx[mask]))
     return votes.mean(axis=0)

@@ -21,8 +21,8 @@ ROLE_BUFFER = "buffer-excluded"
 
 def assign_cells(points: np.ndarray, cell_size: float) -> np.ndarray:
     """Integer cell indices (ix, iy) = floor(coordinate / cell_size)."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+    if not 0 < cell_size < np.inf:
+        raise ValueError(f"cell_size must be in (0, inf), got {cell_size}")
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError("coordinates must be finite")

@@ -45,6 +45,8 @@ def generate_synthetic(pairs: int, latent_dim: int, *, img_dim: int,
         raise ValueError("counts must be >= 1")
     if n_species < 4:
         raise ValueError("need at least 4 species to sparsify")
+    if not 0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be in (0, inf), got {cell_size}")
     rng = Rng(seed)
 
     # spatial layout: square cell grid, shared cell latent plus jitter

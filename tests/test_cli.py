@@ -808,21 +808,27 @@ class TestOtherTrainers:
             assert emb.shape == (320, 8)
 
 
+def _butterfly_inputs(tmp_path):
+    """(embeddings, occurrences) files of one butterfly species."""
+    from botaclip.numerics import l2_normalize_rows
+    gen = Rng(3).substream("b")
+    n = 240
+    emb = l2_normalize_rows(gen.normal(size=(n, 8)))
+    coords = gen.uniform(0, 60000, size=(n, 2))
+    labels = (emb[:, 0] > 0.3).astype(int)
+    lines = ["species_id,x_m,y_m,label"]
+    for (x, y), lab in zip(coords, labels):
+        lines.append(f"bf,{float(x)!r},{float(y)!r},{lab}")
+    occ = tmp_path / "occ.csv"
+    occ.write_text("\n".join(lines) + "\n")
+    embf = tmp_path / "emb.emb"
+    fileio.save_embeddings(embf, emb)
+    return embf, occ
+
+
 class TestEvalButterflySoilCommands:
     def test_butterfly(self, tmp_path):
-        from botaclip.numerics import Rng, l2_normalize_rows
-        gen = Rng(3).substream("b")
-        n = 240
-        emb = l2_normalize_rows(gen.normal(size=(n, 8)))
-        coords = gen.uniform(0, 60000, size=(n, 2))
-        labels = (emb[:, 0] > 0.3).astype(int)
-        lines = ["species_id,x_m,y_m,label"]
-        for (x, y), lab in zip(coords, labels):
-            lines.append(f"bf,{float(x)!r},{float(y)!r},{lab}")
-        occ = tmp_path / "occ.csv"
-        occ.write_text("\n".join(lines) + "\n")
-        embf = tmp_path / "emb.emb"
-        fileio.save_embeddings(embf, emb)
+        embf, occ = _butterfly_inputs(tmp_path)
         out = tmp_path / "report.csv"
         rc = main(["eval", "--task", "butterfly", "--embeddings", str(embf),
                    "--occurrences", str(occ), "--out", str(out),
@@ -1188,6 +1194,56 @@ class TestErrorPaths:
     def test_stats_needs_two_reports(self, tmp_path, capsys):
         rc = main(["stats", "--reports", "a.csv", "--metric", "tss"])
         assert rc == 1
+
+
+class TestNonFiniteCellSize:
+    """A cell size must lie in (0, inf): NaN or inf exits 1 with one JSON
+    line and writes nothing, where it used to fail as too few cells or
+    write NaN coordinates or an empty report."""
+
+    @staticmethod
+    def _exits_1(capsys, shown):
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "ValueError" and doc["exit"] == 1
+        assert doc["message"] == f"cell_size must be in (0, inf), got {shown}"
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf")])
+    def test_split(self, synth_dir, tmp_path, capsys, value, shown):
+        out = tmp_path / "split.csv"
+        capsys.readouterr()
+        assert main(["split", "--locations", str(synth_dir / "locations.csv"),
+                     "--out", str(out), "--cell-size", value]) == 1
+        self._exits_1(capsys, shown)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf")])
+    def test_synth(self, tmp_path, capsys, value, shown):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert main(["synth", "--out-dir", str(out), "--pairs", "20",
+                     "--cell-size", value]) == 1
+        self._exits_1(capsys, shown)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, shown", [("NaN", "nan"),
+                                              ("Infinity", "inf")])
+    def test_train_botaclip(self, synth_dir, tmp_path, capsys, value, shown):
+        _trainer_exits_1(synth_dir, tmp_path, capsys, "train-botaclip",
+                         f"cell_size_m={value}",
+                         f"cell_size must be in (0, inf), got {shown}")
+
+    @pytest.mark.parametrize("value, shown", [("NaN", "nan"),
+                                              ("Infinity", "inf")])
+    def test_eval_butterfly(self, tmp_path, capsys, value, shown):
+        embf, occ = _butterfly_inputs(tmp_path)
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["eval", "--task", "butterfly", "--embeddings", str(embf),
+                     "--occurrences", str(occ), "--out", str(out),
+                     "--set", "metrics.n_trees=2",
+                     "--set", f"cell_size_m={value}"]) == 1
+        self._exits_1(capsys, shown)
+        assert not out.exists()
 
 
 def test_config_flag_overrides_file(synth_dir, tmp_path):

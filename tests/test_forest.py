@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -268,6 +270,24 @@ def _ref_fit(X, y, cfg):
     return forest
 
 
+def _ref_predict(forest, X):
+    """The mean over trees of each row's leaf value, one tree at a time by
+    recursion."""
+    votes = np.empty((len(forest.trees), X.shape[0]))
+
+    def walk(node, idx, out):
+        if node.is_leaf:
+            out[idx] = node.value
+            return
+        mask = X[idx, node.feature] <= node.threshold
+        walk(node.left, idx[mask], out)
+        walk(node.right, idx[~mask], out)
+
+    for tree, out in zip(forest.trees, votes):
+        walk(tree, np.arange(X.shape[0]), out)
+    return votes.mean(axis=0)
+
+
 def _bits(node):
     if node.is_leaf:
         return node.value.hex()
@@ -278,7 +298,7 @@ def _bits(node):
 @st.composite
 def _forest_cases(draw):
     n = draw(st.integers(2, 60))
-    d = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 64))
     # few distinct values give tied feature values and tied impurities, and
     # -0.0 beside 0.0 a tie whose members differ in their bits
     values = draw(st.sampled_from([
@@ -313,7 +333,7 @@ class TestVectorizedSplitMatchesReference:
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         for data in (X, probe):
             assert predict(forest, data).tobytes() == \
-                predict(ref, data).tobytes()
+                _ref_predict(ref, data).tobytes()
 
     def test_desk_shaped_forest_bit_identical(self):
         # a desk evaluation unit: float32-valued unit-norm embeddings, 25 trees
@@ -325,7 +345,20 @@ class TestVectorizedSplitMatchesReference:
         forest = fit_classifier(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
-        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
+        assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
+
+    def test_wide_gini_forest_bit_identical(self):
+        # the canonical width: 28 of 768 candidates, so trees take several
+        # draw blocks and Floyd's rule often meets a draw already taken
+        gen = Rng(37).substream("x")
+        X = gen.normal(size=(100, 768)).astype(np.float32).astype(np.float64)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = (X[:, 11] - X[:, 40] + 0.05 * gen.normal(size=100) > 0) * 1.0
+        cfg = ForestConfig(n_trees=20, seed=12)
+        forest = fit_classifier(X, y, cfg)
+        ref = _ref_fit(X, y, cfg)
+        assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+        assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
 
     def test_desk_shaped_regressor_bit_identical(self):
         # a soil-like unit: 410 float32-valued rows over 64 features, past
@@ -339,7 +372,7 @@ class TestVectorizedSplitMatchesReference:
         forest = fit_regressor(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
-        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
+        assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(129, 260), d=st.integers(1, 3),
@@ -374,7 +407,7 @@ class TestVectorizedSplitMatchesReference:
         forest = fit(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
-        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
+        assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
 
     def test_overflowing_targets_bit_identical(self):
         # squares past the float range make NaN impurities, which the
@@ -404,7 +437,7 @@ class TestVectorizedSplitMatchesReference:
             forest = fit(X, y, cfg)
             ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
-        assert predict(forest, X).tobytes() == predict(ref, X).tobytes()
+        assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
         assert all(t.threshold == lo for t in forest.trees if not t.is_leaf)
 
     def test_wide_keys_bit_identical(self):
@@ -453,3 +486,37 @@ def test_search_memory_does_not_grow_with_trees():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def _state(gen):
+    return pickle.dumps(gen.bit_generator.state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.one_of(st.sampled_from([64, 768, 3587, 10001]),
+                   st.integers(1, 20_000)),
+       every=st.booleans(), nodes=st.integers(1, 150),
+       seed=st.integers(0, 2 ** 16))
+def test_candidate_draws_match_choice(d, every, nodes, seed):
+    # the block draws replay numpy's Generator.choice, so this pins them to
+    # the installed numpy
+    m = d if every else math.ceil(math.sqrt(d))
+    gen, ref = Rng(seed).substream("tree", 3), Rng(seed).substream("tree", 3)
+    feed = forest_mod._candidates([gen], d, m)[0]
+    where = f"numpy {np.__version__}, d={d}, m={m}, seed={seed}"
+    k = 0
+    while True:
+        before = copy.deepcopy(gen)
+        got = next(feed)
+        # past the nodes asked for, stop where the feed draws a new block:
+        # it has then drawn for exactly the k nodes it gave
+        if k >= nodes and (m == d or _state(gen) != _state(before)):
+            break
+        want = np.sort(ref.choice(d, m, replace=False)).tolist()
+        assert got == want, f"{where}: candidates of node {k} differ"
+        k += 1
+    if m == d:  # nothing drawn: the generator is as it was made
+        ref = Rng(seed).substream("tree", 3)
+    assert (before.integers(0, 2 ** 62, size=8).tolist()
+            == ref.integers(0, 2 ** 62, size=8).tolist()), \
+        f"{where}: the generators part after {k} nodes"

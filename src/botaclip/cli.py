@@ -429,6 +429,8 @@ def cmd_eval(args):
             emb, table, n_folds=cfg["n_folds"], n_strata=met["n_strata"],
             n_trees=met["n_trees"], seeds=seeds)
         inputs = [args.embeddings, args.soil]
+    if not report.rows:
+        raise DataError(f"{args.task} task: no unit could be scored")
     report.to_csv(args.out)
     print(report.pretty())
     return cfg, inputs, [args.out]

@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DuplicateEntry,
-    EmptySample,
-    InsufficientAbsences,
-    UnknownClass,
-    UnknownSpecies,
-)
+from .errors import DataError
 
 # Interval midpoints of the cover-abundance scale; "r" encodes rare,
 # negligible cover.
@@ -89,31 +83,31 @@ def braun_blanquet_to_percent(bb_class: str) -> float:
     try:
         return BRAUN_BLANQUET_PERCENT[str(bb_class)]
     except KeyError:
-        raise UnknownClass(f"unknown cover-abundance class {bb_class!r}") from None
+        raise DataError(f"unknown cover-abundance class {bb_class!r}") from None
 
 
 def build_cover_matrix(releves: list[Releve], species_index: list[str]):
     """Assemble the percent-cover matrix; returns (CoverMatrix, labels).
 
     Species order follows species_index, row order follows the input.
-    Absent species are zero. Raises UnknownSpecies for ids outside the
-    index and DuplicateEntry for a species listed twice in the index or
-    recorded twice in one plot.
+    Absent species are zero. Raises DataError for ids outside the
+    index and for a species listed twice in the index or recorded
+    twice in one plot.
     """
     col = {s: j for j, s in enumerate(species_index)}
     if len(col) != len(species_index):
         repeated = next(s for j, s in enumerate(species_index) if col[s] != j)
-        raise DuplicateEntry(f"species {repeated!r} listed twice in the index")
+        raise DataError(f"species {repeated!r} listed twice in the index")
     values = np.zeros((len(releves), len(species_index)))
     labels = np.empty(len(releves), dtype=np.int64)
     for i, rel in enumerate(releves):
         seen = set()
         for species, bb_class in rel.species_covers:
             if species not in col:
-                raise UnknownSpecies(
+                raise DataError(
                     f"plot {rel.plot_id}: species {species!r} not in index")
             if species in seen:
-                raise DuplicateEntry(
+                raise DataError(
                     f"plot {rel.plot_id}: species {species!r} recorded twice")
             seen.add(species)
             values[i, col[species]] = braun_blanquet_to_percent(bb_class)
@@ -149,7 +143,7 @@ def balance_downsample(presences: np.ndarray, absences: np.ndarray,
     presences = np.asarray(presences)
     absences = np.asarray(absences)
     if absences.size < presences.size:
-        raise InsufficientAbsences(
+        raise DataError(
             f"{absences.size} absences for {presences.size} presences")
     return np.sort(gen.choice(absences, size=presences.size, replace=False))
 
@@ -164,7 +158,7 @@ def make_pseudo_absences(occ: OccurrenceSet, gen: np.random.Generator):
     pres = np.asarray(occ.presences, dtype=np.float64)
     cand = np.asarray(occ.candidate_absences, dtype=np.float64)
     if cand.size == 0:
-        raise InsufficientAbsences("no candidate absences")
+        raise DataError("no candidate absences")
     pres_keys = {(x, y) for x, y in pres}
     keep_idx = np.array([i for i, (x, y) in enumerate(cand)
                          if (x, y) not in pres_keys], dtype=np.int64)
@@ -189,7 +183,7 @@ def normalize_soil(raw: TrophicTable) -> TrophicTable:
     sums = values.sum(axis=1)
     empty = np.flatnonzero(sums == 0)
     if empty.size:
-        raise EmptySample(f"sample row {empty[0]} sums to zero")
+        raise DataError(f"sample row {empty[0]} sums to zero")
     rel = values / sums[:, None]
     lo = rel.min(axis=0)
     span = rel.max(axis=0) - lo

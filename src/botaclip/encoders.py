@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, MissingForwardCache, ShapeMismatch
+from .errors import DataError, MissingForwardCache
 from .numerics import Rng, l2_normalize_rows, normal_cdf, row_norms
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -61,7 +61,7 @@ class GradientTape:
     def add(self, param: Param, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != param.value.shape:
-            raise ShapeMismatch(
+            raise DataError(
                 f"gradient shape {grad.shape} != parameter shape "
                 f"{param.value.shape} for {param.name}")
         old = self.grads.get(param.name)
@@ -121,7 +121,7 @@ class Linear(Layer):
                 gen: np.random.Generator | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1] != self.in_dim:
-            raise ShapeMismatch(
+            raise DataError(
                 f"{self.weight.name}: input has {x.shape[1]} columns, "
                 f"expected {self.in_dim}")
         self._x = x
@@ -476,7 +476,7 @@ class AlignmentModel:
         self.variant = variant
         if variant == "botania-linear":
             if d_img != proj_dim:
-                raise ShapeMismatch(
+                raise DataError(
                     "identity-initialized image adapter needs d_img == proj_dim")
             self.img_branch = init_identity_adapter(
                 d_img, adapter_noise_variance, rng.substream("init/img_adapter"),
@@ -484,7 +484,7 @@ class AlignmentModel:
             if botania is None:
                 raise ValueError("botania-linear variant needs a BotaniaMLP")
             if botania.embed_dim != proj_dim:
-                raise ShapeMismatch("tabular embedding width must equal proj_dim")
+                raise DataError("tabular embedding width must equal proj_dim")
             self.tab_branch = Sequential(botania.embedding, LinearAdapter(
                 botania.embed_dim, proj_dim, name="tab_adapter",
                 gen=rng.substream("init/tab_adapter")))

@@ -22,7 +22,7 @@ from .dataprep import (
     normalize_soil,
     stratify_by_elevation,
 )
-from .errors import DataError, Degenerate, ZeroVariance
+from .errors import DataError, Degenerate
 from .fileio import read_csv, row_error, typed_columns, write_csv
 from .forest import ForestConfig, fit_classifier, fit_regressor, predict
 from .metrics import boyce_index, classification_metrics, confusion_counts, mae, spearman_rho
@@ -182,7 +182,7 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
                     pres_scores = res["_proba"][res["_val_labels"] == 1]
                     bg_scores = res["_proba"][res["_val_labels"] == 0]
                     row["boyce"] = boyce_index(pres_scores, bg_scores)
-                except (Degenerate, ZeroVariance):
+                except Degenerate:
                     pass
                 for metric, value in row.items():
                     report.add(species, fold, seed, metric, value)
@@ -218,6 +218,6 @@ def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *, n_folds: int,
                 try:
                     report.add(groups[j], fold, seed, "spearman",
                                spearman_rho(y[val], pred))
-                except ZeroVariance:
+                except Degenerate:
                     pass
     return report

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import BadMagic, DataError, NumericError, TruncatedFile, UsageError
+from .errors import DataError, NumericError, UsageError
 from .numerics import ZERO_ROW_EPS, as_matrix, l2_normalize_rows, row_norms
 
 EMB_MAGIC = b"EMB1"
@@ -30,16 +30,16 @@ FORMAT_VERSION = 1
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    """n bytes of fh, or TruncatedFile. A length above 1 MiB, which a
+    """n bytes of fh, or DataError. A length above 1 MiB, which a
     garbled header can make gigabytes, is checked against the bytes left in
     the file before anything is read."""
     if n > 1 << 20:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if n > left:
-            raise TruncatedFile(f"{what}: wanted {n} bytes, got {left}")
+            raise DataError(f"{what}: wanted {n} bytes, got {left}")
     data = fh.read(n)
     if len(data) != n:
-        raise TruncatedFile(f"{what}: wanted {n} bytes, got {len(data)}")
+        raise DataError(f"{what}: wanted {n} bytes, got {len(data)}")
     return data
 
 
@@ -74,7 +74,7 @@ def load_embeddings(path, *, normalize: bool):
     are normalized, raises DataError naming the file and the row."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != EMB_MAGIC:
-            raise BadMagic(f"{path} is not an embedding file")
+            raise DataError(f"{path} is not an embedding file")
         version, rows, cols = struct.unpack("<III",
                                             _read_exact(fh, 12, "header"))
         if version != FORMAT_VERSION:
@@ -134,7 +134,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CKPT_MAGIC:
-            raise BadMagic(f"{path} is not a checkpoint file")
+            raise DataError(f"{path} is not a checkpoint file")
         version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyData, NonFinite, ShapeMismatch
+from .errors import DataError, NumericError
 from .numerics import Rng
 
 
@@ -337,11 +337,11 @@ def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
     if cfg.n_trees < 1:
         raise ValueError("a forest needs at least one tree")
     if X.size == 0 or y.size == 0:
-        raise EmptyData("cannot fit on an empty dataset")
+        raise DataError("cannot fit on an empty dataset")
     if X.shape[0] != y.shape[0]:
-        raise ShapeMismatch("X rows and y length differ")
+        raise DataError("X rows and y length differ")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFinite("forest inputs hold a NaN or inf")
+        raise NumericError("forest inputs hold a NaN or inf")
     rng = Rng(cfg.seed)
     n = X.shape[0]
     gens, roots = [], []
@@ -375,7 +375,7 @@ def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     X[rows, feature] <= threshold."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != forest.n_features:
-        raise ShapeMismatch(
+        raise DataError(
             f"{X.shape[1]} features, forest was fit on {forest.n_features}")
     Xt = np.ascontiguousarray(X.T)
     votes = np.empty((len(forest.trees), X.shape[0]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabel, NotNormalized, ShapeMismatch
+from .errors import DataError, NumericError
 from .numerics import log_sigmoid, log_softmax, row_norms, sigmoid, softmax, softplus
 
 TAU_CLAMP = 10.0
@@ -34,7 +34,7 @@ class ScalarsTauB:
 def _check_unit_rows(m: np.ndarray, what: str) -> None:
     dev = np.abs(row_norms(m) - 1.0)
     if dev.size and not dev.max() <= UNIT_NORM_TOL:  # NaN fails <= too
-        raise NotNormalized(f"{what} rows deviate from unit norm by {dev.max():.2e}")
+        raise NumericError(f"{what} rows deviate from unit norm by {dev.max():.2e}")
 
 
 def sigmoid_contrastive_loss(z_img: np.ndarray, z_tab: np.ndarray,
@@ -43,10 +43,10 @@ def sigmoid_contrastive_loss(z_img: np.ndarray, z_tab: np.ndarray,
     exp(tau) * <z_img, z_tab> + b; returns (loss, grads), grads the
     gradients (d_zimg, d_ztab, d_tau, d_b), or None when grad is False."""
     if z_img.shape[1] != z_tab.shape[1]:
-        raise ShapeMismatch("projection widths differ")
+        raise DataError("projection widths differ")
     n = z_img.shape[0]
     if z_tab.shape[0] != n:
-        raise ShapeMismatch("pairwise logits must be square")
+        raise DataError("pairwise logits must be square")
     dots = z_img @ z_tab.T
     t = s.temperature()
     # y = label * logit with logit = dots * t + b: -logit off the diagonal,
@@ -88,7 +88,7 @@ def similarity_regularizer(img_orig: np.ndarray, z_img: np.ndarray,
     img_orig = np.asarray(img_orig, dtype=np.float64)
     z_img = np.asarray(z_img, dtype=np.float64)
     if img_orig.shape[0] != z_img.shape[0]:
-        raise ShapeMismatch("row counts differ")
+        raise DataError("row counts differ")
     _check_unit_rows(img_orig, "original embedding")
     _check_unit_rows(z_img, "projected embedding")
     n = z_img.shape[0]
@@ -117,7 +117,7 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise BadLabel("labels outside logit range")
+        raise DataError("labels outside logit range")
     logp = log_softmax(logits, axis=1)
     loss = float(-np.mean(logp[np.arange(n), labels]))
     if not grad:
@@ -134,7 +134,7 @@ def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray,
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
-        raise ShapeMismatch("logits and targets differ in shape")
+        raise DataError("logits and targets differ in shape")
     loss = float(np.mean(softplus(logits) - logits * targets))
     if not grad:
         return loss, None

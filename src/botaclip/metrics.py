@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Degenerate,
-    DegenerateCluster,
-    ShapeMismatch,
-    UndefinedMetric,
-    ZeroVariance,
-)
+from .errors import DataError, Degenerate
 
 BOYCE_WINDOW_FRACTION = 0.1
 BOYCE_N_WINDOWS = 100
@@ -38,7 +32,7 @@ def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     y_true = np.asarray(y_true).astype(bool)
     y_pred = np.asarray(y_pred).astype(bool)
     if y_true.shape != y_pred.shape:
-        raise ShapeMismatch("label vectors differ in length")
+        raise DataError("label vectors differ in length")
     return ConfusionCounts(
         tp=int(np.sum(y_true & y_pred)),
         fp=int(np.sum(~y_true & y_pred)),
@@ -50,11 +44,11 @@ def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
 def classification_metrics(c: ConfusionCounts) -> dict:
     """Sensitivity, specificity, their sum minus one (TSS) and F1."""
     if c.tp + c.fn == 0:
-        raise UndefinedMetric("no positives: sensitivity undefined")
+        raise Degenerate("no positives: sensitivity undefined")
     if c.tn + c.fp == 0:
-        raise UndefinedMetric("no negatives: specificity undefined")
+        raise Degenerate("no negatives: specificity undefined")
     if c.tp + c.fp + c.fn == 0:
-        raise UndefinedMetric("no positive predictions or labels: F1 undefined")
+        raise Degenerate("no positive predictions or labels: F1 undefined")
     sens = c.tp / (c.tp + c.fn)
     spec = c.tn / (c.tn + c.fp)
     return {
@@ -69,7 +63,7 @@ def mae(y: np.ndarray, yhat: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
-        raise ShapeMismatch("vectors differ in length")
+        raise DataError("vectors differ in length")
     return float(np.mean(np.abs(y - yhat)))
 
 
@@ -93,9 +87,9 @@ def spearman_rho(y: np.ndarray, yhat: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
-        raise ShapeMismatch("vectors differ in length")
+        raise DataError("vectors differ in length")
     if y.size < 2:
-        raise ZeroVariance("need at least two points")
+        raise Degenerate("need at least two points")
     ra = rankdata_average(y)
     rb = rankdata_average(yhat)
     da = ra - ra.mean()
@@ -103,7 +97,7 @@ def spearman_rho(y: np.ndarray, yhat: np.ndarray) -> float:
     va = float(np.sum(da * da))
     vb = float(np.sum(db * db))
     if va == 0.0 or vb == 0.0:
-        raise ZeroVariance("constant rank vector")
+        raise Degenerate("constant rank vector")
     return float(np.sum(da * db) / np.sqrt(va * vb))
 
 
@@ -141,7 +135,7 @@ def boyce_index(suitability_presence: np.ndarray,
     ratios = np.asarray(ratios)
     kept_centers = np.asarray(kept_centers)
     if np.all(ratios == ratios[0]):
-        raise ZeroVariance("all window ratios equal")
+        raise Degenerate("all window ratios equal")
 
     # collapse runs of equal consecutive ratios, keeping the last window
     keep = np.append(ratios[:-1] != ratios[1:], True)
@@ -174,7 +168,7 @@ def cluster_indices(X: np.ndarray, labels: np.ndarray) -> dict:
                 continue
             dist = np.linalg.norm(centroids[i] - centroids[j])
             if dist == 0.0:
-                raise DegenerateCluster(
+                raise Degenerate(
                     f"clusters {uniq[i]} and {uniq[j]} share a centroid")
             worst = max(worst, (sigmas[i] + sigmas[j]) / dist)
         db_terms[i] = worst
@@ -198,7 +192,7 @@ def knn_overlap(a: np.ndarray, b: np.ndarray, k: int = 10) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch("row counts differ")
+        raise DataError("row counts differ")
     n = a.shape[0]
     if k >= n:
         raise ValueError("k must be smaller than the number of samples")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch, ZeroRow
+from .errors import DataError, NumericError
 
 ZERO_ROW_EPS = 1e-12
 
@@ -40,9 +40,9 @@ def as_matrix(x) -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise DataError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix contains NaN or inf")
+        raise NumericError("matrix contains NaN or inf")
     return m
 
 
@@ -53,13 +53,13 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm.
 
-    Raises ZeroRow if any row norm is at or below 1e-12.
+    Raises NumericError if any row norm is at or below 1e-12.
     """
     m = as_matrix(m)
     norms = row_norms(m)
     bad = np.flatnonzero(norms <= ZERO_ROW_EPS)
     if bad.size:
-        raise ZeroRow(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
+        raise NumericError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
     return m / norms[:, None]
 
 

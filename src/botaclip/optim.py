@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoders import GradientTape, Param
-from .errors import ShapeMismatch
+from .errors import DataError
 from .losses import TAU_CLAMP
 
 IMPROVEMENT_EPS = 1e-12
@@ -56,7 +56,7 @@ class AdamW:
         for p in self.params:
             g = tape.get(p)
             if g.shape != p.value.shape:
-                raise ShapeMismatch(p.name)
+                raise DataError(p.name)
             decay = self.weight_decay > 0 and p.decay
             # views: Param values and the moments are C-contiguous
             flat, g = p.value.reshape(-1), g.reshape(-1)

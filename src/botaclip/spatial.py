@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySplit, LeakageDetected, TooFewCells
+from .errors import DataError
 
 ROLE_TRAIN = "train"
 ROLE_VALIDATION = "validation"
@@ -35,7 +35,7 @@ def make_folds(cells, k: int, gen: np.random.Generator) -> dict:
         raise ValueError("k must be >= 2")
     distinct = sorted({(int(ix), int(iy)) for ix, iy in cells})
     if len(distinct) < k:
-        raise TooFewCells(f"{len(distinct)} cells for k={k}")
+        raise DataError(f"{len(distinct)} cells for k={k}")
     order = gen.permutation(len(distinct))
     return {distinct[j]: int(i % k) for i, j in enumerate(order)}
 
@@ -64,7 +64,7 @@ def roles_for_fold(assignment: FoldAssignment, fold_id: int) -> np.ndarray:
     Validation samples sit in cells of the requested fold; samples in any of
     the 8 cells adjacent to a validation cell are buffer-excluded;
     everything else trains. Membership in a validation cell wins over
-    adjacency. Raises EmptySplit when no sample trains or validates.
+    adjacency. Raises DataError when no sample trains or validates.
     """
     if not 0 <= fold_id < assignment.n_folds:
         raise ValueError(f"fold_id {fold_id} outside [0, {assignment.n_folds})")
@@ -90,7 +90,7 @@ def roles_for_fold(assignment: FoldAssignment, fold_id: int) -> np.ndarray:
     n_train = np.count_nonzero(roles == ROLE_TRAIN)
     n_val = np.count_nonzero(roles == ROLE_VALIDATION)
     if n_train == 0 or n_val == 0:
-        raise EmptySplit(
+        raise DataError(
             f"fold {fold_id}: {n_train} train / {n_val} validation samples")
     return roles
 
@@ -107,7 +107,7 @@ def check_no_leakage(assignment: FoldAssignment, train_idx, val_idx) -> None:
     """Cell-level audit: every train/validation pair must be at Chebyshev
     cell distance >= 2, so no training cell may lie in the 3x3
     neighbourhood of a validation cell. Each validation cell looks up its
-    nine neighbours in the set of training cells. Raises LeakageDetected
+    nine neighbours in the set of training cells. Raises DataError
     on violation."""
     cells = assignment.cells
     train_cells = set(map(tuple, np.unique(cells[train_idx], axis=0).tolist()))
@@ -115,7 +115,7 @@ def check_no_leakage(assignment: FoldAssignment, train_idx, val_idx) -> None:
         for tx in (vx - 1, vx, vx + 1):
             for ty in (vy - 1, vy, vy + 1):
                 if (tx, ty) in train_cells:
-                    raise LeakageDetected(
+                    raise DataError(
                         f"train cell {(tx, ty)} touches validation cell "
                         f"{(vx, vy)}")
 

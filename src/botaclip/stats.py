@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDifferences, ShapeMismatch
+from .errors import DataError, Degenerate
 from .metrics import rankdata_average
 
 WILCOXON_EXACT_MAX_N = 12
@@ -90,10 +90,10 @@ def friedman_test(scores: np.ndarray) -> StatResult:
     """Friedman rank test over an (subjects x models) score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
-        raise ShapeMismatch("scores must be subjects x models")
+        raise DataError("scores must be subjects x models")
     n, k = scores.shape
     if n < 2 or k < 2:
-        raise ShapeMismatch("need at least 2 subjects and 2 models")
+        raise DataError("need at least 2 subjects and 2 models")
     ranks = np.vstack([rankdata_average(row) for row in scores])
     col_sums = ranks.sum(axis=0)
     stat = (12.0 / (n * k * (k + 1))) * float(np.sum(col_sums ** 2)) \
@@ -112,12 +112,12 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> StatResult:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeMismatch("paired samples differ in length")
+        raise DataError("paired samples differ in length")
     d = a - b
     d = d[d != 0.0]
     n = d.size
     if n == 0:
-        raise AllZeroDifferences("all paired differences are zero")
+        raise Degenerate("all paired differences are zero")
     ranks = rankdata_average(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
@@ -186,7 +186,7 @@ def ablation_report(scores_by_model: dict[str, np.ndarray], *, alpha: float,
     """
     names = list(scores_by_model)
     if len(names) < 2:
-        raise ShapeMismatch("need at least two models")
+        raise DataError("need at least two models")
     matrix = np.column_stack([np.asarray(scores_by_model[m], dtype=np.float64)
                               for m in names])
     fried = friedman_test(matrix)
@@ -206,7 +206,7 @@ def ablation_report(scores_by_model: dict[str, np.ndarray], *, alpha: float,
             continue
         try:
             res = wilcoxon_signed_rank(matrix[:, best_idx], matrix[:, j])
-        except AllZeroDifferences:
+        except Degenerate:
             res = StatResult(0.0, 1.0, "wilcoxon-degenerate")
         diff = float(np.median(matrix[:, best_idx] - matrix[:, j]))
         base = float(np.median(matrix[:, j]))

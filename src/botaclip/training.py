@@ -22,7 +22,7 @@ from .encoders import (
     BotaSPModel,
     GradientTape,
 )
-from .errors import DataError, EmptySplit, NotNormalized
+from .errors import DataError, NumericError
 from .fileio import write_csv
 from .losses import (
     ScalarsTauB,
@@ -86,7 +86,7 @@ def _scalars(model: AlignmentModel) -> ScalarsTauB:
 def _check_unit(z, what):
     dev = np.abs(row_norms(z) - 1.0)
     if dev.size and not dev.max() <= UNIT_CHECK_TOL:  # NaN fails <= too
-        raise NotNormalized(f"{what} left the unit sphere by {dev.max():.2e}")
+        raise NumericError(f"{what} left the unit sphere by {dev.max():.2e}")
 
 
 def _fit(model, opt, rng: Rng, cfg: TrainConfig, train_rows: np.ndarray,
@@ -154,7 +154,7 @@ def train_botania(model: BotaniaMLP, covers: np.ndarray, labels: np.ndarray,
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)
     if train_idx.size == 0 or val_idx.size == 0:
-        raise EmptySplit("empty train or validation split")
+        raise DataError("empty train or validation split")
 
     def step(batch, gen, tape):
         logits = model.forward(covers[batch], train=True, gen=gen)
@@ -199,7 +199,7 @@ def train_botaclip(model: AlignmentModel, pairs: PairedDataset,
     train_rows = pairs.view_rows_for_pairs(train_p)
     val_rows = pairs.view_rows_for_pairs(val_p, first_view_only=True)
     if train_rows.size == 0 or val_rows.size == 0:
-        raise EmptySplit("no usable train or validation views")
+        raise DataError("no usable train or validation views")
 
     def step(batch, gen, tape):
         x = pairs.images[batch]
@@ -245,7 +245,7 @@ def train_botasp(model: BotaSPModel, embeddings: np.ndarray,
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)
     if train_idx.size == 0 or val_idx.size == 0:
-        raise EmptySplit("empty train or validation split")
+        raise DataError("empty train or validation split")
     targets = np.asarray(presence, dtype=np.float64)
 
     def step(batch, gen, tape):

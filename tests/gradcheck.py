@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 
-from botaclip.errors import NonFinite
+from botaclip.errors import NumericError
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -29,7 +29,7 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
         fm = float(f(x))
         flat[k] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFinite(f"non-finite evaluation at coordinate {k}")
+            raise NumericError(f"non-finite evaluation at coordinate {k}")
         gflat[k] = (fp - fm) / (2.0 * h)
     return grad
 

@@ -1,8 +1,10 @@
+import builtins
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import botaclip
-from botaclip import fileio, training
+from botaclip import errors, fileio, training
 from botaclip.cli import main
 from botaclip.encoders import AlignmentModel, BotaniaMLP
 from botaclip.evaluate import MetricReport
@@ -64,10 +66,24 @@ class TestSynthCommand:
         assert len(ids) == 320
 
 
+# the exit code cli.main gives each exception family, in its order of checks
+_EXIT_CODES = ((errors.UsageError, 1),
+               ((errors.DataError, OSError, UnicodeDecodeError), 2),
+               (errors.NumericError, 3), (ValueError, 1))
+
+
 def _one_error_line(capsys):
+    """The one JSON error line on stderr, checked against cli.main's codes:
+    its error names a package or builtin exception, its exit that class's."""
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    return json.loads(lines[0])
+    doc = json.loads(lines[0])
+    cls = getattr(errors, doc["error"], None) or getattr(builtins,
+                                                        doc["error"], None)
+    assert isinstance(cls, type) and issubclass(cls, Exception), doc
+    assert doc["exit"] == next(code for family, code in _EXIT_CODES
+                               if issubclass(cls, family)), doc
+    return doc
 
 
 class TestSplitCommand:
@@ -281,10 +297,9 @@ class TestPrepCommand:
         rc = main(["prep", "--releves", str(releves),
                    "--out-dir", str(tmp_path / "prep")])
         assert rc == 2
-        err = capsys.readouterr().err.strip()
-        doc = json.loads(err)
-        assert doc["error"] == "DuplicateEntry"
-        assert doc["exit"] == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError" and doc["exit"] == 2
+        assert doc["message"] == "plot p1: species 'spA' recorded twice"
 
     def test_species_index_is_an_input(self, tmp_path):
         survey = tmp_path / "survey.csv"
@@ -333,7 +348,7 @@ class TestPrepCommand:
                    str(tmp_path / "prep"), "--species-index", str(index)])
         assert rc == 2
         doc = _one_error_line(capsys)
-        assert doc["error"] == "DuplicateEntry" and doc["exit"] == 2
+        assert doc["error"] == "DataError" and doc["exit"] == 2
         assert doc["message"] == "species 'a' listed twice in the index"
         assert not (tmp_path / "prep" / "cover_matrix.csv").exists()
 
@@ -849,6 +864,20 @@ class TestEvalButterflySoilCommands:
         doc = _one_error_line(capsys)
         assert doc["error"] == "DataError" and doc["exit"] == 2
 
+    def test_butterfly_no_unit_scored_exit_2(self, tmp_path, capsys):
+        # one grid cell holds every point, so no fold can be built
+        embf, occ = _butterfly_inputs(tmp_path)
+        out = tmp_path / "report.csv"
+        rc = main(["eval", "--task", "butterfly", "--embeddings", str(embf),
+                   "--occurrences", str(occ), "--out", str(out),
+                   "--set", "cell_size_m=1e12", "--set", "metrics.n_trees=2"])
+        assert rc == 2
+        doc = _one_error_line(capsys)
+        assert doc["error"] == "DataError"
+        assert doc["message"] == "butterfly task: no unit could be scored"
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
     def test_soil(self, tmp_path):
         rc, out = _eval_soil(tmp_path)
         assert rc == 0
@@ -1337,4 +1366,5 @@ class TestDamagedBinaries:
             if which == "images.emb":
                 assert rc == 2, doc
             else:
-                assert rc == 2 or doc["error"] in ("NonFinite", "ZeroRow"), doc
+                assert rc == 2 or (doc["error"] == "NumericError" and re.search(
+                    "NaN or inf|has norm", doc["message"])), doc

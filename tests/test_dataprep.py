@@ -16,13 +16,7 @@ from botaclip.dataprep import (
     normalize_soil,
     stratify_by_elevation,
 )
-from botaclip.errors import (
-    DuplicateEntry,
-    EmptySample,
-    InsufficientAbsences,
-    UnknownClass,
-    UnknownSpecies,
-)
+from botaclip.errors import DataError
 from botaclip.numerics import Rng
 
 
@@ -34,7 +28,7 @@ class TestBraunBlanquet:
         assert braun_blanquet_to_percent("3") == 37.5
 
     def test_unknown_class(self):
-        with pytest.raises(UnknownClass):
+        with pytest.raises(DataError, match="unknown cover-abundance class"):
             braun_blanquet_to_percent("x")
 
     def test_image_within_open_interval(self):
@@ -60,11 +54,11 @@ class TestCoverMatrix:
 
     def test_duplicate_species_rejected(self):
         rel = Releve("p1", 0, 0, [("spA", "1"), ("spA", "2")])
-        with pytest.raises(DuplicateEntry):
+        with pytest.raises(DataError, match="species 'spA' recorded twice"):
             build_cover_matrix([rel], ["spA"])
 
     def test_unknown_species_rejected(self):
-        with pytest.raises(UnknownSpecies):
+        with pytest.raises(DataError, match="species 'spZ' not in index"):
             build_cover_matrix([Releve("p1", 0, 0, [("spZ", "1")])], ["spA"])
 
     def test_binarize_keeps_every_presence(self):
@@ -133,7 +127,7 @@ class TestBalanceDownsample:
         np.testing.assert_array_equal(a, b)
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientAbsences):
+        with pytest.raises(DataError, match="3 absences for 5 presences"):
             balance_downsample(np.arange(5), np.arange(3), Rng(0).substream("d"))
 
 
@@ -184,7 +178,7 @@ class TestNormalizeSoil:
 
     def test_empty_sample_raises(self):
         t = TrophicTable(np.array([[0.0, 0.0]]), np.array([1.0]), ["s"])
-        with pytest.raises(EmptySample):
+        with pytest.raises(DataError, match="sample row 0 sums to zero"):
             normalize_soil(t)
 
     def test_step_one_rows_sum_to_one(self):

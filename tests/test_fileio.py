@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from botaclip.errors import BadMagic, DataError, TruncatedFile, UsageError
+from botaclip.errors import DataError, UsageError
 from botaclip.fileio import (
     _read_plain_matrix,
     config_hash,
@@ -80,7 +80,7 @@ class TestEmbeddingFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.emb"
         path.write_bytes(b"NOPE" + b"\0" * 20)
-        with pytest.raises(BadMagic):
+        with pytest.raises(DataError, match="is not an embedding file"):
             load_embeddings(path, normalize=True)
 
     def test_truncated_payload(self, tmp_path):
@@ -88,7 +88,7 @@ class TestEmbeddingFile:
         save_embeddings(path, np.ones((4, 4)))
         raw = path.read_bytes()
         path.write_bytes(raw[:30])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(DataError, match=r"wanted \d+ bytes, got"):
             load_embeddings(path, normalize=True)
 
     def test_duplicate_ids_rejected(self, tmp_path):
@@ -116,14 +116,14 @@ class TestCheckpointFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"EMB1" + b"\0" * 16)
-        with pytest.raises(BadMagic):
+        with pytest.raises(DataError, match="is not a checkpoint file"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"w": np.ones((8, 8))})
         path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(DataError, match=r"wanted \d+ bytes, got"):
             load_checkpoint(path)
 
 

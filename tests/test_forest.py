@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from botaclip import forest as forest_mod
-from botaclip.errors import EmptyData, NonFinite, ShapeMismatch
+from botaclip.errors import DataError, NumericError
 from botaclip.forest import (
     Forest,
     ForestConfig,
@@ -74,14 +74,14 @@ class TestClassifier:
                            ForestConfig(n_trees=100, seed=0))
 
     def test_empty_data(self):
-        with pytest.raises(EmptyData):
+        with pytest.raises(DataError, match="cannot fit on an empty dataset"):
             fit_classifier(np.empty((0, 2)), np.empty(0),
                            ForestConfig(n_trees=100, seed=0))
 
     def test_shape_mismatch_on_predict(self):
         x, y = _separable_1d(seed=7)
         forest = fit_classifier(x, y, ForestConfig(n_trees=2, seed=0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="forest was fit on"):
             predict(forest, np.ones((3, 2)))
 
     def test_two_tree_vote_averaging(self):
@@ -148,7 +148,7 @@ class TestRegressor:
             x[3, 0] = bad
         else:
             y[3] = bad
-        with pytest.raises(NonFinite):
+        with pytest.raises(NumericError, match="NaN or inf"):
             fit_regressor(x, y, ForestConfig(n_trees=2, seed=0,
                                              criterion="mse"))
 

@@ -16,7 +16,7 @@ from botaclip.encoders import (
     BotaSPModel,
     GradientTape,
 )
-from botaclip.errors import BadLabel, NotNormalized, ShapeMismatch
+from botaclip.errors import DataError, NumericError
 from botaclip.losses import (
     TAU_CLAMP,
     ScalarsTauB,
@@ -103,9 +103,9 @@ class TestSigmoidContrastiveLoss:
             assert _scl(z_img, z_tab, s) >= 0.0
 
     def test_rejects_rectangular(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="pairwise logits must be square"):
             _scl(np.zeros((2, 4)), np.zeros((3, 4)), ScalarsTauB(0.0, 0.0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="projection widths differ"):
             _scl(np.zeros((2, 4)), np.zeros((2, 3)), ScalarsTauB(0.0, 0.0))
 
     def test_permutation_invariance(self):
@@ -149,7 +149,7 @@ class TestRegularizer:
     def test_rejects_unnormalized(self):
         gen = Rng(6).substream("u")
         img = gen.normal(size=(3, 4)) * 2.0
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NumericError, match="deviate from unit norm"):
             _drift(img, l2_normalize_rows(img))
 
     @pytest.mark.parametrize("which", ["original", "projected"])
@@ -157,7 +157,7 @@ class TestRegularizer:
         bad = np.eye(3)
         bad[1] = np.nan
         img, z = (bad, np.eye(3)) if which == "original" else (np.eye(3), bad)
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NumericError, match="deviate from unit norm"):
             similarity_regularizer(img, z)
 
     def test_permutation_invariance(self):
@@ -217,7 +217,7 @@ class TestCrossEntropy:
                    - NEG_LOG_SIG_1) < 1e-9
 
     def test_bad_label(self):
-        with pytest.raises(BadLabel):
+        with pytest.raises(DataError, match="labels outside logit range"):
             self._one_row(np.zeros(3), 3)
 
 
@@ -239,7 +239,7 @@ class TestBotaSPLoss:
         assert abs(loss - bce) < 1e-12
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="logits and targets differ"):
             binary_cross_entropy_with_logits(np.zeros((2, 3)), np.zeros((2, 2)))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botaclip.encoders import GradientTape, Param
-from botaclip.errors import ShapeMismatch
+from botaclip.errors import DataError
 from botaclip.losses import TAU_CLAMP
 from botaclip.numerics import Rng
 from botaclip.optim import AdamW, EarlyStopper
@@ -134,7 +134,7 @@ class _RefAdamW:
         for p in self.params:
             g = tape.get(p)
             if g.shape != p.value.shape:
-                raise ShapeMismatch(p.name)
+                raise DataError(p.name)
             if self.weight_decay > 0 and p.decay:
                 p.value = p.value * (1.0 - self.lr * self.weight_decay)
             m = self._m[p.name] = self.beta1 * self._m[p.name] + (1 - self.beta1) * g

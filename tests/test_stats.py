@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from botaclip.errors import AllZeroDifferences, ShapeMismatch
+from botaclip.errors import Degenerate
 from botaclip.numerics import Rng
 from botaclip.stats import (
     ablation_report,
@@ -69,7 +69,7 @@ class TestWilcoxon:
         assert res.method == "wilcoxon-exact"
 
     def test_all_zero_differences(self):
-        with pytest.raises(AllZeroDifferences):
+        with pytest.raises(Degenerate, match="all paired differences are zero"):
             wilcoxon_signed_rank(np.ones(4), np.ones(4))
 
     def test_sign_flip_symmetry(self):

@@ -11,7 +11,7 @@ import pytest
 from botaclip import training
 from botaclip.encoders import (AlignmentModel, BotaniaMLP, BotaSPModel,
                                GradientTape, Linear, Param, Sequential)
-from botaclip.errors import EmptySplit, NotNormalized
+from botaclip.errors import DataError, NumericError
 from botaclip.fileio import read_csv, typed_columns
 from botaclip.losses import (ScalarsTauB, sigmoid_contrastive_loss,
                              similarity_regularizer)
@@ -78,7 +78,7 @@ class TestTrainBotania:
 
     def test_empty_split_rejected(self):
         covers, labels = _toy_separable_covers()
-        with pytest.raises(EmptySplit):
+        with pytest.raises(DataError, match="empty train or validation split"):
             train_botania(_botania(hidden=4, embed=4, seed=0), covers, labels,
                           np.arange(0), np.arange(10),
                           TrainConfig(batch_size=256, max_epochs=1000,
@@ -120,7 +120,7 @@ def _alignment_model(ds, seed, variant="botania-linear", *,
 def test_unit_check_rejects_nan_row():
     z = np.eye(3)
     z[2] = np.nan
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NumericError, match="left the unit sphere"):
         _check_unit(z, "image projection")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -590,6 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call: built once per process, since
+    parsing reads it and never changes it."""
+    return build_parser()
+
+
 def _keep_freed_memory() -> None:
     """Keep the memory a command frees in the heap for its next step.
 
@@ -614,9 +622,8 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # a non-finite intermediate is reported by the explicit finite
         # checks, as one JSON line, not by numpy warnings on stderr
         with np.errstate(all="ignore"):

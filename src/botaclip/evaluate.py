@@ -1,8 +1,10 @@
 """Downstream task runners: fixed random-forest predictors over embeddings,
 evaluated per species (presence tasks) or per trophic group (abundance).
 
-Units (species or groups) run in order, one after another, in the calling
-thread; each draws from its own substream, so a unit's result never depends
+Each task first builds the forest job of every unit (species or group, per
+fold and seed) in order, then fits all of them in one forest.fit call on
+the embedding matrix, then predicts and scores the units in the same order.
+Each unit draws from its own substream, so a unit's result never depends
 on the others.
 """
 
@@ -24,7 +26,7 @@ from .dataprep import (
 )
 from .errors import DataError, Degenerate
 from .fileio import read_csv, row_error, typed_columns, write_csv
-from .forest import ForestConfig, fit_classifier, fit_regressor, predict
+from .forest import ForestConfig, Job, fit, predict
 from .metrics import boyce_index, classification_metrics, confusion_counts, mae, spearman_rho
 from .numerics import Rng
 from .spatial import FoldAssignment, buffered_split, stratified_kfold
@@ -93,20 +95,22 @@ def _balanced(y, idx, gen):
     return np.concatenate([pres, absn])
 
 
-def _classify_fold(X, y, train_idx, val_idx, n_trees, threshold, tree_seed,
-                   gen):
+def _balanced_split(y, train_idx, val_idx, gen):
+    """Balanced (train, validation) rows, or None when a side lacks a class
+    or holds fewer than 4 rows."""
     train = _balanced(y, train_idx, gen)
     val = _balanced(y, val_idx, gen)
     if train is None or val is None or train.size < 4 or val.size < 4:
         return None
-    forest = fit_classifier(X[train], y[train],
-                            ForestConfig(n_trees=n_trees, seed=tree_seed))
-    proba = predict(forest, X[val])
+    return train, val
+
+
+def _classify(forest, X, labels, threshold):
+    """Classification metrics of forest on rows X with true labels, and its
+    class-1 probabilities."""
+    proba = predict(forest, X)
     pred = (proba >= threshold).astype(np.int64)
-    out = classification_metrics(confusion_counts(y[val], pred))
-    out["_proba"] = proba
-    out["_val_labels"] = y[val]
-    return out
+    return classification_metrics(confusion_counts(labels, pred)), proba
 
 
 def eval_plant(embeddings: np.ndarray, covers: CoverMatrix,
@@ -124,17 +128,23 @@ def eval_plant(embeddings: np.ndarray, covers: CoverMatrix,
     binary = binarize_presence(covers.values)
     kept = filter_by_support(binary, min_presences, max_presences)
     train_idx, val_idx = buffered_split(assignment, fold)
-    report = MetricReport("plant")
+    units, jobs = [], []
     for seed in map(int, seeds):
         for j in map(int, kept):
-            gen = Rng(seed).substream("plant", j)
-            res = _classify_fold(embeddings, binary[:, j], train_idx, val_idx,
-                                 n_trees, threshold, seed * 100003 + j, gen)
-            if res is None:
+            split = _balanced_split(binary[:, j], train_idx, val_idx,
+                                    Rng(seed).substream("plant", j))
+            if split is None:
                 continue
-            for metric in ("tss", "f1", "sensitivity", "specificity"):
-                report.add(covers.species_ids[j], fold, seed, metric,
-                           res[metric])
+            train, val = split
+            units.append((seed, j, val))
+            jobs.append(Job(train, binary[:, j],
+                            ForestConfig(n_trees=n_trees,
+                                         seed=seed * 100003 + j)))
+    report = MetricReport("plant")
+    for (seed, j, val), forest in zip(units, fit(embeddings, jobs)):
+        res, _ = _classify(forest, embeddings[val], binary[val, j], threshold)
+        for metric in ("tss", "f1", "sensitivity", "specificity"):
+            report.add(covers.species_ids[j], fold, seed, metric, res[metric])
     return report
 
 
@@ -151,14 +161,15 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
     if embeddings.shape[0] != sum(len(p) + len(c)
                                   for p, c in row_index.values()):
         raise DataError("embedding rows must match occurrence rows")
-    report = MetricReport("butterfly")
+    units, jobs = [], []
     for seed in map(int, seeds):
         for i, (species, occ) in enumerate(occurrences.items()):
             pres_rows, cand_rows = (np.asarray(r) for r in row_index[species])
             gen = Rng(seed).substream("butterfly-abs", i)
             coords, labels, picked = make_pseudo_absences(occ, gen)
             emb_rows = np.concatenate([pres_rows, cand_rows[picked]])
-            X = embeddings[emb_rows]
+            y = np.zeros(embeddings.shape[0])
+            y[emb_rows] = labels
             try:
                 fa = FoldAssignment.build(
                     coords, n_folds, Rng(seed).substream("butterfly-folds"),
@@ -168,24 +179,30 @@ def eval_butterfly(embeddings: np.ndarray, occurrences: dict,
             for fold in range(n_folds):
                 try:
                     train_idx, val_idx = buffered_split(fa, fold)
-                    res = _classify_fold(
-                        X, labels, train_idx, val_idx, n_trees, threshold,
-                        seed * 100003 + fold,
+                    split = _balanced_split(
+                        labels, train_idx, val_idx,
                         Rng(seed).substream("butterfly", fold))
                 except DataError:
                     continue
-                if res is None:
+                if split is None:
                     continue
-                row = {m: res[m] for m in ("tss", "f1", "sensitivity",
-                                           "specificity")}
-                try:
-                    pres_scores = res["_proba"][res["_val_labels"] == 1]
-                    bg_scores = res["_proba"][res["_val_labels"] == 0]
-                    row["boyce"] = boyce_index(pres_scores, bg_scores)
-                except Degenerate:
-                    pass
-                for metric, value in row.items():
-                    report.add(species, fold, seed, metric, value)
+                train, val = split
+                units.append((species, fold, seed, emb_rows[val], labels[val]))
+                jobs.append(Job(emb_rows[train], y,
+                                ForestConfig(n_trees=n_trees,
+                                             seed=seed * 100003 + fold)))
+    report = MetricReport("butterfly")
+    for (species, fold, seed, val, val_labels), forest in zip(
+            units, fit(embeddings, jobs)):
+        res, proba = _classify(forest, embeddings[val], val_labels, threshold)
+        row = {m: res[m] for m in ("tss", "f1", "sensitivity", "specificity")}
+        try:
+            row["boyce"] = boyce_index(proba[val_labels == 1],
+                                       proba[val_labels == 0])
+        except Degenerate:
+            pass
+        for metric, value in row.items():
+            report.add(species, fold, seed, metric, value)
     return report
 
 
@@ -196,12 +213,10 @@ def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *, n_folds: int,
         raise DataError("embedding rows must match soil samples")
     table = normalize_soil(soil)
     strata = stratify_by_elevation(table.elevations, n_strata)
-    report = MetricReport("soil")
     groups = table.group_ids or [f"g{j + 1}" for j in range(table.values.shape[1])]
-
+    units, jobs = [], []
     for seed in map(int, seeds):
         for j in range(table.values.shape[1]):
-            y = table.values[:, j]
             folds = stratified_kfold(strata, n_folds,
                                      Rng(seed).substream("soil-folds"))
             for fold in range(n_folds):
@@ -209,15 +224,17 @@ def eval_soil(embeddings: np.ndarray, soil: TrophicTable, *, n_folds: int,
                 train = np.flatnonzero(folds != fold)
                 if train.size < 2 or val.size < 2:
                     continue
-                forest = fit_regressor(
-                    embeddings[train], y[train],
-                    ForestConfig(n_trees=n_trees, criterion="mse",
-                                 seed=seed * 100003 + fold * 1009 + j))
-                pred = predict(forest, embeddings[val])
-                report.add(groups[j], fold, seed, "mae", mae(y[val], pred))
-                try:
-                    report.add(groups[j], fold, seed, "spearman",
-                               spearman_rho(y[val], pred))
-                except Degenerate:
-                    pass
+                units.append((j, fold, seed, val))
+                jobs.append(Job(train, table.values[:, j], ForestConfig(
+                    n_trees=n_trees, criterion="mse",
+                    seed=seed * 100003 + fold * 1009 + j)))
+    report = MetricReport("soil")
+    for (j, fold, seed, val), forest in zip(units, fit(embeddings, jobs)):
+        y = table.values[val, j]
+        pred = predict(forest, embeddings[val])
+        report.add(groups[j], fold, seed, "mae", mae(y, pred))
+        try:
+            report.add(groups[j], fold, seed, "spearman", spearman_rho(y, pred))
+        except Degenerate:
+            pass
     return report

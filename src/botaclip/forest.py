@@ -4,17 +4,19 @@ Behavioral mirror of the usual library defaults (100 trees, gini with
 sqrt(d) features per node for classification, variance reduction with all
 features for regression, every tree on a bootstrap sample and grown until
 each leaf is pure or has no boundary to split at, midpoint thresholds).
-Each fit ranks every feature column once, equal values sharing a rank, and
-the split search sorts those integer ranks, never the floats: a gini cell's
-key is 2·rank + label, in the narrowest integer type that holds 2n, so one
-plain sort orders a node's block by value, and an mse block takes a stable
-argsort of its ranks. The search is exact: cumulative sums and impurities at
-every boundary of every candidate feature at once, with the operations of a
-search of one node on the floats, so the trees are bit-identical to it. Ties
-between equally good splits go to the lowest feature index, then lowest
-threshold.
 
-The trees of a forest grow in lockstep. Each tree draws from its own
+One call fits many forests, each a job on rows of one matrix. The call
+ranks every column of the matrix once, equal values sharing a rank, and
+the split search sorts those integer ranks, never the floats: a gini cell's
+key is 2·rank + label, in the narrowest integer type that holds 2N for N
+matrix rows, so one plain sort orders a node's block by value, and an mse
+block takes a stable argsort of its ranks. The search is exact: cumulative
+sums and impurities at every boundary of every candidate feature at once,
+with the operations of a search of one node on the floats, so the trees are
+bit-identical to it. Ties between equally good splits go to the lowest
+feature index, then lowest threshold.
+
+Every tree of every job grows in one lockstep. Each tree draws from its own
 substream and walks its nodes in depth-first preorder, left child first, so
 it draws its candidate features at the same nodes and in the same order as
 a recursive build. Each step takes the next node that needs a search from
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,15 @@ class ForestConfig:
     # candidates per split search: ceil(sqrt(d)) for gini, all d for mse;
     # a class constant, not a field, that the benchmark tracer reads
     max_features = "auto"
+
+
+class Job(NamedTuple):
+    """One forest to fit: rows are its training rows as row indices of the
+    fit's matrix, y holds a target for every matrix row (only those of rows
+    are read; 0/1 for gini), cfg the forest's settings."""
+    rows: np.ndarray
+    y: np.ndarray
+    cfg: ForestConfig
 
 
 @dataclass
@@ -68,21 +80,25 @@ class Forest:
     n_features: int = 0
 
 
-# (node, candidate, row) cells per batched gini search: a step whose nodes
-# hold more is searched in chunks, so a fit's peak memory does not grow with
-# its number of trees
-_SEARCH_CELLS = 1 << 18
+# (node, candidate, row) cells per batched search: a step whose nodes hold
+# more is searched in chunks, so a fit's peak memory does not grow with its
+# number of trees, and a chunk's arrays stay small enough for the cache (on
+# desk's recorded plant and butterfly fits, 2-vCPU box, 2^15 cells ran 13 %
+# faster than 2^18)
+_SEARCH_CELLS = 1 << 15
+# trees growing at once; the next tree starts when one is done, so a fit's
+# memory does not grow with its number of jobs
+_TREES_IN_FLIGHT = 256
 
 
-def _rank_keys(X: np.ndarray, y: np.ndarray, gini: bool) -> tuple:
-    """Search keys and the rank table of one fit.
+def _rank(X: np.ndarray) -> tuple:
+    """The rank table of a matrix of N rows.
 
-    Returns keys, (d, n + 1) in the narrowest integer type that holds 2n:
-    keys[j, i] is 2·rank + label of row i in feature j (label 0 for mse),
-    where the dense rank counts the distinct values of column j below
-    X[i, j], so equal values share a rank. Column n holds the padding
-    sentinel 2n, even and above every key. values[j, r] is the r-th
-    distinct value of column j.
+    Returns ranks, (d, N + 1) in the narrowest integer type that holds 2N:
+    ranks[j, i] is the dense rank of X[i, j], the count of the distinct
+    values of column j below it, so equal values share a rank. Column N
+    holds the padding sentinel N, above every rank. values[j, r] is the
+    r-th distinct value of column j.
     """
     n = X.shape[0]
     dtype = next(t for t in (np.int16, np.int32, np.int64)
@@ -95,57 +111,58 @@ def _rank_keys(X: np.ndarray, y: np.ndarray, gini: bool) -> tuple:
     np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, dtype=dtype, out=rank[:, 1:])
     values = np.zeros_like(xs)
     np.put_along_axis(values, rank, xs, axis=1)
-    keys = np.empty((Xt.shape[0], n + 1), dtype)
-    np.put_along_axis(keys[:, :n], order, rank, axis=1)
-    keys[:, :n] *= 2
-    if gini:
-        keys[:, :n] += y.astype(dtype)
-    keys[:, n] = 2 * n
-    return keys, values
+    ranks = np.empty((Xt.shape[0], n + 1), dtype)
+    np.put_along_axis(ranks[:, :n], order, rank, axis=1)
+    ranks[:, n] = n
+    return ranks, values
 
 
-def _best_splits(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
-                 idxs: list, cands: list, gini: bool) -> list:
+def _best_splits(ranks: np.ndarray, values: np.ndarray, idxs: list,
+                 tgts: list, cands: list, gini: bool) -> list:
     """Best split, as _search_block gives it, or None for each node of one
     step.
 
-    keys and values come from _rank_keys; idxs holds each node's sample
-    rows, cands its m candidate features. Gini nodes are searched in
-    chunks of at most _SEARCH_CELLS cells (a node larger than that alone);
-    each node's search is independent of the others, so the chunking changes
-    no result. An mse chunk holds one node: its right-hand totals are the
-    node's own pairwise sums, which padding would regroup, and its all-d
-    candidates make padding to the chunk's largest node cost more than the
-    calls it saves (a 4-tree fit on 410 x 768, 2-vCPU box: 1.25-1.52 s one
-    node per chunk, 2.08-2.44 s padded).
+    ranks and values come from _rank; idxs holds each node's sample rows,
+    tgts their targets in the same order, cands its m candidate features.
+    Nodes are taken in order of size, so a chunk's nodes are alike and
+    padding each to the largest costs little, and searched in chunks of at
+    most _SEARCH_CELLS cells (a node larger than that alone). Each node's
+    search is independent of its chunk-mates', so the chunking changes no
+    result. With all d candidates an mse node of more than _SEARCH_CELLS / d
+    rows is searched alone, so wide fits stay as fast as with one node per
+    chunk (4 trees on 410 x 768, 2-vCPU box, median of 9: 1.87 s chunked,
+    1.89 s one node per chunk).
     """
-    budget = _SEARCH_CELLS if gini else 0
-    out, m = [], len(cands[0])
+    order = sorted(range(len(idxs)), key=lambda k: idxs[k].size)
+    out, m = [None] * len(idxs), len(cands[0])
     lo = 0
-    while lo < len(idxs):
-        hi, width = lo + 1, idxs[lo].size
-        while (hi < len(idxs) and (hi + 1 - lo) * m
-               * max(width, idxs[hi].size) <= budget):
-            width = max(width, idxs[hi].size)
+    while lo < len(order):
+        hi = lo + 1
+        while (hi < len(order) and (hi + 1 - lo) * m
+               * idxs[order[hi]].size <= _SEARCH_CELLS):
             hi += 1
-        out += _search_block(keys, values, y, idxs[lo:hi],
-                             np.array(cands[lo:hi]), gini)
+        chunk = order[lo:hi]
+        found = _search_block(ranks, values, [idxs[k] for k in chunk],
+                              [tgts[k] for k in chunk],
+                              np.array([cands[k] for k in chunk]), gini)
+        for k, f in zip(chunk, found):
+            out[k] = f
         lo = hi
     return out
 
 
-def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
-                  idxs: list, cands: np.ndarray, gini: bool) -> list:
+def _search_block(ranks: np.ndarray, values: np.ndarray, idxs: list,
+                  tgts: list, cands: np.ndarray, gini: bool) -> list:
     """Best split or None for each node of one chunk: (candidate,
     threshold, rank of the boundary's lower value, ones on its left).
 
-    Every node's (m, size) block of keys is padded with the sentinel to the
-    chunk's largest node (only a gini chunk holds more than one node) and
-    sorted. A gini key is 2·rank + label, so a plain sort orders each block
-    by value, and the labels within a tie do not matter: with 0/1 labels a
-    boundary's count of ones is the same in any order of the tied cells.
-    An mse block takes a stable argsort of its ranks, which is the stable
-    argsort of its values, and gathers y through it. A boundary is a rank
+    Every node's (m, size) block of ranks is padded with the sentinel to
+    the chunk's largest node, and its targets with 0. A gini key is
+    2·rank + label, so a plain sort orders each block by value, and the
+    labels within a tie do not matter: with 0/1 labels a boundary's count
+    of ones is the same in any order of the tied cells. An mse block takes
+    a stable argsort of its ranks, which is the stable argsort of its
+    values, and gathers the targets through it. A boundary is a rank
     change within the node's length; the impurity is computed at the
     boundaries only, each with the operations of a search of one node, so
     bit-identical, and ties keep the first minimum in (candidate, position)
@@ -156,27 +173,31 @@ def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
     scikit-learn's splitter, so the split always parts the two sides.
     """
     B, L = len(idxs), max(idx.size for idx in idxs)
-    m, width = cands.shape[1], keys.shape[1]
+    m, width = cands.shape[1], ranks.shape[1]
     sizes = np.array([idx.size for idx in idxs])
+    fill = np.arange(L) < sizes[:, None]
     rows = np.full((B, L), width - 1, dtype=np.intp)
-    for b, idx in enumerate(idxs):
-        rows[b, :idx.size] = idx
+    rows[fill] = np.concatenate(idxs)
+    tgt = np.zeros((B, L), ranks.dtype if gini else np.float64)
+    tgt[fill] = np.concatenate(tgts)
     # gather through flat offsets: far cheaper than fancy or take_along_axis
-    key = keys.take(cands[:, :, None] * width + rows[:, None, :])
+    key = ranks.take(cands[:, :, None] * width + rows[:, None, :])
     if gini:
+        key <<= 1
+        key |= tgt[:, None, :]
         key.sort(axis=2)
         rank = key >> 1
     else:
         # the position in the low bits makes every pair unique, so a plain
-        # sort of the pairs (below 4n², within int64) is the stable argsort
-        # of the keys; on small nodes it is far cheaper than numpy's radix
+        # sort of the pairs (below 2·N·L, within int64) is the stable argsort
+        # of the ranks; on small nodes it is far cheaper than numpy's radix
         # sort (64 candidates x 8 rows: 6 against 27 us)
         shift = L.bit_length()
         pair = key.astype(np.int64) << shift | np.arange(L)
         pair.sort(axis=2)
-        ys = y[rows].take((pair & ((1 << shift) - 1))
-                          + np.arange(0, B * L, L).reshape(B, 1, 1))
-        rank = pair >> (shift + 1)
+        ys = tgt.take((pair & ((1 << shift) - 1))
+                      + np.arange(0, B * L, L).reshape(B, 1, 1))
+        rank = pair >> shift
     edge = np.zeros(key.shape, dtype=bool)
     np.not_equal(rank[:, :, :-1], rank[:, :, 1:], out=edge[:, :, :-1])
     edge[np.arange(B), :, sizes - 1] = False  # the step into the padding
@@ -201,16 +222,23 @@ def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
         weighted = np.add(pl, pr, out=pl)
     else:
         # the children's summed squared errors, the right-hand totals
-        # taken from the node's own pairwise sum
+        # taken from each node's own pairwise sum: numpy's sum groups a
+        # row by its length, so a sum over the padding would regroup it
         row = at // L  # each boundary's (node, candidate) row
         csum = np.cumsum(ys, axis=2).ravel()
         csum2 = np.cumsum(ys * ys, axis=2)
+        total = np.empty((B, m))
+        lo = 0
+        for size, n in itertools.groupby(sizes.tolist()):
+            hi = lo + len(list(n))
+            total[lo:hi] = ys[lo:hi, :, :size].sum(axis=2)
+            lo = hi
         left_sum = csum[at]
-        right_sum = ys.sum(axis=2).ravel()[row] - left_sum
+        right_sum = total.ravel()[row] - left_sum
         left_sq = csum2.ravel()[at]
         left_sse = left_sq - left_sum ** 2 / left_n
-        right_sse = ((csum2[:, :, -1].ravel()[row] - left_sq)
-                     - right_sum ** 2 / right_n)
+        right_sse = ((csum2[np.arange(B), :, sizes - 1].ravel()[row]
+                      - left_sq) - right_sum ** 2 / right_n)
         weighted = np.add(left_sse, right_sse, out=left_sse)
     left_n += right_n  # the node's size, exactly
     weighted /= left_n
@@ -239,8 +267,9 @@ def _search_block(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
     return out
 
 
-def _candidates(gens: list, d: int, m: int) -> list:
-    """Each tree's feed of sorted candidate features, one list per search.
+def _candidates(d: int, m: int):
+    """The maker of trees' feeds of sorted candidate features: the feed
+    of a tree that draws from gen gives one list per search.
 
     np.sort(gen.choice(d, m, replace=False)) draws Floyd's m bounded
     integers (bounds d−m+1 … d), then shuffles them with m−1 more (bounds
@@ -254,7 +283,8 @@ def _candidates(gens: list, d: int, m: int) -> list:
     nothing is drawn.
     """
     if m == d:
-        return [itertools.repeat(list(range(d)))] * len(gens)
+        every = list(range(d))
+        return lambda gen: itertools.repeat(every)
     per = 2 * m - 1
     highs = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], 64)
 
@@ -272,100 +302,101 @@ def _candidates(gens: list, d: int, m: int) -> list:
                 yield sorted(taken)
             nodes = min(2 * nodes, 64)
 
-    return [feed(gen) for gen in gens]
+    return feed
 
 
-def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
-          gens: list, roots: list) -> list:
-    """Grow every tree of a forest in lockstep; returns the root nodes.
+def fit(X: np.ndarray, jobs: list) -> list:
+    """One forest per job, fit on rows of X; returns them in job order.
 
-    Each tree walks its nodes in depth-first preorder, left child first, and
-    draws its candidate features from its own generator at exactly the nodes
-    a recursive build would, in the same order. A node gets its value when
-    it is made, and only a node that needs a search is pushed. A gini node's
-    value and purity come from its size and its count of ones, which the
-    parent's search gives. Each step pops the next node of every unfinished
-    tree, searches them together, and pushes the children, right first. A
-    child's rows are the parent's rows, in order, whose rank in the split
+    The jobs of one call share a criterion. Every tree of every job grows
+    in one lockstep of at most _TREES_IN_FLIGHT trees, on one rank table of
+    X. Tree t of a job draws from Rng(cfg.seed).substream("tree", t): first
+    its bootstrap sample of the job's rows, then its candidate features.
+    Each node's rows are matrix rows in the order the bootstrap drew them;
+    a child's rows are the parent's, in order, whose rank in the split
     feature is at most the boundary's: those X[rows, feature] <= threshold
-    picks.
+    picks. A node gets its value when it is made, and only a node that
+    needs a search is pushed on its tree's stack. A gini node's value and
+    purity come from its size and its count of ones, which the parent's
+    search gives. Each step pops the next node of every growing tree,
+    searches them together, and pushes the children, right first.
     """
-    gini = cfg.criterion == "gini"
-    d = X.shape[1]
-    m = math.ceil(math.sqrt(d)) if gini else d
-    keys, values = _rank_keys(X, y, gini)
-    feeds = _candidates(gens, d, m)
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise NumericError("forest inputs hold a NaN or inf")
+    n_rows, d = X.shape
+    jobs = [Job(np.asarray(rows), np.asarray(y, dtype=np.float64), cfg)
+            for rows, y, cfg in jobs]
+    criteria = {cfg.criterion for _, _, cfg in jobs}
+    if len(criteria) > 1 or not criteria <= {"gini", "mse"}:
+        raise ValueError("the jobs of one fit share one criterion, gini or "
+                         f"mse, not {sorted(criteria)}")
+    gini = criteria == {"gini"}
+    for rows, y, cfg in jobs:
+        if cfg.n_trees < 1:
+            raise ValueError("a forest needs at least one tree")
+        if rows.size == 0 or d == 0:
+            raise DataError("cannot fit on an empty dataset")
+        if y.shape != (n_rows,):
+            raise DataError("a job's targets must hold one per matrix row")
+        if not np.isfinite(y[rows]).all():
+            raise NumericError("forest inputs hold a NaN or inf")
+        if gini and not np.isin(y[rows], (0, 1)).all():
+            raise ValueError("labels must be binary 0/1")
+    ranks, values = _rank(X)
+    forests = [Forest(n_features=d) for _ in jobs]
+    pending = ((forest.trees, job, t) for forest, job in zip(forests, jobs)
+               for t in range(job.cfg.n_trees))
+    new_feed = _candidates(d, math.ceil(math.sqrt(d)) if gini else d)
 
-    def settle(node, idx, ones):  # sets the value; True if it needs a search
+    def settle(stack, node, idx, tgt, keep, ones):
+        """Sets the value of the node of rows idx[keep], whose targets
+        are tgt[keep] and, for gini, hold `ones` ones; pushes the node if
+        it needs a search."""
+        rows = idx[keep]
         if gini:  # with 0/1 labels ones / size is np.mean bit for bit
-            node.value = ones / idx.size
-            return 0 < ones < idx.size
-        yy = y[idx]
-        node.value = float(np.mean(yy))
-        return yy.min() != yy.max()  # a one-row node is pure
+            node.value = ones / rows.size
+            if 0 < ones < rows.size:
+                stack.append((node, rows, tgt[keep], ones))
+            return
+        tgt = tgt[keep]
+        node.value = float(np.mean(tgt))
+        if tgt.min() != tgt.max():  # a one-row node is pure
+            stack.append((node, rows, tgt, 0))
 
-    trees = [TreeNode() for _ in roots]
-    # nodes that need a search, per tree, next on top: (node, rows, ones)
-    stacks = [[] for _ in roots]
-    for node, idx, stack in zip(trees, roots, stacks):
-        ones = int(y[idx].sum()) if gini else 0
-        if settle(node, idx, ones):
-            stack.append((node, idx, ones))
+    # growing trees: (stack of (node, rows, targets, ones), candidate feed)
+    live = []
     while True:
-        step = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
-        if not step:
-            return trees
-        cands = [next(feeds[t]) for t, *_ in step]
-        found = _best_splits(keys, values, y, [s[2] for s in step], cands,
-                             gini)
-        for (t, node, idx, ones), cand, f in zip(step, cands, found):
+        while len(live) < _TREES_IN_FLIGHT:
+            start = next(pending, None)
+            if start is None:
+                break
+            trees, (rows, y, cfg), t = start
+            gen = Rng(cfg.seed).substream("tree", t)
+            idx = rows[gen.integers(0, rows.size, size=rows.size)]
+            tgt = y[idx]
+            trees.append(TreeNode())
+            stack = []
+            settle(stack, trees[-1], idx, tgt, slice(None),
+                   int(tgt.sum()) if gini else 0)
+            if stack:
+                live.append((stack, new_feed(gen)))
+        if not live:
+            return forests
+        step = [(stack, *stack.pop()) for stack, _ in live]
+        cands = [next(feed) for _, feed in live]
+        found = _best_splits(ranks, values, [s[2] for s in step],
+                             [s[3] for s in step], cands, gini)
+        for (stack, node, idx, tgt, ones), cand, f in zip(step, cands, found):
             if f is None:
                 continue
             c, node.threshold, rank, left_ones = f
             node.feature = int(cand[c])
-            mask = keys[node.feature].take(idx) <= 2 * rank + 1
+            mask = ranks[node.feature].take(idx) <= rank
             node.left, node.right = TreeNode(), TreeNode()
-            for child, rows, k in ((node.right, idx[~mask], ones - left_ones),
-                                   (node.left, idx[mask], left_ones)):
-                if settle(child, rows, k):
-                    stacks[t].append((child, rows, k))
-
-
-def _fit(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if cfg.n_trees < 1:
-        raise ValueError("a forest needs at least one tree")
-    if X.size == 0 or y.size == 0:
-        raise DataError("cannot fit on an empty dataset")
-    if X.shape[0] != y.shape[0]:
-        raise DataError("X rows and y length differ")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NumericError("forest inputs hold a NaN or inf")
-    rng = Rng(cfg.seed)
-    n = X.shape[0]
-    gens, roots = [], []
-    for t in range(cfg.n_trees):
-        gen = rng.substream("tree", t)
-        gens.append(gen)
-        roots.append(np.asarray(gen.integers(0, n, size=n)))
-    return Forest(_grow(X, y, cfg, gens, roots), X.shape[1])
-
-
-def fit_classifier(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
-    """Binary classifier; y must be 0/1."""
-    if cfg.criterion != "gini":
-        raise ValueError("classifier requires the gini criterion")
-    y = np.asarray(y)
-    if y.size and not np.all(np.isin(y, (0, 1))):
-        raise ValueError("labels must be binary 0/1")
-    return _fit(X, y, cfg)
-
-
-def fit_regressor(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
-    if cfg.criterion != "mse":
-        raise ValueError("regressor requires the mse criterion")
-    return _fit(X, y, cfg)
+            settle(stack, node.right, idx, tgt, ~mask, ones - left_ones)
+            settle(stack, node.left, idx, tgt, mask, left_ones)
+        live = [tree for tree in live if tree[0]]
 
 
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:

@@ -115,25 +115,19 @@ def boyce_index(suitability_presence: np.ndarray,
         raise Degenerate("suitability range has zero width")
     width = (hi - lo) * BOYCE_WINDOW_FRACTION
     centers = np.linspace(lo + width / 2.0, hi - width / 2.0, BOYCE_N_WINDOWS)
+    wlo, whi = centers - width / 2.0, centers + width / 2.0
 
-    ratios = []
-    kept_centers = []
-    for i, c in enumerate(centers):
-        wlo, whi = c - width / 2.0, c + width / 2.0
-        if i == BOYCE_N_WINDOWS - 1:
-            p_in = np.sum((pres >= wlo) & (pres <= whi))
-            b_in = np.sum((bg >= wlo) & (bg <= whi))
-        else:
-            p_in = np.sum((pres >= wlo) & (pres < whi))
-            b_in = np.sum((bg >= wlo) & (bg < whi))
-        if b_in == 0:
-            continue
-        ratios.append((p_in / pres.size) / (b_in / bg.size))
-        kept_centers.append(c)
+    def inside(x):  # each window's count of x, the last window closed
+        hit = (x[:, None] >= wlo) & (x[:, None] < whi)
+        hit[:, -1] = (x >= wlo[-1]) & (x <= whi[-1])
+        return np.count_nonzero(hit, axis=0)
+
+    p_in, b_in = inside(pres), inside(bg)
+    kept = b_in != 0
+    ratios = (p_in[kept] / pres.size) / (b_in[kept] / bg.size)
+    kept_centers = centers[kept]
     if len(ratios) < 3:
         raise Degenerate(f"only {len(ratios)} windows have background mass")
-    ratios = np.asarray(ratios)
-    kept_centers = np.asarray(kept_centers)
     if np.all(ratios == ratios[0]):
         raise Degenerate("all window ratios equal")
 

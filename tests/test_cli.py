@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import botaclip
-from botaclip import errors, fileio, training
+from botaclip import cli, errors, fileio, training
 from botaclip.cli import main
 from botaclip.encoders import AlignmentModel, BotaniaMLP
 from botaclip.evaluate import MetricReport
@@ -1293,6 +1293,59 @@ def test_config_flag_overrides_file(synth_dir, tmp_path):
     doc = json.loads((out / "manifest_train_botaclip.json").read_text())
     assert doc["config"]["seed"] == 7
     assert doc["config"]["lambda"] == 0.5
+
+
+def test_main_calls_share_one_parser(synth_dir, tmp_path, monkeypatch,
+                                     capsys):
+    # successive calls of one process, with other commands and flags in
+    # between, write what each call writes in a process of its own
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"seed": 1, "metrics": {"n_trees": 2}}))
+    data = str(synth_dir)
+    plant = ["eval", "--task", "plant", "--embeddings", f"{data}/images.emb",
+             "--covers", f"{data}/eval_species.csv", "--config", str(cfg)]
+    calls = [
+        ["split", "--locations", f"{data}/locations.csv", "--out", "a.csv",
+         "--seed", "4", "--folds", "3", "--fold", "2"],
+        ["split", "--locations", f"{data}/locations.csv", "--out", "b.csv"],
+        ["split", "--bogus"],
+        [*plant, "--split", "b.csv", "--out", "r1.csv", "--seed", "2",
+         "--set", "metrics.n_trees=3"],
+        [*plant, "--split", "a.csv", "--out", "r2.csv"],
+        ["cluster-metrics", "--embeddings", f"{data}/images.emb",
+         "--labels", f"{data}/classes.csv", "--out", "c1.csv", "--raw-input"],
+        ["cluster-metrics", "--embeddings", f"{data}/images.emb",
+         "--labels", f"{data}/classes.csv", "--out", "c2.csv"],
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    codes, files = {}, {}
+    for side in ("shared", "fresh"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        cli._parser.cache_clear()
+        built.clear()
+        codes[side] = []
+        for argv in calls:
+            if side == "fresh":
+                cli._parser.cache_clear()
+            codes[side].append(main(argv))
+        files[side] = {f.name: f.read_bytes()
+                       for f in sorted(Path().iterdir())}
+        assert len(built) == (1 if side == "shared" else len(calls))
+    capsys.readouterr()
+    assert codes["shared"] == codes["fresh"] == [0, 0, 1, 0, 0, 0, 0]
+    assert files["shared"] == files["fresh"]
+    assert len(files["shared"]) == 12  # 6 outputs, each with its manifest
+    # the split after the one with flags took the defaults
+    default = fileio.DEFAULT_CONFIG
+    assert (json.loads(files["shared"]["b.csv.manifest.json"])["config"]
+            == {"cell_size": default["cell_size_m"],
+                "folds": default["n_folds"], "fold": default["fold"],
+                "seed": default["seed"]})
+    assert files["shared"]["a.csv"] != files["shared"]["b.csv"]
 
 
 @pytest.fixture(scope="module")

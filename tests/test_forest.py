@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,13 +16,18 @@ from botaclip.forest import (
     Forest,
     ForestConfig,
     TreeNode,
+    Job,
     _best_splits,
-    _rank_keys,
-    fit_classifier,
-    fit_regressor,
+    _rank,
+    fit,
     predict,
 )
 from botaclip.numerics import Rng
+
+
+def _fit_one(X, y, cfg):
+    """The forest of one job on every row of X."""
+    return fit(X, [Job(np.arange(len(X)), y, cfg)])[0]
 
 
 def _separable_1d(seed=0, n=200):
@@ -34,14 +40,14 @@ def _separable_1d(seed=0, n=200):
 class TestClassifier:
     def test_separable_training_accuracy(self):
         x, y = _separable_1d()
-        forest = fit_classifier(x, y, ForestConfig(n_trees=20, seed=1))
+        forest = _fit_one(x, y, ForestConfig(n_trees=20, seed=1))
         pred = (predict(forest, x) >= 0.5).astype(np.int64)
         assert np.mean(pred == y) == 1.0
 
     def test_constant_labels(self):
         x, _ = _separable_1d(seed=2)
         y = np.ones(len(x), dtype=np.int64)
-        forest = fit_classifier(x, y, ForestConfig(n_trees=5, seed=3))
+        forest = _fit_one(x, y, ForestConfig(n_trees=5, seed=3))
         np.testing.assert_array_equal(predict(forest, x), np.ones(len(x)))
 
     def test_same_seed_same_forest(self):
@@ -49,8 +55,8 @@ class TestClassifier:
         x = gen.normal(size=(60, 3))
         y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
         cfg = ForestConfig(n_trees=8, seed=9)
-        a = fit_classifier(x, y, cfg)
-        b = fit_classifier(x, y, cfg)
+        a = _fit_one(x, y, cfg)
+        b = _fit_one(x, y, cfg)
 
         def structure(node):
             if node.is_leaf:
@@ -64,23 +70,23 @@ class TestClassifier:
         gen = Rng(5).substream("x")
         x = gen.normal(size=(80, 4))
         y = (gen.random(80) < 0.5).astype(np.int64)
-        forest = fit_classifier(x, y, ForestConfig(n_trees=10, seed=6))
+        forest = _fit_one(x, y, ForestConfig(n_trees=10, seed=6))
         p = predict(forest, gen.normal(size=(40, 4)))
         assert p.min() >= 0.0 and p.max() <= 1.0
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
-            fit_classifier(np.ones((3, 1)), np.array([0, 1, 2]),
+            _fit_one(np.ones((3, 1)), np.array([0, 1, 2]),
                            ForestConfig(n_trees=100, seed=0))
 
     def test_empty_data(self):
         with pytest.raises(DataError, match="cannot fit on an empty dataset"):
-            fit_classifier(np.empty((0, 2)), np.empty(0),
+            _fit_one(np.empty((0, 2)), np.empty(0),
                            ForestConfig(n_trees=100, seed=0))
 
     def test_shape_mismatch_on_predict(self):
         x, y = _separable_1d(seed=7)
-        forest = fit_classifier(x, y, ForestConfig(n_trees=2, seed=0))
+        forest = _fit_one(x, y, ForestConfig(n_trees=2, seed=0))
         with pytest.raises(DataError, match="forest was fit on"):
             predict(forest, np.ones((3, 2)))
 
@@ -94,20 +100,20 @@ class TestClassifier:
         x, y = _separable_1d(seed=8, n=100)
         x2 = np.vstack([x, x[y == 1][:20]])
         y2 = np.concatenate([y, np.ones(20, dtype=np.int64)])
-        forest = fit_classifier(x2, y2, ForestConfig(n_trees=15, seed=2))
+        forest = _fit_one(x2, y2, ForestConfig(n_trees=15, seed=2))
         probe = np.array([[3.0], [-3.0]])
         p = predict(forest, probe)
         assert p[0] > 0.9 and p[1] < 0.1
 
 
 @pytest.mark.parametrize("n_trees", [0, -1])
-@pytest.mark.parametrize("fit, criterion", [(fit_classifier, "gini"),
-                                            (fit_regressor, "mse")],
+@pytest.mark.parametrize("criterion", ["gini", "mse"],
                          ids=["classifier", "regressor"])
-def test_forest_needs_a_tree(fit, criterion, n_trees):
+def test_forest_needs_a_tree(criterion, n_trees):
     x, y = _separable_1d(seed=2, n=20)
     with pytest.raises(ValueError, match="at least one tree"):
-        fit(x, y, ForestConfig(n_trees=n_trees, seed=0, criterion=criterion))
+        _fit_one(x, y, ForestConfig(n_trees=n_trees, seed=0,
+                                    criterion=criterion))
 
 
 class TestSplitQuality:
@@ -115,7 +121,7 @@ class TestSplitQuality:
         gen = Rng(9).substream("x")
         x = gen.normal(size=(50, 2))
         y = (gen.random(50) < 0.4).astype(np.int64)
-        forest = fit_classifier(x, y, ForestConfig(n_trees=4, seed=3))
+        forest = _fit_one(x, y, ForestConfig(n_trees=4, seed=3))
 
         def check(node, idx):
             if node.is_leaf:
@@ -133,7 +139,7 @@ class TestSplitQuality:
             check(node.right, ri)
 
         # each tree's root holds the bootstrap rows its substream drew first
-        forest_b = fit_classifier(x, y, ForestConfig(n_trees=3, seed=5))
+        forest_b = _fit_one(x, y, ForestConfig(n_trees=3, seed=5))
         for t, tree in enumerate(forest_b.trees):
             check(tree, Rng(5).substream("tree", t).integers(0, 50, size=50))
 
@@ -149,14 +155,14 @@ class TestRegressor:
         else:
             y[3] = bad
         with pytest.raises(NumericError, match="NaN or inf"):
-            fit_regressor(x, y, ForestConfig(n_trees=2, seed=0,
+            _fit_one(x, y, ForestConfig(n_trees=2, seed=0,
                                              criterion="mse"))
 
     def test_constant_target(self):
         gen = Rng(10).substream("x")
         x = gen.normal(size=(30, 2))
         y = np.full(30, 3.25)
-        forest = fit_regressor(x, y, ForestConfig(n_trees=5, criterion="mse",
+        forest = _fit_one(x, y, ForestConfig(n_trees=5, criterion="mse",
                                                   seed=1))
         np.testing.assert_allclose(predict(forest, x), 3.25, atol=1e-12)
 
@@ -164,7 +170,7 @@ class TestRegressor:
         gen = Rng(11).substream("x")
         x = gen.uniform(-1, 1, size=(200, 1))
         y = np.where(x[:, 0] > 0, 1.0, 0.0)
-        forest = fit_regressor(x, y, ForestConfig(n_trees=30, criterion="mse",
+        forest = _fit_one(x, y, ForestConfig(n_trees=30, criterion="mse",
                                                   seed=2))
         x_test = gen.uniform(-1, 1, size=(200, 1))
         y_test = np.where(x_test[:, 0] > 0, 1.0, 0.0)
@@ -175,7 +181,7 @@ class TestRegressor:
         gen = Rng(12).substream("x")
         x = gen.normal(size=(60, 3))
         y = gen.uniform(2.0, 7.0, size=60)
-        forest = fit_regressor(x, y, ForestConfig(n_trees=10, criterion="mse",
+        forest = _fit_one(x, y, ForestConfig(n_trees=10, criterion="mse",
                                                   seed=3))
         p = predict(forest, gen.normal(size=(50, 3)))
         assert p.min() >= y.min() - 1e-12 and p.max() <= y.max() + 1e-12
@@ -327,8 +333,7 @@ class TestVectorizedSplitMatchesReference:
     @given(_forest_cases())
     def test_trees_and_predictions_bit_identical(self, case):
         X, y, cfg, probe = case
-        fit = fit_classifier if cfg.criterion == "gini" else fit_regressor
-        forest = fit(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         for data in (X, probe):
@@ -342,7 +347,7 @@ class TestVectorizedSplitMatchesReference:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         y = (X[:, 3] + 0.5 * gen.normal(size=130) > 0).astype(np.float64)
         cfg = ForestConfig(n_trees=25, seed=7)
-        forest = fit_classifier(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
@@ -355,7 +360,7 @@ class TestVectorizedSplitMatchesReference:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         y = (X[:, 11] - X[:, 40] + 0.05 * gen.normal(size=100) > 0) * 1.0
         cfg = ForestConfig(n_trees=20, seed=12)
-        forest = fit_classifier(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
@@ -369,7 +374,7 @@ class TestVectorizedSplitMatchesReference:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         y = 40.0 * X[:, 5] + gen.gamma(2.0, 3.0, size=410)
         cfg = ForestConfig(n_trees=5, criterion="mse", seed=7)
-        forest = fit_regressor(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
@@ -390,7 +395,7 @@ class TestVectorizedSplitMatchesReference:
         y = np.where(gen.random(n) < 0.3, gen.choice([0.0, 1.0, 3.5], size=n),
                      gen.uniform(-1e3, 1e3, size=n))
         cfg = ForestConfig(n_trees=n_trees, criterion="mse", seed=seed)
-        forest = fit_regressor(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
 
@@ -403,8 +408,7 @@ class TestVectorizedSplitMatchesReference:
         y = (gen.random(80) < 0.5).astype(np.float64)
         y[X[:, 0] > 0] = 1.0
         cfg = ForestConfig(n_trees=6, criterion=criterion, seed=4)
-        fit = fit_classifier if criterion == "gini" else fit_regressor
-        forest = fit(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
@@ -417,7 +421,7 @@ class TestVectorizedSplitMatchesReference:
         y = gen.choice([-3e200, 1e200, 2e200], size=40)
         cfg = ForestConfig(n_trees=3, criterion="mse", seed=8)
         with np.errstate(all="ignore"):
-            forest = fit_regressor(X, y, cfg)
+            forest = _fit_one(X, y, cfg)
             ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
 
@@ -432,9 +436,8 @@ class TestVectorizedSplitMatchesReference:
         X = np.array([[lo], [hi]] * 5)
         y = np.array([0.0, 1.0] * 5)
         cfg = ForestConfig(n_trees=3, criterion=criterion, seed=2)
-        fit = fit_classifier if criterion == "gini" else fit_regressor
         with np.errstate(over="ignore"):
-            forest = fit(X, y, cfg)
+            forest = _fit_one(X, y, cfg)
             ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
         assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
@@ -448,9 +451,9 @@ class TestVectorizedSplitMatchesReference:
         y = (X[:, 0] > 0).astype(np.float64)
         flip = gen.choice(n, size=12, replace=False)
         y[flip] = 1.0 - y[flip]
-        assert _rank_keys(X, y, True)[0].dtype == np.int32
+        assert _rank(X)[0].dtype == np.int32
         cfg = ForestConfig(n_trees=2, seed=5)
-        forest = fit_classifier(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
 
@@ -462,9 +465,100 @@ class TestVectorizedSplitMatchesReference:
         X = gen.normal(size=(90, 16))
         y = (X[:, 2] + 0.7 * gen.normal(size=90) > 0).astype(np.float64)
         cfg = ForestConfig(n_trees=12, seed=3)
-        forest = fit_classifier(X, y, cfg)
+        forest = _fit_one(X, y, cfg)
         ref = _ref_fit(X, y, cfg)
         assert [_bits(t) for t in forest.trees] == [_bits(t) for t in ref.trees]
+
+
+@st.composite
+def _many_job_cases(draw):
+    """A matrix and several jobs of one criterion on its rows, drawn from
+    one seed: rows shared between jobs, disjoint or repeated within a job,
+    tied values and signed zeros; in the large case, roots of more than
+    128 rows, past numpy's pairwise-sum blocks."""
+    big = draw(st.booleans())
+    n = draw(st.integers(129, 260) if big else st.integers(2, 60))
+    d = draw(st.integers(1, 3) if big else st.integers(1, 12))
+    gen = Rng(draw(st.integers(0, 2 ** 16))).substream("x")
+    tied = gen.choice([-1.0, -0.0, 0.0, 0.25, 3.0], size=(n, d))
+    X = np.where(gen.random((n, d)) < draw(st.sampled_from([0.0, 0.5, 1.0])),
+                 tied, gen.uniform(-1e3, 1e3, size=(n, d)))
+    jobs = []
+    criterion = draw(st.sampled_from(["gini", "mse"]))
+    for k in range(draw(st.integers(1, 3) if big else st.integers(1, 6))):
+        if criterion == "gini":
+            y = (gen.random(n) < 0.5) * 1.0
+        else:
+            y = np.where(gen.random(n) < 0.3,
+                         gen.choice([0.0, 1.0, 3.5], size=n),
+                         gen.uniform(-1e3, 1e3, size=n))
+        rows = draw(st.sampled_from(["all", "half", "disjoint", "repeats"]))
+        rows = {"all": np.arange(n),
+                "half": np.sort(gen.permutation(n)[:max(1, n // 2)]),
+                "disjoint": np.arange(k, n, 6) if k < n else np.arange(n),
+                "repeats": gen.integers(0, n, size=n)}[rows]
+        cfg = ForestConfig(n_trees=draw(st.integers(1, 2 if big else 4)),
+                           criterion=criterion,
+                           seed=draw(st.integers(0, 2 ** 16)))
+        jobs.append(Job(rows, y, cfg))
+    cells = draw(st.sampled_from([0, 64, 600, forest_mod._SEARCH_CELLS]))
+    in_flight = draw(st.sampled_from([1, 2, 3, forest_mod._TREES_IN_FLIGHT]))
+    return X, jobs, cells, in_flight
+
+
+@settings(max_examples=200, deadline=None)
+@given(_many_job_cases())
+def test_many_job_fit_matches_each_job_alone(case):
+    # each job of one call equals the frozen reference fit on that job's
+    # rows alone, whatever its call-mates, the chunk budget and the number
+    # of trees in flight
+    X, jobs, cells, in_flight = case
+    with mock.patch.object(forest_mod, "_SEARCH_CELLS", cells), \
+            mock.patch.object(forest_mod, "_TREES_IN_FLIGHT", in_flight):
+        forests = fit(X, jobs)
+    assert len(forests) == len(jobs)
+    for (rows, y, cfg), forest in zip(jobs, forests):
+        ref = _ref_fit(X[rows], y[rows], cfg)
+        assert [_bits(t) for t in forest.trees] == \
+            [_bits(t) for t in ref.trees]
+        assert predict(forest, X).tobytes() == _ref_predict(ref, X).tobytes()
+
+
+def test_jobs_of_one_fit_share_a_criterion():
+    x, y = _separable_1d(seed=3, n=20)
+    rows = np.arange(20)
+    with pytest.raises(ValueError, match="share one criterion"):
+        fit(x, [Job(rows, y, ForestConfig(n_trees=1, seed=0)),
+                Job(rows, y, ForestConfig(n_trees=1, seed=0,
+                                          criterion="mse"))])
+
+
+def _tree_splits(node):
+    if node.is_leaf:
+        return 0
+    return 1 + _tree_splits(node.left) + _tree_splits(node.right)
+
+
+def test_mse_searches_batch_across_jobs(monkeypatch):
+    # ten one-tree mse jobs, soil's two groups by five folds: each lockstep
+    # step searches its nodes in one call, where one call per node would
+    # make as many calls as there are searched nodes
+    gen = Rng(43).substream("x")
+    X = gen.normal(size=(60, 64))
+    Y = X[:, :2] * 3.0 + gen.gamma(2.0, 1.0, size=(60, 2))
+    folds = np.arange(60) % 5
+    jobs = [Job(np.flatnonzero(folds != k), Y[:, g],
+                ForestConfig(n_trees=1, criterion="mse", seed=10 * g + k))
+            for g in range(2) for k in range(5)]
+    calls = {"_best_splits": 0, "_search_block": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(forest_mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(forest_mod, name, counted)
+    forests = fit(X, jobs)
+    split_nodes = sum(_tree_splits(f.trees[0]) for f in forests)
+    assert calls["_search_block"] <= calls["_best_splits"] < split_nodes
 
 
 def test_search_memory_does_not_grow_with_trees():
@@ -478,10 +572,11 @@ def test_search_memory_does_not_grow_with_trees():
     gens = [rng.substream("tree", t) for t in range(100)]
     rows = [g.integers(0, 3000, size=3000) for g in gens]
     cands = [np.sort(g.choice(64, size=8, replace=False)) for g in gens]
-    keys, values = _rank_keys(X, y, True)
+    ranks, values = _rank(X)
+    labels = [y[r] for r in rows]
     tracemalloc.start()
     try:
-        _best_splits(keys, values, y, rows, cands, True)
+        _best_splits(ranks, values, rows, labels, cands, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,7 +597,7 @@ def test_candidate_draws_match_choice(d, every, nodes, seed):
     # the installed numpy
     m = d if every else math.ceil(math.sqrt(d))
     gen, ref = Rng(seed).substream("tree", 3), Rng(seed).substream("tree", 3)
-    feed = forest_mod._candidates([gen], d, m)[0]
+    feed = forest_mod._candidates(d, m)(gen)
     where = f"numpy {np.__version__}, d={d}, m={m}, seed={seed}"
     k = 0
     while True:

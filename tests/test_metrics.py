@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botaclip.errors import Degenerate
 from botaclip.metrics import (
+    BOYCE_N_WINDOWS,
+    BOYCE_WINDOW_FRACTION,
     ConfusionCounts,
     boyce_index,
     classification_metrics,
@@ -134,6 +138,87 @@ def _boyce_oracle(pres, bg, n_windows=100, fraction=0.1):
         dedup_r.append(ratios[j])
         dedup_c.append(centers[j])
     return dedup_r, dedup_c
+
+
+def _boyce_loop(suitability_presence, suitability_background):
+    """boyce_index as it was with one loop pass per window, frozen as the
+    reference the vectorized windows must match bit for bit."""
+    pres = np.asarray(suitability_presence, dtype=np.float64)
+    bg = np.asarray(suitability_background, dtype=np.float64)
+    if pres.size == 0 or bg.size == 0:
+        raise Degenerate("empty suitability vector")
+    if not (np.all(np.isfinite(pres)) and np.all(np.isfinite(bg))):
+        raise ValueError("suitability values must be finite")
+    lo = min(pres.min(), bg.min())
+    hi = max(pres.max(), bg.max())
+    if hi <= lo:
+        raise Degenerate("suitability range has zero width")
+    width = (hi - lo) * BOYCE_WINDOW_FRACTION
+    centers = np.linspace(lo + width / 2.0, hi - width / 2.0, BOYCE_N_WINDOWS)
+
+    ratios = []
+    kept_centers = []
+    for i, c in enumerate(centers):
+        wlo, whi = c - width / 2.0, c + width / 2.0
+        if i == BOYCE_N_WINDOWS - 1:
+            p_in = np.sum((pres >= wlo) & (pres <= whi))
+            b_in = np.sum((bg >= wlo) & (bg <= whi))
+        else:
+            p_in = np.sum((pres >= wlo) & (pres < whi))
+            b_in = np.sum((bg >= wlo) & (bg < whi))
+        if b_in == 0:
+            continue
+        ratios.append((p_in / pres.size) / (b_in / bg.size))
+        kept_centers.append(c)
+    if len(ratios) < 3:
+        raise Degenerate(f"only {len(ratios)} windows have background mass")
+    ratios = np.asarray(ratios)
+    kept_centers = np.asarray(kept_centers)
+    if np.all(ratios == ratios[0]):
+        raise Degenerate("all window ratios equal")
+
+    # collapse runs of equal consecutive ratios, keeping the last window
+    keep = np.append(ratios[:-1] != ratios[1:], True)
+    ratios = ratios[keep]
+    kept_centers = kept_centers[keep]
+    return spearman_rho(ratios, kept_centers)
+
+
+@st.composite
+def _boyce_cases(draw):
+    """Presence and background scores; few distinct values give ties, and
+    some scores sit exactly on a window's lower or upper bound."""
+    values = draw(st.sampled_from([
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
+        st.floats(0.0, 1.0),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)]))
+    pres = draw(st.lists(values, min_size=1, max_size=30))
+    bg = draw(st.lists(values, min_size=1, max_size=60))
+    lo, hi = min(pres + bg), max(pres + bg)
+    width = (hi - lo) * BOYCE_WINDOW_FRACTION
+    centers = np.linspace(lo + width / 2.0, hi - width / 2.0, BOYCE_N_WINDOWS)
+    on_edges = draw(st.lists(st.tuples(
+        st.sampled_from([0, 1, 2, 50, 97, 98, 99]) | st.integers(0, 99),
+        st.booleans(), st.booleans()), max_size=12))
+    for i, upper, to_bg in on_edges:
+        edge = centers[i] + width / 2.0 if upper else centers[i] - width / 2.0
+        # kept within [lo, hi], so the windows stay where they were
+        (bg if to_bg else pres).append(float(min(max(edge, lo), hi)))
+    return np.array(pres), np.array(bg)
+
+
+def _outcome(fn, pres, bg):
+    try:
+        return float(fn(pres, bg)).hex()
+    except Degenerate as exc:
+        return f"Degenerate: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boyce_cases())
+def test_boyce_matches_frozen_loop(case):
+    pres, bg = case
+    assert _outcome(boyce_index, pres, bg) == _outcome(_boyce_loop, pres, bg)
 
 
 BG_TOP = np.arange(0.03, 0.94, 0.1)          # 10 points, spacing 0.1

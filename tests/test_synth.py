@@ -1,6 +1,6 @@
 import numpy as np
 
-from botaclip.forest import ForestConfig, fit_classifier, predict
+from botaclip.forest import ForestConfig, Job, fit, predict
 from botaclip.metrics import classification_metrics, confusion_counts
 from botaclip.numerics import Rng
 from botaclip.spatial import FoldAssignment, buffered_split
@@ -91,8 +91,8 @@ def _mean_tss(X, presence, tr, va, seed):
         if min(y[tr].sum(), len(tr) - y[tr].sum(),
                y[va].sum(), len(va) - y[va].sum()) < 5:
             continue
-        forest = fit_classifier(X[tr], y[tr],
-                                ForestConfig(n_trees=15, seed=seed * 31 + s))
+        forest = fit(X, [Job(tr, y, ForestConfig(n_trees=15,
+                                                 seed=seed * 31 + s))])[0]
         pred = (predict(forest, X[va]) >= 0.5).astype(int)
         out.append(classification_metrics(confusion_counts(y[va], pred))["tss"])
     return float(np.mean(out))

@@ -563,8 +563,8 @@ def test_mse_searches_batch_across_jobs(monkeypatch):
 
 def test_search_memory_does_not_grow_with_trees():
     # the root step of 100 trees holds 100 nodes x 8 candidates x 3000 rows;
-    # searched in one block that is about 106 MB, in budgeted chunks about
-    # 11 MB
+    # searched in one block that is about 106 MB, in budgeted chunks of one
+    # node each about 1 MB
     gen = Rng(5).substream("x")
     X = gen.normal(size=(3000, 64))
     y = (X[:, 0] + gen.normal(size=3000) > 0).astype(np.float64)
